@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Union
 
+from . import checks, distributions, expansion, pairing
 from .distributions import (
     Derivative,
     Dilate,
@@ -45,18 +46,20 @@ from .distributions import (
     pf_power,
     simplify,
 )
-from .errors import DslError
+from .errors import DslError, ThickCalcError
 from .sphere import SpherePair, SphereDistribution
 from .testfn import (
     Monomial,
     Multiplier,
     ThickTestFunction,
+    constant_multiplier,
     derivative as fn_derivative,
     from_polynomial,
     heaviside_multiplier,
     monomial_multiplier,
     multiply_by,
     plateau_bump,
+    power_multiplier,
     thick_monomial,
 )
 
@@ -279,13 +282,13 @@ class Parser:
             c.expect(")")
             if not _is_dist(inner):
                 raise DslError(f"{word}( ) applies to distributions", t.pos)
-            return Translate(inner, amount) if word == "translate" else Dilate(inner, amount)
+            return _build(t, Translate if word == "translate" else Dilate, inner, amount)
         if word == "bump":
             c.next()
             c.expect("(")
             radius = self.parse_number(c)
             c.expect(")")
-            return plateau_bump(_as_float(radius))
+            return _build(t, plateau_bump, radius)
         if word == "mono":
             c.next()
             c.expect("(")
@@ -295,7 +298,7 @@ class Parser:
             c.expect(",")
             radius = self.parse_number(c)
             c.expect(")")
-            return thick_monomial(order, pair, _as_float(radius))
+            return _build(t, thick_monomial, order, pair, radius)
         if word == "poly":
             c.next()
             c.expect("(")
@@ -303,7 +306,7 @@ class Parser:
             c.expect(",")
             radius = self.parse_number(c)
             c.expect(")")
-            return from_polynomial(coeffs, _as_float(radius))
+            return _build(t, from_polynomial, coeffs, radius)
         if word == "D":
             c.next()
             c.expect("(")
@@ -321,7 +324,7 @@ class Parser:
             return heaviside_multiplier()
         if word == "x" and c.at("^", 1):
             c.next(); c.next()
-            return monomial_multiplier_from_power(self.parse_int(c))
+            return power_multiplier(self.parse_int(c))
         if word == "mult":
             c.next()
             c.expect("(")
@@ -426,19 +429,21 @@ class Parser:
         return ThickDelta(SphereDistribution(pair), degree, 0)
 
 
+def _build(tok: Token, constructor, *args):
+    """Call a constructor, reporting the arguments it rejects at the token."""
+    try:
+        return constructor(*args)
+    except (ValueError, OverflowError) as exc:
+        raise DslError(str(exc), tok.pos) from None
+
+
 def monomial_scale(m: Multiplier, k) -> Multiplier:
     if m.is_zero() or k == 0:
-        from .testfn import constant_multiplier
         return constant_multiplier(0, m.point)
     if not isinstance(m.body, Monomial):
         raise DslError("can only scale simple monomial multipliers")
     pair = m.body.pair * Fraction(k)
     return monomial_multiplier(m.body.order, pair, m.point)
-
-
-def monomial_multiplier_from_power(order: int) -> Multiplier:
-    from .testfn import power_multiplier
-    return power_multiplier(order)
 
 
 def _is_dist(v) -> bool:
@@ -454,10 +459,6 @@ def _typename(v) -> str:
     if isinstance(v, Multiplier):
         return "a multiplier"
     return "a number"
-
-
-def _as_float(x) -> float:
-    return float(x)
 
 
 def _flatten_combination(terms) -> LinearCombination:
@@ -583,20 +584,14 @@ class Report:
 def run(program: Program, cfg=None) -> Report:
     """Execute the queries in order; errors are recorded per query and do not
     abort the rest of the program."""
-    from .checks import run_suite
-    from .distributions import project
-    from .errors import ThickCalcError
-    from .expansion import render
-    from .pairing import DEFAULT_CONFIG, pair
-
-    cfg = cfg or DEFAULT_CONFIG
+    cfg = cfg or pairing.DEFAULT_CONFIG
     report = Report(records=[])
     for q in program.queries:
         rec = {"query": q.command, "source": q.source}
         try:
             if q.command in ("eval", "project"):
-                target = project(q.dist) if q.command == "project" else q.dist
-                res = pair(target, q.testfn, cfg)
+                target = distributions.project(q.dist) if q.command == "project" else q.dist
+                res = pairing.pair(target, q.testfn, cfg)
                 rec["expr"] = print_distribution(q.dist)
                 rec["value"] = float(res.value)
                 if isinstance(res.value, Fraction):
@@ -609,9 +604,9 @@ def run(program: Program, cfg=None) -> Report:
                 rec["expr"] = print_distribution(q.dist)
                 rec["result"] = print_distribution(simplify(Derivative(q.dist)))
             elif q.command == "expand":
-                rec["result"] = render(q.testfn.expansion.truncate(q.max_order))
+                rec["result"] = expansion.render(q.testfn.expansion.truncate(q.max_order))
             elif q.command == "check":
-                outcomes = run_suite(q.suite, cfg)
+                outcomes = checks.run_suite(q.suite, cfg)
                 rec["suite"] = q.suite
                 rec["passed"] = all(o.passed for o in outcomes)
                 rec["outcomes"] = [

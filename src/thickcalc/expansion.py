@@ -15,6 +15,7 @@ order and the zero expansion is the unique empty one.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -190,14 +191,13 @@ def from_taylor(coeffs: Iterable, exact: bool = False) -> Expansion:
                      order=None if exact else len(cs) - 1)
 
 
-def evaluate(e: Expansion, w: int, r: float) -> float:
-    """Float value of the stored truncation at the sphere point w, radius r > 0."""
+def evaluate(e: Expansion, w: int, r: float, top: Optional[int] = None) -> float:
+    """Float value of the stored truncation through order ``top`` (all stored
+    orders by default) at the sphere point w, radius r > 0."""
     if r <= 0:
         raise ValueError("radius must be positive")
-    total = 0.0
-    for j, c in e.terms():
-        total += float(c.at(w)) * r ** j
-    return total
+    # termwise with r**j so that it cancels bit-exactly against monomial terms
+    return math.fsum(float(c.at(w)) * r ** j for j, c in e.terms() if top is None or j <= top)
 
 
 # -- textual form ----------------------------------------------------------

@@ -38,9 +38,9 @@ from .distributions import (
     ThickDelta,
     Translate,
 )
-from .expansion import Expansion
+from .expansion import Expansion, evaluate
 from .quadrature import integrate
-from .sphere import SPHERE_MEASURE
+from .sphere import ONE_PAIR, SPHERE_MEASURE, SpherePair
 from .testfn import ThickTestFunction, derivative, dilate, multiply_by, translate
 
 
@@ -51,10 +51,10 @@ class QuadratureConfig:
     split_radius: float = 1.0
 
     def __post_init__(self):
-        if self.abs_tol <= 0:
-            raise ValueError("abs_tol must be positive")
-        if self.split_radius <= 0:
-            raise ValueError("split_radius must be positive")
+        if not 0 < self.abs_tol < math.inf:
+            raise ValueError("abs_tol must be positive and finite")
+        if not 0 < self.split_radius < math.inf:
+            raise ValueError("split_radius must be positive and finite")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -89,8 +89,20 @@ def _side_value(phi, w: int, r: float) -> float:
     return phi.body.value(y)
 
 
-def _partial_sum(e: Expansion, w: int, r: float, top: int) -> float:
-    return math.fsum(float(c.at(w)) * r ** j for j, c in e.terms() if j <= top)
+def _radial(phi, pair: SpherePair, flam: float, e: Optional[Expansion] = None, top: int = 0):
+    """The two-sided radial integrand r^flam * sum_w pair(w) * (phi(a + w r) -
+    e(w, r) through order top); without ``e`` nothing is subtracted."""
+    sides = [(w, float(pair.at(w))) for w in (1, -1) if pair.at(w)]
+
+    def integrand(r):
+        acc = 0.0
+        for w, c in sides:
+            v = _side_value(phi, w, r)
+            if e is not None:
+                v -= evaluate(e, w, r, top)
+            acc += c * v
+        return r ** flam * acc
+    return integrand
 
 
 def pair(f, phi: ThickTestFunction, cfg: QuadratureConfig = DEFAULT_CONFIG) -> PairingResult:
@@ -151,7 +163,6 @@ def _pair_density(f: PfDensity, phi: ThickTestFunction, cfg: QuadratureConfig) -
     e = phi.expansion
     R = phi.radius
     A = cfg.split_radius if cfg.split_radius < R else R / 2
-    cp, cm = float(f.pair.plus), float(f.pair.minus)
 
     if f.integral_power:
         jmax = -lam - 1
@@ -180,18 +191,8 @@ def _pair_density(f: PfDensity, phi: ThickTestFunction, cfg: QuadratureConfig) -
         else:
             series.append((j, cj * A ** (lam + j + 1) / (lam + j + 1)))
 
-    quad_error = 0.0
-
-    def far(r):
-        acc = 0.0
-        if cp:
-            acc += cp * _side_value(phi, 1, r)
-        if cm:
-            acc += cm * _side_value(phi, -1, r)
-        return r ** flam * acc
-
-    far_value, far_err = integrate(far, A, R, cfg.abs_tol, cfg.max_subdivisions)
-    quad_error += far_err
+    far_value, quad_error = integrate(_radial(phi, f.pair, flam), A, R,
+                                      cfg.abs_tol, cfg.max_subdivisions)
 
     # near field: the expansion-subtracted remainder on [0, A].  On the inner
     # plateau of an exact function the subtraction leaves just the expansion
@@ -212,15 +213,8 @@ def _pair_density(f: PfDensity, phi: ThickTestFunction, cfg: QuadratureConfig) -
         inner_edge = 0.0
 
     if inner_edge < A:
-        def near_generic(r):
-            acc = 0.0
-            if cp:
-                acc += cp * (_side_value(phi, 1, r) - _partial_sum(e, 1, r, jmax))
-            if cm:
-                acc += cm * (_side_value(phi, -1, r) - _partial_sum(e, -1, r, jmax))
-            return r ** flam * acc
-
-        v, err = integrate(near_generic, inner_edge, A, cfg.abs_tol, cfg.max_subdivisions)
+        v, err = integrate(_radial(phi, f.pair, flam, e, jmax), inner_edge, A,
+                           cfg.abs_tol, cfg.max_subdivisions)
         near_value += v
         quad_error += err
 
@@ -352,7 +346,6 @@ def fp_pair_oracle(f: PfDensity, phi: ThickTestFunction,
     flam = float(lam)
     e = phi.expansion
     R = phi.radius
-    cp, cm = float(f.pair.plus), float(f.pair.minus)
 
     if e.exact:
         powers = []
@@ -370,14 +363,9 @@ def fp_pair_oracle(f: PfDensity, phi: ThickTestFunction,
         maxq = 1
         n_cols = len(default_fit_powers(3)) + 7
 
+    integrand = _radial(phi, f.pair, flam)
+
     def truncated(eps):
-        def integrand(r):
-            acc = 0.0
-            if cp:
-                acc += cp * _side_value(phi, 1, r)
-            if cm:
-                acc += cm * _side_value(phi, -1, r)
-            return r ** flam * acc
         v, _ = integrate(integrand, eps, R, cfg.abs_tol, max(cfg.max_subdivisions, 4000))
         return v
 
@@ -393,9 +381,8 @@ def fp_pair_oracle(f: PfDensity, phi: ThickTestFunction,
 
 def radial_integral(phi: ThickTestFunction, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Integral of phi over the line, evaluated as the two-sided radial sum."""
-    def both(r):
-        return _side_value(phi, 1, r) + _side_value(phi, -1, r)
-    value, _ = integrate(both, 0.0, phi.radius, cfg.abs_tol, cfg.max_subdivisions)
+    value, _ = integrate(_radial(phi, ONE_PAIR, 0.0), 0.0, phi.radius,
+                         cfg.abs_tol, cfg.max_subdivisions)
     return value
 
 

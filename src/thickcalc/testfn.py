@@ -1,19 +1,21 @@
-"""Test functions with one thick point, as closed expression trees.
+"""Test functions with one thick point, as canonical sums of terms.
 
 A test function is smooth away from its thick point, compactly supported,
-and carries the expansion of its local behaviour.  Bodies are built from two
-leaf shapes:
+and carries the expansion of its local behaviour.  Its body is a ``Body``: a
+sum of terms
 
-* ``Monomial(j, pair)`` -- the two-sided power ``pair(w) * r^j`` in the local
-  coordinate (this covers x^j, |x|^j, the unit step, and signed powers);
-* ``Plateau(radius, n)`` -- the n-th derivative of a smooth cutoff that is
-  identically 1 on the inner half of its support and 0 outside it.
+    pair(w) * r^j * prod_i plateau^(k_i)(R_i)
 
-Sums, scalar multiples and products close the tree under symbolic
-differentiation, so derivatives are exact objects and never numeric.  Every
-built-in constructor produces the expansion alongside the body; on the inner
-plateau the expansion equals the function identically, which is what makes
-the downstream pairing formulas testable with tight tolerances.
+in the local coordinate y (r = |y|, w = sign y).  ``pair(w) * r^j`` covers
+x^j, |x|^j, the unit step and signed powers; ``plateau^(k)(R)`` is the k-th
+derivative of a smooth cutoff that is identically 1 on |y| <= R/2 and 0 on
+|y| >= R.  Like terms merge in exact arithmetic and zero terms drop out, so
+the body is closed under sums, scalar multiples, products and symbolic
+differentiation (the Leibniz rule), derivatives are exact objects and never
+numeric, and their size grows polynomially in the order.  Every built-in
+constructor produces the expansion alongside the body; on the inner plateau
+the expansion equals the function identically, which is what makes the
+downstream pairing formulas testable with tight tolerances.
 """
 
 from __future__ import annotations
@@ -21,12 +23,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
+from itertools import groupby
 from typing import Tuple, Union
 
 from .errors import InsufficientOrderError, PointMismatchError
 from . import expansion as xp
 from .expansion import Expansion, ZERO_EXPANSION
-from .sphere import SpherePair, as_fraction, parity_pair
+from .sphere import ONE_PAIR, SpherePair, as_fraction, parity_pair
 
 
 # -- smooth step profile -----------------------------------------------------
@@ -83,12 +87,23 @@ def smoothstep_deriv(t: float, n: int) -> float:
     return s[n] * math.factorial(n)
 
 
-# -- body nodes ---------------------------------------------------------------
+# -- bodies -------------------------------------------------------------------
+
+
+def plateau_value(radius: float, n: int, y: float) -> float:
+    """n-th derivative of the cutoff that is 1 on |y| <= radius/2 and 0 on
+    |y| >= radius, at the local coordinate y."""
+    t = 2.0 - 2.0 * abs(y) / radius
+    if n == 0:
+        return smoothstep_deriv(t, 0)
+    slope = -2.0 / radius if y > 0 else 2.0 / radius
+    return smoothstep_deriv(t, n) * slope ** n
 
 
 @dataclass(frozen=True)
 class Monomial:
-    """pair(w) * r^order in the local coordinate y (r = |y|, w = sign y)."""
+    """pair(w) * r^order in the local coordinate y (r = |y|, w = sign y);
+    the body of a multiplier."""
 
     order: int
     pair: SpherePair
@@ -110,154 +125,116 @@ class Monomial:
         return Monomial(self.order - 1, d)
 
 
-@dataclass(frozen=True)
-class Plateau:
-    """n-th derivative of the cutoff: 1 on |y| <= radius/2, 0 on |y| >= radius."""
-
-    radius: float
-    deriv: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "radius", float(self.radius))
-        if self.radius <= 0:
-            raise ValueError("plateau radius must be positive")
-
-    def value(self, y: float) -> float:
-        t = 2.0 - 2.0 * abs(y) / self.radius
-        if self.deriv == 0:
-            return smoothstep_deriv(t, 0)
-        slope = -2.0 / self.radius if y > 0 else 2.0 / self.radius
-        return smoothstep_deriv(t, self.deriv) * slope ** self.deriv
-
-    def derivative(self):
-        return Plateau(self.radius, self.deriv + 1)
+#: Plateau factors of a term: sorted (radius, derivative order) pairs, repeats
+#: allowed, standing for the product of those cutoff derivatives.
+Factors = Tuple[Tuple[float, int], ...]
 
 
 @dataclass(frozen=True)
-class Scale:
-    factor: Fraction
-    node: "Body"
+class Body:
+    """The sum of pair(w) * r^j * prod_i plateau^(k_i)(R_i) over its terms.
 
-    def __post_init__(self):
-        object.__setattr__(self, "factor", as_fraction(self.factor))
-        object.__setattr__(self, "_f", float(self.factor))
+    ``terms`` holds (factors, j, pair) sorted by (factors, j), one term per
+    key and no zero pair, so equal sums built different ways compare equal.
+    """
 
-    def value(self, y: float) -> float:
-        return self._f * self.node.value(y)
+    terms: Tuple[Tuple[Factors, int, SpherePair], ...] = ()
 
-    def derivative(self):
-        return scale_body(self.factor, self.node.derivative())
-
-
-@dataclass(frozen=True)
-class Sum:
-    nodes: Tuple["Body", ...]
-
-    def value(self, y: float) -> float:
-        return math.fsum(n.value(y) for n in self.nodes)
-
-    def derivative(self):
-        return sum_body(n.derivative() for n in self.nodes)
-
-
-@dataclass(frozen=True)
-class Product:
-    left: "Body"
-    right: "Body"
+    @cached_property
+    def _sides(self):
+        # per side (y > 0, y < 0): nonzero float coefficients grouped by factors
+        sides = []
+        for w in (1, -1):
+            groups = []
+            for factors, terms in groupby(self.terms, key=lambda t: t[0]):
+                coeffs = [(j, float(p.at(w))) for _, j, p in terms if p.at(w)]
+                if coeffs:
+                    groups.append((factors, coeffs))
+            sides.append(groups)
+        return sides
 
     def value(self, y: float) -> float:
-        a = self.left.value(y)
-        if a == 0.0:
-            return 0.0
-        return a * self.right.value(y)
+        # c * r**j first, as expansion.evaluate computes it, so that a term
+        # on the inner plateau cancels bit-exactly against the expansion
+        r = abs(y)
+        parts = []
+        for factors, coeffs in self._sides[0 if y > 0 else 1]:
+            if len(coeffs) == 1:
+                a = coeffs[0][1] * r ** coeffs[0][0]
+            else:
+                a = math.fsum([c * r ** j for j, c in coeffs])
+            for radius, n in factors:
+                if a == 0.0:
+                    break
+                a *= plateau_value(radius, n, y)
+            parts.append(a)
+        return math.fsum(parts)
 
-    def derivative(self):
-        return sum_body([
-            product_body(self.left.derivative(), self.right),
-            product_body(self.left, self.right.derivative()),
-        ])
+    def derivative(self) -> "Body":
+        """Leibniz rule: the power drops one order, or one factor gains one."""
+        out = {}
+        for factors, j, p in self.terms:
+            if j:
+                _accumulate(out, factors, j - 1, SpherePair(j * p.plus, -j * p.minus))
+            for i, (radius, n) in enumerate(factors):
+                raised = factors[:i] + ((radius, n + 1),) + factors[i + 1:]
+                _accumulate(out, tuple(sorted(raised)), j, p)
+        return _canonical(out)
 
+    def __add__(self, other: "Body") -> "Body":
+        out = {}
+        for factors, j, p in self.terms + other.terms:
+            _accumulate(out, factors, j, p)
+        return _canonical(out)
 
-Body = Union[Monomial, Plateau, Scale, Sum, Product]
+    def __mul__(self, other: "Body") -> "Body":
+        out = {}
+        for f1, j1, p1 in self.terms:
+            for f2, j2, p2 in other.terms:
+                p = p2 if p1 == ONE_PAIR else p1 if p2 == ONE_PAIR else p1 * p2
+                _accumulate(out, tuple(sorted(f1 + f2)), j1 + j2, p)
+        return _canonical(out)
 
-ZERO_BODY = Sum(())
-ONE_BODY = Monomial(0, SpherePair(1, 1))
+    def scale(self, k) -> "Body":
+        k = as_fraction(k)
+        if k == 0:
+            return ZERO_BODY
+        if k == 1:
+            return self
+        return Body(tuple((f, j, p * k) for f, j, p in self.terms))
 
+    def is_smooth(self) -> bool:
+        """True when the body extends smoothly across the thick point: every
+        term must look like a one-variable power c*x^j with j >= 0."""
+        return all(j >= 0 and p == parity_pair(p.plus, j) for _, j, p in self.terms)
 
-def sum_body(nodes) -> Body:
-    flat = []
-    for n in nodes:
-        if isinstance(n, Sum):
-            flat.extend(n.nodes)
-        elif n != ZERO_BODY:
-            flat.append(n)
-    if not flat:
-        return ZERO_BODY
-    if len(flat) == 1:
-        return flat[0]
-    return Sum(tuple(flat))
-
-
-def scale_body(factor, node) -> Body:
-    factor = as_fraction(factor)
-    if factor == 0 or node == ZERO_BODY:
-        return ZERO_BODY
-    if factor == 1:
-        return node
-    if isinstance(node, Scale):
-        return scale_body(factor * node.factor, node.node)
-    return Scale(factor, node)
-
-
-def product_body(left, right) -> Body:
-    if left == ZERO_BODY or right == ZERO_BODY:
-        return ZERO_BODY
-    if left == ONE_BODY:
-        return right
-    if right == ONE_BODY:
-        return left
-    return Product(left, right)
-
-
-def body_is_smooth(node) -> bool:
-    """True when the body extends smoothly across the thick point: every
-    monomial leaf must look like a one-variable power c*x^j with j >= 0."""
-    if isinstance(node, Monomial):
-        if node.pair.is_zero():
-            return True
-        sign = 1 if node.order % 2 == 0 else -1
-        return node.order >= 0 and node.pair.minus == sign * node.pair.plus
-    if isinstance(node, Plateau):
-        return True
-    if isinstance(node, Scale):
-        return body_is_smooth(node.node)
-    if isinstance(node, Sum):
-        return all(body_is_smooth(n) for n in node.nodes)
-    if isinstance(node, Product):
-        return body_is_smooth(node.left) and body_is_smooth(node.right)
-    raise TypeError(f"not a body node: {node!r}")
+    def dilate(self, c: Fraction) -> "Body":
+        """The body of y -> self(y / c).  The k-th derivative of a cutoff picks
+        up c^k, because the profile is scale-invariant."""
+        out = {}
+        for factors, j, p in self.terms:
+            scaled = tuple(sorted((float(abs(c)) * radius, n) for radius, n in factors))
+            _accumulate(out, scaled, j, _dilate_pair(p, j, c) * c ** sum(n for _, n in factors))
+        return _canonical(out)
 
 
-def dilate_body(node, c: Fraction) -> Body:
-    """The body of y -> node(y / c), using |c|^(-j) rescaling on monomials and
-    profile rescaling on plateaus (the profile is scale-invariant)."""
-    mag = abs(c)
-    if isinstance(node, Monomial):
-        scale = mag ** (-node.order)
-        if c > 0:
-            pair = SpherePair(node.pair.plus * scale, node.pair.minus * scale)
-        else:
-            pair = SpherePair(node.pair.minus * scale, node.pair.plus * scale)
-        return Monomial(node.order, pair)
-    if isinstance(node, Plateau):
-        return scale_body(c ** node.deriv, Plateau(float(mag) * node.radius, node.deriv))
-    if isinstance(node, Scale):
-        return scale_body(node.factor, dilate_body(node.node, c))
-    if isinstance(node, Sum):
-        return sum_body(dilate_body(n, c) for n in node.nodes)
-    if isinstance(node, Product):
-        return product_body(dilate_body(node.left, c), dilate_body(node.right, c))
-    raise TypeError(f"not a body node: {node!r}")
+def _accumulate(out: dict, factors: Factors, j: int, p: SpherePair) -> None:
+    key = (factors, j)
+    out[key] = out[key] + p if key in out else p
+
+
+def _canonical(out: dict) -> Body:
+    return Body(tuple((f, j, p) for (f, j), p in sorted(out.items()) if not p.is_zero()))
+
+
+def _as_body(b) -> Body:
+    """A multiplier's monomial as a body, so that it can multiply one."""
+    if isinstance(b, Monomial):
+        return Body((((), b.order, b.pair),)) if not b.pair.is_zero() else ZERO_BODY
+    return b
+
+
+ZERO_BODY = Body()
 
 
 # -- the function types --------------------------------------------------------
@@ -287,6 +264,7 @@ class ThickTestFunction:
     exact_radius: float  # expansion equals the function identically for 0 < r < exact_radius
 
     def __post_init__(self):
+        object.__setattr__(self, "body", _as_body(self.body))
         object.__setattr__(self, "point", as_fraction(self.point))
         object.__setattr__(self, "radius", float(self.radius))
         object.__setattr__(self, "exact_radius", float(self.exact_radius))
@@ -297,13 +275,13 @@ class ThickTestFunction:
     @property
     def is_ordinary(self) -> bool:
         """Smooth across the thick point by construction."""
-        return body_is_smooth(self.body)
+        return self.body.is_smooth()
 
     def __add__(self, other: "ThickTestFunction") -> "ThickTestFunction":
         if self.point != other.point:
             raise PointMismatchError("cannot add functions at different thick points")
         return ThickTestFunction(
-            body=sum_body([self.body, other.body]),
+            body=self.body + other.body,
             expansion=xp.add(self.expansion, other.expansion),
             point=self.point,
             radius=max(self.radius, other.radius),
@@ -314,7 +292,7 @@ class ThickTestFunction:
         k = as_fraction(k)
         return replace(
             self,
-            body=scale_body(k, self.body),
+            body=self.body.scale(k),
             expansion=xp.multiply(self.expansion, xp.from_taylor([k], exact=True)),
         )
 
@@ -325,7 +303,7 @@ class ThickTestFunction:
             if self.point != other.point:
                 raise PointMismatchError("cannot multiply functions at different thick points")
             return ThickTestFunction(
-                body=product_body(self.body, other.body),
+                body=self.body * other.body,
                 expansion=xp.multiply(self.expansion, other.expansion),
                 point=self.point,
                 radius=min(self.radius, other.radius),
@@ -338,7 +316,7 @@ class ThickTestFunction:
 class Multiplier:
     """Smooth off the thick point, expansion required, no compact support."""
 
-    body: Body
+    body: Union[Monomial, Body]  # a Monomial, or ZERO_BODY
     expansion: Expansion
     point: Fraction
     exact_radius: float = math.inf
@@ -350,7 +328,7 @@ class Multiplier:
         return _evaluate(self.body, self.expansion, self.point, None, x)
 
     def is_one(self) -> bool:
-        return self.body == ONE_BODY
+        return self.body == Monomial(0, ONE_PAIR)
 
     def is_zero(self) -> bool:
         return self.body == ZERO_BODY and self.expansion.is_zero()
@@ -361,15 +339,7 @@ class Multiplier:
 
 def plateau_bump(radius, point=0) -> ThickTestFunction:
     """Smooth cutoff: 1 on |x-a| <= radius/2, 0 beyond |x-a| >= radius."""
-    if radius <= 0:
-        raise ValueError("support radius must be positive")
-    return ThickTestFunction(
-        body=Plateau(radius),
-        expansion=Expansion(0, (SpherePair(1, 1),), exact=True),
-        point=point,
-        radius=radius,
-        exact_radius=radius / 2,
-    )
+    return thick_monomial(0, ONE_PAIR, radius, point)
 
 
 def thick_monomial(order: int, pair, radius, point=0) -> ThickTestFunction:
@@ -377,8 +347,9 @@ def thick_monomial(order: int, pair, radius, point=0) -> ThickTestFunction:
     if radius <= 0:
         raise ValueError("support radius must be positive")
     pair = pair if isinstance(pair, SpherePair) else SpherePair(*pair)
+    cutoff = ((float(radius), 0),)
     return ThickTestFunction(
-        body=product_body(Monomial(order, pair), Plateau(radius)),
+        body=Body(((cutoff, order, pair),)) if not pair.is_zero() else ZERO_BODY,
         expansion=Expansion(order, (pair,), exact=True),
         point=point,
         radius=radius,
@@ -391,9 +362,9 @@ def from_polynomial(coeffs, radius, point=0) -> ThickTestFunction:
     if radius <= 0:
         raise ValueError("support radius must be positive")
     cs = [as_fraction(c) for c in coeffs]
-    terms = [Monomial(j, parity_pair(c, j)) for j, c in enumerate(cs) if c != 0]
+    cutoff = ((float(radius), 0),)
     return ThickTestFunction(
-        body=product_body(sum_body(terms), Plateau(radius)),
+        body=Body(tuple((cutoff, j, parity_pair(c, j)) for j, c in enumerate(cs) if c != 0)),
         expansion=xp.from_taylor(cs, exact=True),
         point=point,
         radius=radius,
@@ -444,7 +415,7 @@ def multiply_by(psi: Multiplier, phi: ThickTestFunction) -> ThickTestFunction:
             f"multiplier at {psi.point} cannot act on a function at {phi.point}"
         )
     return ThickTestFunction(
-        body=product_body(psi.body, phi.body),
+        body=_as_body(psi.body) * phi.body,
         expansion=xp.multiply(psi.expansion, phi.expansion),
         point=phi.point,
         radius=phi.radius,
@@ -457,41 +428,31 @@ def translate(f, shift):
     return replace(f, point=f.point + as_fraction(shift))
 
 
-def dilate(f, c):
+def dilate(f: ThickTestFunction, c) -> ThickTestFunction:
     """f(x / c); the thick point moves to c*a and the support scales by |c|."""
     c = as_fraction(c)
     if c == 0:
         raise ValueError("dilation factor must be nonzero")
-    out = replace(
+    e = f.expansion
+    return replace(
         f,
-        body=dilate_body(f.body, c),
-        expansion=_dilate_expansion(f.expansion, c),
+        body=f.body.dilate(c),
+        expansion=Expansion(e.start, tuple(_dilate_pair(p, j, c) for j, p in e.terms()),
+                            exact=e.exact, order=e.order),
         point=c * f.point,
+        radius=float(abs(c)) * f.radius,
         exact_radius=float(abs(c)) * f.exact_radius,
     )
-    if isinstance(f, ThickTestFunction):
-        out = replace(out, radius=float(abs(c)) * f.radius)
-    return out
 
 
-def _dilate_expansion(e: Expansion, c: Fraction) -> Expansion:
-    mag = abs(c)
-    pairs = []
-    for j, p in e.terms():
-        s = mag ** (-j)
-        if c > 0:
-            pairs.append(SpherePair(p.plus * s, p.minus * s))
-        else:
-            pairs.append(SpherePair(p.minus * s, p.plus * s))
-    return Expansion(e.start, tuple(pairs), exact=e.exact, order=e.order)
+def _dilate_pair(p: SpherePair, j: int, c: Fraction) -> SpherePair:
+    """The coefficient of r^j after y -> y / c: scaled by |c|^(-j), sides
+    swapped when c < 0."""
+    s = abs(c) ** (-j)
+    return SpherePair(p.plus * s, p.minus * s) if c > 0 else SpherePair(p.minus * s, p.plus * s)
 
 
 # -- diagnostics -------------------------------------------------------------------
-
-
-def _partial_sum(e: Expansion, w: int, r: float, top: int) -> float:
-    # termwise with r**j so that it cancels bit-exactly against monomial bodies
-    return math.fsum(float(c.at(w)) * r ** j for j, c in e.terms() if j <= top)
 
 
 def seminorm(phi: ThickTestFunction, q: int, s: int, k_radius: float) -> float:
@@ -517,7 +478,7 @@ def seminorm(phi: ThickTestFunction, q: int, s: int, k_radius: float) -> float:
         for r in rs:
             for w in (1, -1):
                 got = current.body.value(w * r)
-                ref = _partial_sum(e, w, r, q - 1)
+                ref = xp.evaluate(e, w, r, q - 1)
                 worst = max(worst, abs(got - ref) * r ** (-q))
         current = derivative(current)
     return worst
@@ -537,6 +498,6 @@ def strength_defect(phi: ThickTestFunction, p: int, through_order: int, r: float
     out = 0.0
     for w in (1, -1):
         got = current.body.value(w * r)
-        ref = _partial_sum(e, w, r, top)
+        ref = xp.evaluate(e, w, r, top)
         out = max(out, abs(got - ref) * r ** (-top))
     return out

@@ -141,3 +141,24 @@ def test_check_json_deterministic():
     rec = json.loads(first.stdout)
     assert rec["passed"] is True
     assert all(o["passed"] for o in rec["outcomes"])
+
+
+@pytest.mark.parametrize("expr, position", [
+    ("dstar, bump(0)", 12),
+    ("dstar, mono(0, pair(1,1), 0)", 12),
+    ("dstar, poly([1,2], 0)", 12),
+    ("dilate(dstar, 0), bump(1)", 5),
+    ("translate(dstar, 1.0e999), bump(1)", 5),
+])
+def test_rejected_constructor_argument_is_a_parse_error(expr, position):
+    out = run_cli("eval", "-e", expr)
+    assert out.returncode == 2
+    assert "parse error" in out.stderr and f"(at position {position})" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_tolerance_is_bad_configuration(tol):
+    out = run_cli("eval", "--tol", tol, "-e", "Pf(abs(x)^-1/2), bump(1)")
+    assert out.returncode == 2
+    assert "bad configuration" in out.stderr

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -420,3 +421,20 @@ def test_projection_gates_thick_functions():
     assert pair(view, plateau_bump(1.0)).value == 1
     with pytest.raises(OrdinaryFunctionRequiredError):
         pair(view, thick_monomial(0, (1, 0), 1.0))
+
+
+@pytest.mark.parametrize("field", ["abs_tol", "split_radius"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_config_rejects_non_finite_values(field, value):
+    with pytest.raises(ValueError):
+        QuadratureConfig(**{field: value})
+
+
+def test_fourth_derivative_of_a_product_pairs_quickly():
+    start = time.perf_counter()
+    phi = thick_monomial(2, (1, 3), 2.0) * from_polynomial([1, 1], 2.0)
+    for _ in range(4):
+        phi = derivative(phi)
+    value = float(pair(pf_power(Fraction(-3, 2)), phi).value)
+    assert value == pytest.approx(6.107447152293391, rel=1e-8)
+    assert time.perf_counter() - start < 2.5

@@ -163,6 +163,20 @@ def test_second_derivative_matches_finite_differences():
         assert d2.evaluate(x) == pytest.approx(fd, rel=1e-5, abs=1e-5)
 
 
+def test_derivative_size_grows_linearly_with_the_order():
+    phi = thick_monomial(2, (1, 3), 2.0) * from_polynomial([1, 1], 2.0)
+    for k in range(9):
+        assert len(phi.body.terms) <= 4 * k + 2
+        phi = derivative(phi)
+
+
+def test_equal_functions_have_equal_bodies():
+    phi = from_polynomial([1, 2], 2.0) * thick_monomial(-1, (1, 3), 2.0)
+    assert phi + phi == phi.scale(2)
+    f, g = thick_monomial(2, (1, 3), 2.0), from_polynomial([1, 1], 1.0)
+    assert derivative(f + g) == derivative(f) + derivative(g)
+
+
 # -- multipliers -------------------------------------------------------------------
 
 
