@@ -60,6 +60,7 @@ from .errors import (
     FitConditionError,
     InsufficientOrderError,
     MisclassifiedPowerError,
+    NonFiniteError,
     OrdinaryFunctionRequiredError,
     PointMismatchError,
     QuadratureError,

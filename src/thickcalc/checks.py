@@ -46,9 +46,14 @@ class CheckOutcome:
     tolerance: float
 
     def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return (f"{status} {self.suite}.{self.name}: observed={self.observed!r} "
-                f"expected={self.expected!r} tol={self.tolerance:g}")
+        return outcome_line(f"{self.suite}.{self.name}", self.passed, self.observed,
+                            self.expected, self.tolerance)
+
+
+def outcome_line(name, passed, observed, expected, tolerance) -> str:
+    """The PASS/FAIL line of one outcome; takes the fields of its record."""
+    return (f"{'PASS' if passed else 'FAIL'} {name}: observed={observed!r} "
+            f"expected={expected!r} tol={tolerance:g}")
 
 
 def _outcome(suite, name, observed, expected, tol) -> CheckOutcome:

@@ -23,6 +23,7 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 
+from .checks import outcome_line
 from .dsl import Program, parse_program, parse_query, run
 from .errors import DslError
 from .pairing import DEFAULT_CONFIG, QuadratureConfig
@@ -80,9 +81,7 @@ def _print_record(rec: dict, out) -> None:
         print(f"{rec['source']}\n  -> {rec['result']}", file=out)
     elif rec["query"] == "check":
         for o in rec["outcomes"]:
-            status = "PASS" if o["passed"] else "FAIL"
-            print(f"{status} {o['name']}: observed={o['observed']!r} "
-                  f"expected={o['expected']!r} tol={o['tolerance']:g}", file=out)
+            print(outcome_line(**o), file=out)
         overall = "ok" if rec["passed"] else "FAILED"
         print(f"check {rec['suite']}: {overall}", file=out)
 

@@ -104,6 +104,13 @@ class _Cursor:
         self.tokens = tokens
         self.text = text
         self.i = 0
+        self.depth = -1  # nesting level of the factor being parsed; 0 is outermost
+
+    @property
+    def position(self) -> int:
+        """Where the next token starts, or the end of the text."""
+        t = self.peek()
+        return t.pos if t else len(self.text)
 
     def peek(self, ahead: int = 0) -> Optional[Token]:
         j = self.i + ahead
@@ -119,9 +126,8 @@ class _Cursor:
     def expect(self, kind: str) -> Token:
         t = self.peek()
         if t is None or t.kind != kind:
-            where = t.pos if t else len(self.text)
             got = t.text if t else "end of input"
-            raise DslError(f"expected {kind!r}, got {got!r}", where)
+            raise DslError(f"expected {kind!r}, got {got!r}", self.position)
         return self.next()
 
     def at(self, kind: str, ahead: int = 0) -> bool:
@@ -137,6 +143,9 @@ class _Cursor:
 
 
 # -- parser --------------------------------------------------------------------
+
+#: Deepest nesting the parser accepts; it recurses about five frames a level.
+MAX_NESTING = 100
 
 
 class Parser:
@@ -171,23 +180,19 @@ class Parser:
         return sign * int(c.expect("int").text)
 
     def parse_pair(self, c: _Cursor) -> SpherePair:
-        tok = c.peek()
         if not c.at_name("pair"):
-            raise DslError("expected pair(a, b)", tok.pos if tok else len(c.text))
-        c.next()
+            raise DslError("expected pair(a, b)", c.position)
+        tok = c.next()
         c.expect("(")
         a = self.parse_number(c)
         c.expect(",")
         b = self.parse_number(c)
         c.expect(")")
-        return SpherePair(a, b)
+        return _build(tok, SpherePair, a, b)
 
     # expressions ----------------------------------------------------------
 
     def parse_value(self, c: _Cursor) -> Value:
-        return self._additive(c)
-
-    def _additive(self, c: _Cursor) -> Value:
         left = self._multiplicative(c)
         while c.at("+") or c.at("-"):
             op = c.next()
@@ -204,11 +209,16 @@ class Parser:
         return left
 
     def _unary(self, c: _Cursor) -> Value:
+        c.depth += 1  # every nesting level, by '(', an argument or a unary '-', passes here
+        if c.depth > MAX_NESTING:
+            raise DslError(f"expression nested deeper than {MAX_NESTING} levels", c.position)
         if c.at("-"):
             tok = c.next()
-            inner = self._unary(c)
-            return self._combine_mul(-1, inner, tok)
-        return self._primary(c)
+            value = self._combine_mul(-1, self._unary(c), tok)
+        else:
+            value = self._primary(c)
+        c.depth -= 1
+        return value
 
     def _combine_add(self, a: Value, b: Value, op: Token) -> Value:
         if isinstance(a, (int, Fraction, float)) and isinstance(b, (int, Fraction, float)):
@@ -226,11 +236,11 @@ class Parser:
             return a * b
         if isinstance(a, (int, Fraction, float)):
             if _is_dist(b):
-                return _flatten_combination(((Fraction(a), b),))
+                return _flatten_combination(((_build(op, Fraction, a), b),))
             if isinstance(b, ThickTestFunction):
-                return b.scale(a)
+                return _build(op, b.scale, a)
             if isinstance(b, Multiplier):
-                return monomial_scale(b, a)
+                return _build(op, monomial_scale, b, a)
         if isinstance(b, (int, Fraction, float)):
             return self._combine_mul(b, a, op)
         if isinstance(a, Multiplier) and _is_dist(b):
@@ -387,7 +397,7 @@ class Parser:
                        tok.pos if tok else start.pos)
 
     def _glambda(self, c: _Cursor):
-        c.next()
+        tok = c.next()
         c.expect("(")
         lam = self.parse_number(c)
         c.expect(")")
@@ -399,7 +409,7 @@ class Parser:
             c.expect("[")
             degree = self.parse_int(c)
             c.expect("]")
-        return g_lambda_delta(lam, degree)
+        return _build(tok, g_lambda_delta, lam, degree)
 
     def _delta_has_args(self, c: _Cursor) -> bool:
         # glambda(l)·delta[q] is a degree marker unless a '(' follows the ']'
@@ -630,12 +640,10 @@ _COMMANDS = ("eval", "derive", "project", "expand", "check", "let")
 def parse_program(text: str) -> Program:
     parser = Parser()
     queries: List[Query] = []
-    offset = 0
     for raw_line in text.splitlines():
         line = raw_line.split("#", 1)[0].strip()
         if line:
             _parse_statement(parser, line, queries)
-        offset += len(raw_line) + 1
     return Program(parser.bindings, queries)
 
 

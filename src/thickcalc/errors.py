@@ -17,6 +17,10 @@ class QuadratureError(ThickCalcError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 
 
+class NonFiniteError(ThickCalcError):
+    """An evaluation overflowed or produced a value that is not finite."""
+
+
 class MisclassifiedPowerError(ThickCalcError):
     """A power routed to the non-integer branch produced an integer exponent.
 

@@ -1,11 +1,14 @@
 """Pairing evaluation: the finite-part formulas and their independent oracle.
 
-The distribution/test-function pairing dispatches on the distribution tree.
-Finite-part densities split at a radius A into a far-field integral, a
-near-field integral of the expansion-subtracted remainder, and analytic
-series terms A^(lambda+j+1)/(lambda+j+1) (one of them turning into a log A
-term in the integer case).  The split radius is arbitrary; A-independence is
-one of the main correctness checks.
+The distribution/test-function pairing dispatches on the distribution tree,
+combining sub-results through ``PairingResult.scaled`` and ``+``.  A
+finite-part density c(w) r^lambda splits at a radius A: quadrature over the
+far field [A, R]; an analytic series term c_j A^(lambda+j+1)/(lambda+j+1) for
+each order j through -Re(lambda)-1 (a log A term at the integer boundary
+order); closed-form terms c_j E^(lambda+j+1)/(lambda+j+1) for the higher
+orders on the inner plateau [0, E] of an exact function; and quadrature of
+the expansion-subtracted remainder on [E, A].  The split radius is
+arbitrary; A-independence is one of the main correctness checks.
 
 ``fp_pair_oracle`` reaches the same number along a completely different
 route: it truncates the integral at epsilon, sweeps epsilon down a geometric
@@ -25,6 +28,7 @@ import numpy as np
 from .errors import (
     FitConditionError,
     MisclassifiedPowerError,
+    NonFiniteError,
     OrdinaryFunctionRequiredError,
     PointMismatchError,
 )
@@ -72,21 +76,23 @@ class PairingResult:
 
     def __post_init__(self):
         if not math.isfinite(float(self.value)):
-            raise ValueError("pairing produced a non-finite value")
+            raise NonFiniteError("pairing produced a non-finite value")
         if self.quad_error < 0:
             raise ValueError("error estimate cannot be negative")
 
     def __float__(self):
         return float(self.value)
 
+    def scaled(self, k) -> "PairingResult":
+        """k times this pairing, every stage scaled alike."""
+        return PairingResult(k * self.value, self.split_radius, abs(float(k)) * self.quad_error,
+                             tuple((j, k * v) for j, v in self.series_terms), k * self.log_term)
 
-def _side_value(phi, w: int, r: float) -> float:
-    """phi at the point a + w*r, evaluated in local coordinates."""
-    y = w * r
-    radius = getattr(phi, "radius", None)
-    if radius is not None and abs(y) >= radius:
-        return 0.0
-    return phi.body.value(y)
+    def __add__(self, other: "PairingResult") -> "PairingResult":
+        split = self.split_radius if self.split_radius is not None else other.split_radius
+        return PairingResult(self.value + other.value, split, self.quad_error + other.quad_error,
+                             self.series_terms + other.series_terms,
+                             self.log_term + other.log_term)
 
 
 def _radial(phi, pair: SpherePair, flam: float, e: Optional[Expansion] = None, top: int = 0):
@@ -97,7 +103,8 @@ def _radial(phi, pair: SpherePair, flam: float, e: Optional[Expansion] = None, t
     def integrand(r):
         acc = 0.0
         for w, c in sides:
-            v = _side_value(phi, w, r)
+            y = w * r  # phi at a + w r, in local coordinates
+            v = phi.body.value(y) if abs(y) < phi.radius else 0.0
             if e is not None:
                 v -= evaluate(e, w, r, top)
             acc += c * v
@@ -106,55 +113,38 @@ def _radial(phi, pair: SpherePair, flam: float, e: Optional[Expansion] = None, t
 
 
 def pair(f, phi: ThickTestFunction, cfg: QuadratureConfig = DEFAULT_CONFIG) -> PairingResult:
-    """Evaluate the pairing of a distribution tree against a test function."""
-    if isinstance(f, ClassicalDistributionView):
-        if not phi.is_ordinary:
-            raise OrdinaryFunctionRequiredError(
-                "projected distributions pair only with functions smooth across the point"
+    """Pair a distribution tree with a test function; float overflow is a NonFiniteError."""
+    try:
+        if isinstance(f, ClassicalDistributionView):
+            if not phi.is_ordinary:
+                raise OrdinaryFunctionRequiredError(
+                    "projected distributions pair only with functions smooth across the point"
+                )
+            return pair(f.source, phi, cfg)
+        if f.point != phi.point:
+            raise PointMismatchError(
+                f"distribution at {f.point} paired with test function at {phi.point}"
             )
-        return pair(f.source, phi, cfg)
-    if f.point != phi.point:
-        raise PointMismatchError(
-            f"distribution at {f.point} paired with test function at {phi.point}"
-        )
-    if isinstance(f, ThickDelta):
-        aq = phi.expansion.coefficient(f.degree)
-        value = f.weights.pair(aq) / SPHERE_MEASURE
-        return PairingResult(value, None, 0.0)
-    if isinstance(f, PfDensity):
-        return _pair_density(f, phi, cfg)
-    if isinstance(f, Derivative):
-        inner = pair(f.inner, derivative(phi), cfg)
-        return PairingResult(
-            -inner.value, inner.split_radius, inner.quad_error,
-            tuple((j, -v) for j, v in inner.series_terms), -inner.log_term,
-        )
-    if isinstance(f, MultiplierProduct):
-        return pair(f.inner, multiply_by(f.multiplier, phi), cfg)
-    if isinstance(f, LinearCombination):
-        value: Number = Fraction(0)
-        err = 0.0
-        series = []
-        log_term: Number = Fraction(0)
-        split = None
-        for c, d in f.terms:
-            res = pair(d, phi, cfg)
-            value = value + c * res.value
-            err += abs(float(c)) * res.quad_error
-            series.extend((j, c * v) for j, v in res.series_terms)
-            log_term = log_term + c * res.log_term
-            split = split if split is not None else res.split_radius
-        return PairingResult(value, split, err, tuple(series), log_term)
-    if isinstance(f, Translate):
-        return pair(f.inner, translate(phi, f.shift), cfg)
-    if isinstance(f, Dilate):
-        scale = 1 / abs(f.factor)
-        inner = pair(f.inner, dilate(phi, f.factor), cfg)
-        return PairingResult(
-            scale * inner.value, inner.split_radius, float(scale) * inner.quad_error,
-            tuple((j, scale * v) for j, v in inner.series_terms), scale * inner.log_term,
-        )
-    raise TypeError(f"cannot pair object of type {type(f).__name__}")
+        if isinstance(f, ThickDelta):
+            aq = phi.expansion.coefficient(f.degree)
+            value = f.weights.pair(aq) / SPHERE_MEASURE
+            return PairingResult(value, None, 0.0)
+        if isinstance(f, PfDensity):
+            return _pair_density(f, phi, cfg)
+        if isinstance(f, Derivative):
+            return pair(f.inner, derivative(phi), cfg).scaled(-1)
+        if isinstance(f, MultiplierProduct):
+            return pair(f.inner, multiply_by(f.multiplier, phi), cfg)
+        if isinstance(f, LinearCombination):
+            return sum((pair(d, phi, cfg).scaled(c) for c, d in f.terms),
+                       PairingResult(Fraction(0), None, 0.0))
+        if isinstance(f, Translate):
+            return pair(f.inner, translate(phi, f.shift), cfg)
+        if isinstance(f, Dilate):
+            return pair(f.inner, dilate(phi, f.factor), cfg).scaled(1 / abs(f.factor))
+        raise TypeError(f"cannot pair object of type {type(f).__name__}")
+    except OverflowError as exc:
+        raise NonFiniteError(f"float overflow during evaluation: {exc}") from None
 
 
 def _pair_density(f: PfDensity, phi: ThickTestFunction, cfg: QuadratureConfig) -> PairingResult:
@@ -163,64 +153,42 @@ def _pair_density(f: PfDensity, phi: ThickTestFunction, cfg: QuadratureConfig) -
     e = phi.expansion
     R = phi.radius
     A = cfg.split_radius if cfg.split_radius < R else R / 2
-
-    if f.integral_power:
-        jmax = -lam - 1
-    else:
-        jmax = math.floor(-flam - 1)
-
-    # coefficients through jmax, exact scalars; raises if the expansion
-    # window is too short
-    needed = []
-    if not e.is_zero():
-        for j in range(e.start, jmax + 1):
-            aj = e.coefficient(j)
-            cj = f.pair.plus * aj.plus + f.pair.minus * aj.minus
-            needed.append((j, cj))
+    jmax = -lam - 1 if f.integral_power else math.floor(-flam - 1)
+    # E is the edge of the inner plateau, where an exact function equals its
+    # expansion; orders above jmax integrate over [0, E] in closed form.
+    E = min(A, phi.exact_radius) if e.exact else 0.0
+    orders = () if e.is_zero() else range(e.start, (max(jmax, e.top) if e.exact else jmax) + 1)
 
     series = []
     log_term: Number = Fraction(0)
-    for j, cj in needed:
-        if not f.integral_power and flam + j + 1 == 0.0:
+    near_terms = []
+    for j in orders:
+        aj = e.coefficient(j)  # raises beyond the trust window
+        cj = f.pair.plus * aj.plus + f.pair.minus * aj.minus
+        if j > jmax:
+            near_terms.append(float(cj) * E ** (flam + j + 1) / (flam + j + 1))
+        elif not f.integral_power and flam + j + 1 == 0.0:
             raise MisclassifiedPowerError(
                 f"power {lam!r} behaves as the integer {-j - 1} at order {j}; "
                 "pass it as an exact int or Fraction"
             )
-        if f.integral_power and j == jmax:
+        elif f.integral_power and j == jmax:
             log_term = cj * math.log(A) if cj != 0 else Fraction(0)
         else:
             series.append((j, cj * A ** (lam + j + 1) / (lam + j + 1)))
 
     far_value, quad_error = integrate(_radial(phi, f.pair, flam), A, R,
                                       cfg.abs_tol, cfg.max_subdivisions)
-
-    # near field: the expansion-subtracted remainder on [0, A].  On the inner
-    # plateau of an exact function the subtraction leaves just the expansion
-    # tail above jmax, which evaluates without cancellation.
-    near_value = 0.0
-    inner_edge = min(A, phi.exact_radius)
-    if e.exact and inner_edge > 0:
-        tail = [(j, float(f.pair.plus * c.plus + f.pair.minus * c.minus))
-                for j, c in e.terms() if j > jmax]
-
-        def near_tail(r):
-            return math.fsum(cj * r ** (flam + j) for j, cj in tail)
-
-        v, err = integrate(near_tail, 0.0, inner_edge, cfg.abs_tol, cfg.max_subdivisions)
-        near_value += v
-        quad_error += err
-    else:
-        inner_edge = 0.0
-
-    if inner_edge < A:
-        v, err = integrate(_radial(phi, f.pair, flam, e, jmax), inner_edge, A,
+    near_value = math.fsum(near_terms)
+    if E < A:
+        # the expansion-subtracted remainder between the plateau edge and A
+        v, err = integrate(_radial(phi, f.pair, flam, e, jmax), E, A,
                            cfg.abs_tol, cfg.max_subdivisions)
         near_value += v
         quad_error += err
 
     value = far_value + near_value + math.fsum(float(v) for _, v in series) + float(log_term)
-    return PairingResult(value, A, quad_error,
-                         tuple((j, v) for j, v in series), log_term)
+    return PairingResult(value, A, quad_error, tuple(series), log_term)
 
 
 # -- finite part of a limit ----------------------------------------------------

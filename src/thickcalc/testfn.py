@@ -344,8 +344,8 @@ def plateau_bump(radius, point=0) -> ThickTestFunction:
 
 def thick_monomial(order: int, pair, radius, point=0) -> ThickTestFunction:
     """pair(w) * r^order times the plateau cutoff; order may be negative."""
-    if radius <= 0:
-        raise ValueError("support radius must be positive")
+    if not 0 < radius < math.inf:
+        raise ValueError("support radius must be positive and finite")
     pair = pair if isinstance(pair, SpherePair) else SpherePair(*pair)
     cutoff = ((float(radius), 0),)
     return ThickTestFunction(
@@ -359,8 +359,8 @@ def thick_monomial(order: int, pair, radius, point=0) -> ThickTestFunction:
 
 def from_polynomial(coeffs, radius, point=0) -> ThickTestFunction:
     """p(x - a) times the plateau cutoff, expansion taken from the coefficients."""
-    if radius <= 0:
-        raise ValueError("support radius must be positive")
+    if not 0 < radius < math.inf:
+        raise ValueError("support radius must be positive and finite")
     cs = [as_fraction(c) for c in coeffs]
     cutoff = ((float(radius), 0),)
     return ThickTestFunction(

@@ -162,3 +162,35 @@ def test_non_finite_tolerance_is_bad_configuration(tol):
     out = run_cli("eval", "--tol", tol, "-e", "Pf(abs(x)^-1/2), bump(1)")
     assert out.returncode == 2
     assert "bad configuration" in out.stderr
+
+
+@pytest.mark.parametrize("command, expr, status", [
+    ("eval", "Pf(abs(x)^-1/2), bump(1.0e999)", 2),
+    ("eval", "Pf(abs(x)^-1/2), mono(0, pair(1,1), 1.0e999)", 2),
+    ("eval", "Pf(abs(x)^-1/2), poly([1, 2], 1.0e999)", 2),
+    ("eval", "dstar, bump(1.0e999)", 2),
+    ("eval", "glambda(1.0e999), bump(1)", 2),
+    ("eval", "delta[0](pair(1.0e999, 1)), bump(1)", 2),
+    ("eval", "-1.0e999 * dstar, bump(1)", 2),
+    ("eval", "dstar, 1.0e999 * bump(1)", 2),
+    ("eval", "Pf(abs(x)^-1/2), poly([1.0e308, 1.0e308], 1)", 3),
+    ("eval", "1.0e300 * Pf(abs(x)^-1/2), poly([1.0e300], 1)", 3),
+    ("eval", "1.0e300 * dstar, poly([1.0e300], 1)", 3),
+    ("derive", "d*(" * 200 + "dstar" + ")" * 200, 2),
+    ("expand", "D(" * 250 + "bump(1)" + ")" * 250 + ", 2", 2),
+    ("derive", "(" * 300 + "dstar" + ")" * 300, 2),
+])
+def test_non_finite_or_too_deep_input_is_a_typed_error(command, expr, status):
+    out = run_cli(command, "-e", expr)
+    assert out.returncode == status
+    assert "Traceback" not in out.stderr
+    assert ("parse error" in out.stderr) if status == 2 else ("error:" in out.stdout)
+
+
+def test_check_prints_the_outcome_lines():
+    from thickcalc.checks import run_suite
+    out = run_cli("check", "expansion")
+    assert out.returncode == 0
+    lines = out.stdout.splitlines()
+    assert lines[:-1] == [o.line() for o in run_suite("expansion")]
+    assert lines[-1] == "check expansion: ok"

@@ -17,6 +17,7 @@ from thickcalc.distributions import (
     simplify,
 )
 from thickcalc.dsl import (
+    MAX_NESTING,
     Parser,
     _Cursor,
     parse_program,
@@ -323,3 +324,34 @@ def test_run_flags_check_failure_status():
     assert Report(records=[], check_failed=True).exit_status == 1
     assert Report(records=[], had_error=True, check_failed=True).exit_status == 3
     assert Report(records=[]).exit_status == 0
+
+
+# -- nesting depth ---------------------------------------------------------------------
+
+NESTINGS = {
+    "parentheses": ("derive {}", "(", "dstar", ")"),
+    "derivative": ("derive {}", "d*(", "dstar", ")"),
+    "unary minus": ("derive {}", "-", "dstar", ""),
+    "translate argument": ("derive {}", "translate(", "dstar", ", 0)"),
+    "test-function derivative": ("expand {}, 1", "D(", "bump(1)", ")"),
+}
+
+
+@pytest.mark.parametrize("kind", NESTINGS)
+def test_nesting_bound_is_a_parse_error(kind):
+    template, opener, core, closer = NESTINGS[kind]
+    deepest = template.format(opener * MAX_NESTING + core + closer * MAX_NESTING)
+    assert len(parse_query(deepest).queries) == 1
+    text = template.format(opener * (MAX_NESTING + 1) + core + closer * (MAX_NESTING + 1))
+    with pytest.raises(DslError) as info:
+        parse_query(text)
+    assert info.value.position == text.index(core)
+
+
+def test_hundred_nested_derivatives_derive_and_eval():
+    from thickcalc.dsl import run
+    dist = "d*(" * 100 + "dstar" + ")" * 100
+    report = run(parse_program(f"derive {dist}\neval {dist}, bump(1)"))
+    assert report.exit_status == 0
+    assert report.records[0]["result"].count("d*(") == 101
+    assert report.records[1]["value_exact"] == "0"

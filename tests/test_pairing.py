@@ -20,12 +20,16 @@ from thickcalc.distributions import (
 from thickcalc.errors import (
     InsufficientOrderError,
     MisclassifiedPowerError,
+    NonFiniteError,
     OrdinaryFunctionRequiredError,
     PointMismatchError,
     QuadratureError,
 )
 from thickcalc.expansion import Expansion, from_taylor
+from thickcalc import pairing
+from thickcalc.checks import run_suite
 from thickcalc.pairing import (
+    PairingResult,
     QuadratureConfig,
     axis_integral,
     fp_limit,
@@ -438,3 +442,63 @@ def test_fourth_derivative_of_a_product_pairs_quickly():
     value = float(pair(pf_power(Fraction(-3, 2)), phi).value)
     assert value == pytest.approx(6.107447152293391, rel=1e-8)
     assert time.perf_counter() - start < 2.5
+
+
+# -- closed-form near field and the result algebra -----------------------------------
+
+
+def counting_integrate(monkeypatch):
+    calls = []
+
+    def counted(f, a, b, *args):
+        calls.append((a, b))
+        return integrate(f, a, b, *args)
+    monkeypatch.setattr(pairing, "integrate", counted)
+    return calls
+
+
+def test_plateau_tail_needs_no_quadrature(monkeypatch):
+    # R = 2, A = 1 = R/2: [0, A] is all plateau, so only the far field is integrated
+    calls = counting_integrate(monkeypatch)
+    phi = from_polynomial([1, 2, 1], 2)
+    res = pair(pf_power(Fraction(-5, 2)), phi)
+    assert calls == [(1.0, 2)]
+    assert float(res.value) == pytest.approx(fp_pair_oracle(pf_power(Fraction(-5, 2)), phi)
+                                             .finite_part, abs=1e-8)
+
+
+@pytest.mark.parametrize("lam", [Fraction(-5, 2), -2, Fraction(-1, 2), Fraction(3, 2)])
+def test_mixed_near_field_agrees_with_oracle(monkeypatch, lam):
+    # exact radius E = 0.5 < A = 1 < R = 2: closed form on [0, E], quadrature on [E, A]
+    phi = from_polynomial([1, 2], 2) + plateau_bump(1)
+    expected = fp_pair_oracle(pf_power(lam), phi).finite_part
+    calls = counting_integrate(monkeypatch)
+    res = pair(pf_power(lam), phi)
+    assert sorted(calls) == [(0.5, 1.0), (1.0, 2)]
+    assert float(res.value) == pytest.approx(expected, abs=1e-8)
+
+
+def test_split_radius_spread_is_at_rounding_level():
+    # four powers x wide_suite() x A in {0.3, 0.5, 1.0}; the suite gate itself is 1e-7
+    [outcome] = run_suite("a-independence")
+    assert outcome.observed <= 1e-12
+
+
+def test_result_algebra_keeps_exact_values_exact():
+    a = PairingResult(Fraction(1, 3), None, 0.0)
+    b = PairingResult(0.5, 1.0, 1e-12, ((-1, 0.25),), 2.0)
+    total = a.scaled(Fraction(-3, 2)) + b.scaled(-2)
+    assert total == PairingResult(Fraction(-1, 2) - 1.0, 1.0, 2e-12, ((-1, -0.5),), -4.0)
+    exact = a + a.scaled(2)
+    assert exact.value == 1 and isinstance(exact.value, Fraction)
+    assert exact.split_radius is None
+
+
+def test_non_finite_and_overflowing_pairings_are_typed():
+    with pytest.raises(NonFiniteError):
+        pair(LinearCombination(((Fraction(1e300), pf_power(Fraction(-1, 2))),)),
+             from_polynomial([1e300], 1))
+    with pytest.raises(NonFiniteError):
+        pair(LinearCombination(((Fraction(1e300), delta_star()),)), from_polynomial([1e300], 1))
+    with pytest.raises(NonFiniteError):
+        pair(pf_power(Fraction(-1, 2)), from_polynomial([1e308, 1e308], 1))

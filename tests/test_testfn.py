@@ -376,3 +376,13 @@ def test_thick_functions_are_not_ordinary():
 def test_sum_point_mismatch():
     with pytest.raises(PointMismatchError):
         plateau_bump(1.0) + plateau_bump(1.0, point=1)
+
+
+@pytest.mark.parametrize("radius", [math.inf, math.nan])
+def test_constructors_reject_a_non_finite_radius(radius):
+    with pytest.raises(ValueError):
+        plateau_bump(radius)
+    with pytest.raises(ValueError):
+        thick_monomial(1, (1, 1), radius)
+    with pytest.raises(ValueError):
+        from_polynomial([1, 2], radius)
