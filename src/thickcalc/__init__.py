@@ -13,7 +13,6 @@ from .sphere import (
     g_lambda,
     g_one,
     integrate_sphere,
-    pair_sphere,
 )
 from .expansion import Expansion, add, differentiate, evaluate, from_taylor, multiply, render
 from .testfn import (

@@ -9,6 +9,7 @@ required for evaluation.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,6 +34,8 @@ def _normalize_power(lam):
     if isinstance(lam, Fraction):
         return int(lam) if lam.denominator == 1 else lam
     if isinstance(lam, float):
+        if not math.isfinite(lam):
+            raise ValueError(f"power must be finite, got {lam!r}")
         return lam
     raise TypeError(f"power must be int, Fraction or float, got {type(lam).__name__}")
 

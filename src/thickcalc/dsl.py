@@ -17,11 +17,18 @@ Expression grammar (precedence: constructors > ``*``/``·`` > ``+``/``-``):
     density:= abs(x)^num | H(x) | pair(a,b) * r^num
     testfn := bump(R) | mono(j, pair(a,b), R) | poly([c0,...], R)
             | testfn * testfn | D(testfn) | testfn +- testfn
-    mult   := H(x) | x^j | mult(pair(a,b), j) | bound name
+    mult   := H(x) | x^j | mult(pair(a,b), j) | number * mult | D(mult) | bound name
 
 Numbers are integers, rationals ``p/q`` (kept exact, so the integer-versus-not
-power dispatch is intent-driven) or decimals (always treated as non-integer).
-The name ``d`` is reserved: ``d*( ... )`` is the derivative operator.
+power dispatch is intent-driven) or decimals such as ``0.5``, ``2.5e-3`` and
+``1e-05`` (always treated as non-integer).  The name ``d`` is reserved:
+``d*( ... )`` is the derivative operator.
+
+The printer writes the canonical text of a tree, which parses back to an equal
+tree: a one-term combination keeps its coefficient (``1 * dstar``), a scaled
+or negated product is parenthesized (``2 * (x^2 * dstar)``), and the zero
+multiplier is ``0 * H(x)``.  An ``eval`` or ``project`` record lists the series
+terms of the finite-part formula whose coefficient is not zero.
 """
 
 from __future__ import annotations
@@ -42,12 +49,10 @@ from .distributions import (
     Translate,
     delta_star,
     g_lambda_delta,
-    pf_heaviside,
-    pf_power,
     simplify,
 )
-from .errors import DslError, ThickCalcError
-from .sphere import SpherePair, SphereDistribution
+from .errors import DslError, PointMismatchError, ThickCalcError
+from .sphere import SpherePair
 from .testfn import (
     Monomial,
     Multiplier,
@@ -71,7 +76,7 @@ Value = Union[Number, "ThickTestFunction", "Multiplier", object]
 
 _TOKEN_RE = re.compile(r"""
     (?P<ws>\s+)
-  | (?P<decimal>\d+\.\d+(?:[eE][+-]?\d+)?)
+  | (?P<decimal>\d+(?:\.\d+(?:[eE][+-]?\d+)?|[eE][+-]?\d+))
   | (?P<int>\d+)
   | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<sym>[()\[\],+\-*^=/·])
@@ -123,11 +128,12 @@ class _Cursor:
         self.i += 1
         return t
 
-    def expect(self, kind: str) -> Token:
+    def expect(self, kind: str, word: Optional[str] = None) -> Token:
+        """The next token, which must be of ``kind`` (and read ``word``, if given)."""
         t = self.peek()
-        if t is None or t.kind != kind:
+        if t is None or t.kind != kind or (word is not None and t.text != word):
             got = t.text if t else "end of input"
-            raise DslError(f"expected {kind!r}, got {got!r}", self.position)
+            raise DslError(f"expected {word or kind!r}, got {got!r}", self.position)
         return self.next()
 
     def at(self, kind: str, ahead: int = 0) -> bool:
@@ -146,6 +152,23 @@ class _Cursor:
 
 #: Deepest nesting the parser accepts; it recurses about five frames a level.
 MAX_NESTING = 100
+
+#: Every ``name(arg, ...)`` form: the kinds of its arguments (a ``function`` is
+#: a test function or a multiplier) and the constructor that ``Parser._call``
+#: reads them for.  ``D`` looks ``fn_derivative`` up when it runs, so that a
+#: replacement of the module attribute (a tracer, say) sees every ``D( )``.
+_CALLS = {
+    "pair": (("number", "number"), SpherePair),
+    "bump": (("number",), plateau_bump),
+    "mono": (("integer", "pair", "number"), thick_monomial),
+    "poly": (("list", "number"), from_polynomial),
+    "mult": (("pair", "integer"), lambda pair, order: monomial_multiplier(order, pair)),
+    "glambda": (("number",), g_lambda_delta),
+    "translate": (("distribution", "number"), Translate),
+    "dilate": (("distribution", "number"), Dilate),
+    "D": (("function",), lambda f: fn_derivative(f)),
+    "d*": (("distribution",), Derivative),
+}
 
 
 class Parser:
@@ -182,13 +205,7 @@ class Parser:
     def parse_pair(self, c: _Cursor) -> SpherePair:
         if not c.at_name("pair"):
             raise DslError("expected pair(a, b)", c.position)
-        tok = c.next()
-        c.expect("(")
-        a = self.parse_number(c)
-        c.expect(",")
-        b = self.parse_number(c)
-        c.expect(")")
-        return _build(tok, SpherePair, a, b)
+        return self._call(c, "pair")
 
     # expressions ----------------------------------------------------------
 
@@ -227,7 +244,7 @@ class Parser:
             return a + b if op.kind == "+" else a + b.scale(-1)
         if _is_dist(a) and _is_dist(b):
             coefficient = Fraction(1) if op.kind == "+" else Fraction(-1)
-            return _flatten_combination(((Fraction(1), a), (coefficient, b)))
+            return _build(op, _flatten_combination, ((Fraction(1), a), (coefficient, b)))
         raise DslError(f"cannot combine {_typename(a)} and {_typename(b)} with {op.kind!r}",
                        op.pos)
 
@@ -244,7 +261,7 @@ class Parser:
         if isinstance(b, (int, Fraction, float)):
             return self._combine_mul(b, a, op)
         if isinstance(a, Multiplier) and _is_dist(b):
-            return MultiplierProduct(a, b)
+            return _build(op, MultiplierProduct, a, b)
         if isinstance(a, Multiplier) and isinstance(b, ThickTestFunction):
             return multiply_by(a, b)
         if isinstance(a, ThickTestFunction) and isinstance(b, Multiplier):
@@ -267,183 +284,112 @@ class Parser:
         if t.kind != "name":
             raise DslError(f"unexpected token {t.text!r}", t.pos)
         word = t.text
+        if word == "d" and c.at("*", 1) and c.at("(", 2):
+            word = "d*"
+        if word in _CALLS and word != "pair":  # pair(a, b) is an argument, not a value
+            value = self._call(c, word)
+            if word == "glambda" and (c.at("·") or c.at("*")) and c.at_name("delta", 1):
+                c.next()
+                value = ThickDelta(value.weights, self._degree(c))
+            return value
         if word == "Pf":
-            return self._pf(c)
+            c.next()
+            c.expect("(")
+            pair, power = SpherePair(1, 0), 0
+            if c.at_name("H"):
+                _read_of_x(c, "H")
+            else:
+                if c.at_name("abs"):
+                    _read_of_x(c, "abs")
+                    pair = SpherePair(1, 1)
+                elif c.at_name("pair"):
+                    pair = self.parse_pair(c)
+                    c.expect("*")
+                    c.expect("name", "r")
+                else:
+                    raise DslError("Pf( ) takes abs(x)^a, H(x) or pair(p,q) * r^a", c.position)
+                c.expect("^")
+                power = self.parse_number(c)
+            c.expect(")")
+            return _build(t, PfDensity, pair, power)
         if word == "dstar":
             c.next()
             return delta_star()
-        if word == "glambda":
-            return self._glambda(c)
         if word == "delta":
-            return self._delta(c)
-        if word == "d" and c.at("*", 1) and c.at("(", 2):
-            c.next(); c.next(); c.next()
-            inner = self.parse_value(c)
-            c.expect(")")
-            if not _is_dist(inner):
-                raise DslError("d*( ) applies to distributions", t.pos)
-            return Derivative(inner)
-        if word == "translate" or word == "dilate":
-            c.next()
+            degree = self._degree(c)
             c.expect("(")
-            inner = self.parse_value(c)
-            c.expect(",")
-            amount = self.parse_number(c)
+            weights = self.parse_pair(c)
             c.expect(")")
-            if not _is_dist(inner):
-                raise DslError(f"{word}( ) applies to distributions", t.pos)
-            return _build(t, Translate if word == "translate" else Dilate, inner, amount)
-        if word == "bump":
-            c.next()
-            c.expect("(")
-            radius = self.parse_number(c)
-            c.expect(")")
-            return _build(t, plateau_bump, radius)
-        if word == "mono":
-            c.next()
-            c.expect("(")
-            order = self.parse_int(c)
-            c.expect(",")
-            pair = self.parse_pair(c)
-            c.expect(",")
-            radius = self.parse_number(c)
-            c.expect(")")
-            return _build(t, thick_monomial, order, pair, radius)
-        if word == "poly":
-            c.next()
-            c.expect("(")
-            coeffs = self._coeff_list(c)
-            c.expect(",")
-            radius = self.parse_number(c)
-            c.expect(")")
-            return _build(t, from_polynomial, coeffs, radius)
-        if word == "D":
-            c.next()
-            c.expect("(")
-            inner = self.parse_value(c)
-            c.expect(")")
-            if not isinstance(inner, (ThickTestFunction, Multiplier)):
-                raise DslError("D( ) applies to test functions", t.pos)
-            return fn_derivative(inner)
+            return ThickDelta(weights, degree)
         if word == "H" and c.at("(", 1):
-            c.next(); c.next()
-            if not c.at_name("x"):
-                raise DslError("expected H(x)", t.pos)
-            c.next()
-            c.expect(")")
+            _read_of_x(c, "H")
             return heaviside_multiplier()
         if word == "x" and c.at("^", 1):
             c.next(); c.next()
             return power_multiplier(self.parse_int(c))
-        if word == "mult":
-            c.next()
-            c.expect("(")
-            pair = self.parse_pair(c)
-            c.expect(",")
-            order = self.parse_int(c)
-            c.expect(")")
-            return monomial_multiplier(order, pair)
         if word in self.bindings:
             c.next()
             return self.bindings[word]
         raise DslError(f"unbound name {word!r}", t.pos)
 
-    def _coeff_list(self, c: _Cursor):
-        c.expect("[")
-        out = []
-        if not c.at("]"):
-            out.append(self.parse_number(c))
-            while c.at(","):
+    def _call(self, c: _Cursor, name: str):
+        """Read ``name(arg, ...)`` for a name in ``_CALLS`` and build its value;
+        an argument the constructor rejects is reported at the name."""
+        tok = c.next()
+        if name == "d*":
+            c.next()
+        kinds, constructor = _CALLS[name]
+        c.expect("(")
+        args = []
+        for kind in kinds:
+            if args:
+                c.expect(",")
+            if kind == "number":
+                arg = self.parse_number(c)
+            elif kind == "integer":
+                arg = self.parse_int(c)
+            elif kind == "pair":
+                arg = self.parse_pair(c)
+            elif kind == "list":
+                c.expect("[")
+                arg = []
+                while not c.at("]"):
+                    if arg:
+                        c.expect(",")
+                    arg.append(self.parse_number(c))
                 c.next()
-                out.append(self.parse_number(c))
-        c.expect("]")
-        return out
-
-    def _pf(self, c: _Cursor):
-        start = c.next()
-        c.expect("(")
-        if c.at_name("abs"):
-            c.next()
-            c.expect("(")
-            if not c.at_name("x"):
-                raise DslError("expected abs(x)", start.pos)
-            c.next()
-            c.expect(")")
-            c.expect("^")
-            power = self.parse_number(c)
-            c.expect(")")
-            return pf_power(power)
-        if c.at_name("H"):
-            c.next()
-            c.expect("(")
-            if not c.at_name("x"):
-                raise DslError("expected H(x)", start.pos)
-            c.next()
-            c.expect(")")
-            c.expect(")")
-            return pf_heaviside()
-        if c.at_name("pair"):
-            pair = self.parse_pair(c)
-            c.expect("*")
-            if not c.at_name("r"):
-                raise DslError("expected r^<power> after the density pair", start.pos)
-            c.next()
-            c.expect("^")
-            power = self.parse_number(c)
-            c.expect(")")
-            return PfDensity(pair, power)
-        tok = c.peek()
-        raise DslError("Pf( ) takes abs(x)^a, H(x) or pair(p,q) * r^a",
-                       tok.pos if tok else start.pos)
-
-    def _glambda(self, c: _Cursor):
-        tok = c.next()
-        c.expect("(")
-        lam = self.parse_number(c)
+            else:
+                start = c.position
+                arg = self.parse_value(c)
+                if not (_is_dist(arg) if kind == "distribution"
+                        else isinstance(arg, (ThickTestFunction, Multiplier))):
+                    raise DslError(f"expected a {kind} argument, got {_typename(arg)}", start)
+            args.append(arg)
         c.expect(")")
-        degree = 0
-        if (c.at("·") or c.at("*")) and c.at_name("delta", 1) and c.at("[", 2) \
-                and not self._delta_has_args(c):
-            c.next()  # the dot
-            c.next()  # delta
-            c.expect("[")
-            degree = self.parse_int(c)
-            c.expect("]")
-        return _build(tok, g_lambda_delta, lam, degree)
+        return _build(tok, constructor, *args)
 
-    def _delta_has_args(self, c: _Cursor) -> bool:
-        # glambda(l)·delta[q] is a degree marker unless a '(' follows the ']'
-        depth = 0
-        j = c.i + 2  # position of '['
-        while True:
-            t = c.peek(j - c.i)
-            if t is None:
-                return False
-            if t.kind == "[":
-                depth += 1
-            elif t.kind == "]":
-                depth -= 1
-                if depth == 0:
-                    nxt = c.peek(j - c.i + 1)
-                    return nxt is not None and nxt.kind == "("
-            j += 1
-
-    def _delta(self, c: _Cursor):
-        tok = c.next()
+    def _degree(self, c: _Cursor) -> int:
+        """Read ``delta[q]``."""
+        c.expect("name", "delta")
         c.expect("[")
         degree = self.parse_int(c)
         c.expect("]")
-        c.expect("(")
-        pair = self.parse_pair(c)
-        c.expect(")")
-        return ThickDelta(SphereDistribution(pair), degree, 0)
+        return degree
+
+
+def _read_of_x(c: _Cursor, name: str):
+    """Read ``name(x)``."""
+    c.expect("name", name)
+    c.expect("(")
+    c.expect("name", "x")
+    c.expect(")")
 
 
 def _build(tok: Token, constructor, *args):
     """Call a constructor, reporting the arguments it rejects at the token."""
     try:
         return constructor(*args)
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, PointMismatchError) as exc:
         raise DslError(str(exc), tok.pos) from None
 
 
@@ -484,14 +430,6 @@ def _flatten_combination(terms) -> LinearCombination:
 # -- printer ---------------------------------------------------------------------
 
 
-def print_number(x: Number) -> str:
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def print_multiplier(m: Multiplier) -> str:
     body = m.body
     if isinstance(body, Monomial):
@@ -500,12 +438,10 @@ def print_multiplier(m: Multiplier) -> str:
         sign = 1 if body.order % 2 == 0 else -1
         if body.pair.plus == 1 and body.pair.minus == sign:
             return f"x^{body.order}"
-        return f"mult(pair({print_number(body.pair.plus)},{print_number(body.pair.minus)}), {body.order})"
+        return f"mult(pair({body.pair.plus},{body.pair.minus}), {body.order})"
+    if m.is_zero():
+        return "0 * H(x)"
     raise DslError("multiplier has no canonical text form")
-
-
-def _needs_parens(d) -> bool:
-    return isinstance(d, LinearCombination) and len(d.terms) != 1
 
 
 def print_distribution(d) -> str:
@@ -515,43 +451,44 @@ def print_distribution(d) -> str:
             return "dstar"
         if w.plus + w.minus == 2:
             lam = w.plus / 2
-            return f"glambda({print_number(lam)})·delta[{d.degree}]"
-        return (f"delta[{d.degree}](pair({print_number(w.plus)},"
-                f"{print_number(w.minus)}))")
+            return f"glambda({lam})·delta[{d.degree}]"
+        return f"delta[{d.degree}](pair({w.plus},{w.minus}))"
     if isinstance(d, PfDensity):
         if d.pair == SpherePair(1, 1):
-            return f"Pf(abs(x)^{print_number(d.power)})"
+            return f"Pf(abs(x)^{d.power})"
         if d.pair == SpherePair(1, 0) and d.power == 0:
             return "Pf(H(x))"
-        return (f"Pf(pair({print_number(d.pair.plus)},{print_number(d.pair.minus)})"
-                f" * r^{print_number(d.power)})")
+        return f"Pf(pair({d.pair.plus},{d.pair.minus}) * r^{d.power})"
     if isinstance(d, Derivative):
         return f"d*({print_distribution(d.inner)})"
     if isinstance(d, MultiplierProduct):
         inner = print_distribution(d.inner)
-        if _needs_parens(d.inner):
-            inner = f"({inner})"
+        if isinstance(d.inner, (LinearCombination, MultiplierProduct)):
+            inner = f"({inner})"  # else its multiplier or coefficient binds to ours
         return f"{print_multiplier(d.multiplier)} * {inner}"
     if isinstance(d, LinearCombination):
         if not d.terms:
             return "0"
-        pieces = []
+        out = ""
         for coefficient, term in d.terms:
             text = print_distribution(term)
-            if _needs_parens(term):
+            # a one-term combination written bare would read back as its term
+            scaled = abs(coefficient) != 1 or (len(d.terms) == 1 and coefficient == 1)
+            # and a leading number or '-' would scale a product's multiplier
+            if isinstance(term, LinearCombination) or (
+                    isinstance(term, MultiplierProduct) and (scaled or coefficient < 0)):
                 text = f"({text})"
-            mag = abs(coefficient)
-            body = text if mag == 1 else f"{print_number(mag)} * {text}"
-            pieces.append(("-" if coefficient < 0 else "+", body))
-        first_sign, first = pieces[0]
-        out = ("-" + first) if first_sign == "-" else first
-        for sign, body in pieces[1:]:
-            out += f" {sign} {body}"
+            if scaled:
+                text = f"{abs(coefficient)} * {text}"
+            if not out:
+                out = f"-{text}" if coefficient < 0 else text
+            else:
+                out += f" {'-' if coefficient < 0 else '+'} {text}"
         return out
     if isinstance(d, Translate):
-        return f"translate({print_distribution(d.inner)}, {print_number(d.shift)})"
+        return f"translate({print_distribution(d.inner)}, {d.shift})"
     if isinstance(d, Dilate):
-        return f"dilate({print_distribution(d.inner)}, {print_number(d.factor)})"
+        return f"dilate({print_distribution(d.inner)}, {d.factor})"
     raise DslError(f"cannot print {type(d).__name__}")
 
 

@@ -203,15 +203,11 @@ def evaluate(e: Expansion, w: int, r: float, top: Optional[int] = None) -> float
 # -- textual form ----------------------------------------------------------
 
 
-def _fmt(x: Fraction) -> str:
-    return str(x)
-
-
 def render(e: Expansion) -> str:
     """Terms ``(p|q)·r^j`` joined by `` + ``; the zero expansion prints as 0."""
     if e.is_zero():
         return "0"
-    return " + ".join(f"({_fmt(c.plus)}|{_fmt(c.minus)})·r^{j}" for j, c in e.terms())
+    return " + ".join(f"({c.plus}|{c.minus})·r^{j}" for j, c in e.terms())
 
 
 _TERM_RE = re.compile(

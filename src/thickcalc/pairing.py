@@ -174,7 +174,7 @@ def _pair_density(f: PfDensity, phi: ThickTestFunction, cfg: QuadratureConfig) -
             )
         elif f.integral_power and j == jmax:
             log_term = cj * math.log(A) if cj != 0 else Fraction(0)
-        else:
+        elif cj != 0:
             series.append((j, cj * A ** (lam + j + 1) / (lam + j + 1)))
 
     far_value, quad_error = integrate(_radial(phi, f.pair, flam), A, R,

@@ -122,10 +122,6 @@ class SphereDistribution:
         return self.weights.plus * a.plus + self.weights.minus * a.minus
 
 
-def pair_sphere(g: SphereDistribution, a: SpherePair) -> Fraction:
-    return g.pair(a)
-
-
 def g_one() -> SphereDistribution:
     """The constant density 1: pairing reduces to integrate_sphere."""
     return SphereDistribution(SpherePair(1, 1))

@@ -149,6 +149,8 @@ def test_check_json_deterministic():
     ("dstar, poly([1,2], 0)", 12),
     ("dilate(dstar, 0), bump(1)", 5),
     ("translate(dstar, 1.0e999), bump(1)", 5),
+    ("translate(dstar, 1) + dstar, bump(1)", 25),
+    ("H(x) * translate(dstar, 1), bump(1)", 10),
 ])
 def test_rejected_constructor_argument_is_a_parse_error(expr, position):
     out = run_cli("eval", "-e", expr)
@@ -171,6 +173,7 @@ def test_non_finite_tolerance_is_bad_configuration(tol):
     ("eval", "dstar, bump(1.0e999)", 2),
     ("eval", "glambda(1.0e999), bump(1)", 2),
     ("eval", "delta[0](pair(1.0e999, 1)), bump(1)", 2),
+    ("eval", "Pf(abs(x)^1.0e999), bump(1)", 2),
     ("eval", "-1.0e999 * dstar, bump(1)", 2),
     ("eval", "dstar, 1.0e999 * bump(1)", 2),
     ("eval", "Pf(abs(x)^-1/2), poly([1.0e308, 1.0e308], 1)", 3),
@@ -185,6 +188,18 @@ def test_non_finite_or_too_deep_input_is_a_typed_error(command, expr, status):
     assert out.returncode == status
     assert "Traceback" not in out.stderr
     assert ("parse error" in out.stderr) if status == 2 else ("error:" in out.stdout)
+
+
+@pytest.mark.parametrize("command, expr, line", [
+    ("eval", "Pf(abs(x)^-6), bump(1)", "  series = [r^0: -12.8]"),
+    ("eval", "D(H(x)) * dstar, bump(1)", "  value = 0.0 (exact 0)"),
+    ("eval", "0 * x^2 * dstar, bump(1)", "  value = 0.0 (exact 0)"),
+    ("derive", "D(H(x)) * dstar", "  -> 0"),
+])
+def test_printed_record(command, expr, line):
+    out = run_cli(command, "-e", expr)
+    assert out.returncode == 0
+    assert line in out.stdout.splitlines()
 
 
 def test_check_prints_the_outcome_lines():

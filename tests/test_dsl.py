@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thickcalc.distributions import (
     Derivative,
@@ -30,9 +32,11 @@ from thickcalc.sphere import SpherePair, SphereDistribution
 from thickcalc.testfn import (
     Multiplier,
     ThickTestFunction,
+    constant_multiplier,
     derivative,
     from_polynomial,
     heaviside_multiplier,
+    monomial_multiplier,
     plateau_bump,
     power_multiplier,
     thick_monomial,
@@ -223,6 +227,8 @@ GOLDEN = [
     Translate(delta_star(), Fraction(3, 2)),
     Dilate(pf_power(1), -2),
     Translate(MultiplierProduct(heaviside_multiplier(), pf_heaviside()), 1),
+    MultiplierProduct(monomial_multiplier(2, SpherePair(2, 1)), delta_star()),
+    MultiplierProduct(constant_multiplier(0), delta_star()),
 ]
 
 
@@ -231,6 +237,74 @@ def test_print_parse_round_trip(tree):
     text = print_distribution(tree)
     assert parse_value(text) == tree
     assert print_distribution(parse_value(text)) == text
+
+
+def test_zero_multiplier_prints_as_zero_times_step():
+    zero = parse_value("D(H(x)) * dstar")
+    assert print_distribution(zero) == "0 * H(x) * dstar"
+    assert parse_value("0 * x^2 * dstar") == zero
+
+
+# Distribution text drawn from the grammar in the module docstring.  Terms at
+# different thick points (a translated term in a sum or product) do not parse;
+# every other drawn text must print to a text that parses back to the same tree.
+
+def _signed(text):
+    return st.tuples(st.sampled_from(["", "-"]), text).map("".join)
+
+
+_DIGITS = st.integers(0, 12).map(str)
+_NONZERO = st.one_of(
+    st.integers(1, 12).map(str),
+    st.builds("{}/{}".format, st.integers(1, 12), st.integers(2, 9)),
+    st.builds("{}.{}{}".format, st.integers(0, 99), st.integers(1, 999),
+              st.sampled_from(["", "e-7", "e+3", "e12"])),
+    st.builds("{}e-{}".format, st.integers(1, 9), st.integers(1, 9)),
+)
+_NUMBERS = _signed(st.one_of(st.sampled_from(["0", "0.0"]), _NONZERO))
+_MULTIPLIERS = st.recursive(
+    st.one_of(st.just("H(x)"), _signed(_DIGITS).map("x^{}".format),
+              st.builds("mult(pair({}, {}), {})".format, _NUMBERS, _NUMBERS, _signed(_DIGITS))),
+    lambda m: st.one_of(m.map("D({})".format), st.builds("{} * ({})".format, _NUMBERS, m)),
+    max_leaves=3,
+)
+_DENSITIES_AND_DELTAS = st.one_of(
+    st.just("dstar"),
+    _NUMBERS.map("glambda({})".format),
+    st.builds("glambda({}){}delta[{}]".format, _NUMBERS, st.sampled_from(["·", " * "]),
+              _signed(_DIGITS)),
+    st.builds("delta[{}](pair({}, {}))".format, _signed(_DIGITS), _NUMBERS, _NUMBERS),
+    _NUMBERS.map("Pf(abs(x)^{})".format),
+    st.just("Pf(H(x))"),
+    st.builds("Pf(pair({}, {}) * r^{})".format, _NUMBERS, _NUMBERS, _NUMBERS),
+)
+_DISTRIBUTIONS = st.recursive(
+    _DENSITIES_AND_DELTAS,
+    lambda d: st.one_of(
+        d.map("d*({})".format),
+        st.builds("({}) * ({})".format, _MULTIPLIERS, d),
+        st.builds("({}) {} ({})".format, d, st.sampled_from("+-"), d),
+        st.builds("{} * ({})".format, _NUMBERS, d),
+        d.map("-({})".format),
+        st.builds("translate({}, {})".format, d, _NUMBERS),
+        st.builds("dilate({}, {})".format, d, _signed(_NONZERO)),
+    ),
+    max_leaves=8,
+)
+
+
+@pytest.mark.filterwarnings("ignore:side weight")
+@settings(max_examples=400, deadline=None)
+@given(_DISTRIBUTIONS)
+def test_printed_distribution_parses_back_to_the_same_tree(text):
+    try:
+        tree = parse_value(text)
+    except DslError as err:
+        assert "different thick points" in str(err)
+        return
+    printed = print_distribution(tree)
+    assert parse_value(printed) == tree
+    assert print_distribution(parse_value(printed)) == printed
 
 
 def test_derive_normal_form_example():

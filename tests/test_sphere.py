@@ -10,7 +10,6 @@ from thickcalc.sphere import (
     g_lambda,
     g_one,
     integrate_sphere,
-    pair_sphere,
     parity_pair,
 )
 
@@ -36,13 +35,13 @@ def test_odd_pair_integrates_to_zero():
 def test_pairing_one_sided_weights():
     g1 = g_lambda(1)
     assert g1.weights == SpherePair(2, 0)
-    assert pair_sphere(g1, SpherePair(5, 7)) == 10
+    assert g1.pair(SpherePair(5, 7)) == 10
 
 
 def test_constant_weights_reduce_to_integration():
     g = SphereDistribution(SpherePair(1, 1))
     c = Fraction(9, 4)
-    assert pair_sphere(g, SpherePair(c, c)) == 2 * c
+    assert g.pair(SpherePair(c, c)) == 2 * c
 
 
 def test_quarter_interpolation_weights():
@@ -51,7 +50,7 @@ def test_quarter_interpolation_weights():
     assert g.weights == SpherePair(Fraction(1, 2), Fraction(3, 2))
     a = SpherePair(4, 8)
     brute = sum(g.weights.at(w) * a.at(w) for w in (1, -1))
-    assert pair_sphere(g, a) == brute == 14
+    assert g.pair(a) == brute == 14
 
 
 @settings(max_examples=60, deadline=None)
@@ -71,7 +70,7 @@ def test_odd_part_integrates_to_zero(f):
 @settings(max_examples=60, deadline=None)
 @given(pairs())
 def test_unit_weights_match_integration(f):
-    assert pair_sphere(g_one(), f) == integrate_sphere(f)
+    assert g_one().pair(f) == integrate_sphere(f)
 
 
 @settings(max_examples=60, deadline=None)
