@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
@@ -302,7 +303,10 @@ def fp_pair_oracle(f: PfDensity, phi: ThickTestFunction,
 
     F(eps) = integral of the density against phi over |x - a| >= eps is
     computed by quadrature (the test function evaluated through its body,
-    never its expansion), then the finite part is extracted by fp_limit.
+    never its expansion) on a decreasing geometric grid eps_0 > eps_1 > ...:
+    [eps_0, R] and each slice [eps_(k+1), eps_k] are integrated once, and
+    F(eps_k) is their running sum.  The finite part is then extracted by
+    fp_limit.
     Only the *exponent set* of the fit is taken from the expansion orders;
     every coefficient comes out of the fit.
     """
@@ -332,16 +336,12 @@ def fp_pair_oracle(f: PfDensity, phi: ThickTestFunction,
         n_cols = len(default_fit_powers(3)) + 7
 
     integrand = _radial(phi, f.pair, flam)
-
-    def truncated(eps):
-        v, _ = integrate(integrand, eps, R, cfg.abs_tol, max(cfg.max_subdivisions, 4000))
-        return v
-
     eps0 = min(phi.exact_radius, R) * 0.9
     count = n_cols + n_extra
     grid = [eps0 * 2.0 ** (-k / 2.0) for k in range(count)]
-    samples = [(eps, truncated(eps)) for eps in grid]
-    return fp_limit(samples, basis_orders=(3, maxq), powers=powers)
+    pieces = [integrate(integrand, lo, hi, cfg.abs_tol, max(cfg.max_subdivisions, 4000))[0]
+              for lo, hi in zip(grid, [R] + grid)]
+    return fp_limit(list(zip(grid, accumulate(pieces))), basis_orders=(3, maxq), powers=powers)
 
 
 # -- small helpers used by identity checks ---------------------------------------

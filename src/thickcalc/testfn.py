@@ -77,10 +77,13 @@ def smoothstep_deriv(t: float, n: int) -> float:
         return 0.0
     if t >= 1.0:
         return 1.0 if n == 0 else 0.0
+    if n == 0:
+        # the jet path's own arithmetic at n = 0, so the bits are the same
+        g1 = math.exp(-(1.0 / t))
+        return g1 * (1.0 / (g1 + math.exp(-(1.0 / (1.0 - t)))))
     tj = _jet_var(t, n)
     uj = _jet_var(1.0 - t, n)
-    if n >= 1:
-        uj[1] = -1.0
+    uj[1] = -1.0
     g1 = _jet_exp([-c for c in _jet_recip(tj)])
     g2 = _jet_exp([-c for c in _jet_recip(uj)])
     s = _jet_mul(g1, _jet_recip([x + y for x, y in zip(g1, g2)]))
@@ -387,6 +390,8 @@ def power_multiplier(order: int, point=0) -> Multiplier:
 
 def monomial_multiplier(order: int, pair, point=0) -> Multiplier:
     pair = pair if isinstance(pair, SpherePair) else SpherePair(*pair)
+    if pair.is_zero():
+        return constant_multiplier(0, point)
     return Multiplier(
         body=Monomial(order, pair),
         expansion=Expansion(order, (pair,), exact=True),

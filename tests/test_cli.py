@@ -182,6 +182,8 @@ def test_non_finite_tolerance_is_bad_configuration(tol):
     ("derive", "d*(" * 200 + "dstar" + ")" * 200, 2),
     ("expand", "D(" * 250 + "bump(1)" + ")" * 250 + ", 2", 2),
     ("derive", "(" * 300 + "dstar" + ")" * 300, 2),
+    ("eval", "Pf(abs(x)^-1/2), D(D(D(D(D(D(bump(1))))))) * bump(2)", 3),
+    ("eval", "Pf(abs(x)^-3/2), D(D(D(D(D(D(mono(2,pair(1,3),2)*poly([1,1],2)))))))", 3),
 ])
 def test_non_finite_or_too_deep_input_is_a_typed_error(command, expr, status):
     out = run_cli(command, "-e", expr)
@@ -195,6 +197,7 @@ def test_non_finite_or_too_deep_input_is_a_typed_error(command, expr, status):
     ("eval", "D(H(x)) * dstar, bump(1)", "  value = 0.0 (exact 0)"),
     ("eval", "0 * x^2 * dstar, bump(1)", "  value = 0.0 (exact 0)"),
     ("derive", "D(H(x)) * dstar", "  -> 0"),
+    ("derive", "mult(pair(0,0), 2) * dstar", "  -> 0"),
 ])
 def test_printed_record(command, expr, line):
     out = run_cli(command, "-e", expr)

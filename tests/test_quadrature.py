@@ -1,9 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 from thickcalc.errors import QuadratureError
-from thickcalc.quadrature import integrate
+from thickcalc.quadrature import _WG, _XK, _panel, integrate
 
 
 def test_polynomial_is_near_exact():
@@ -42,3 +43,24 @@ def test_deterministic_subdivision():
     runs = [integrate(lambda x: math.exp(-x * x), 0.0, 5.0, abs_tol=1e-12)
             for _ in range(2)]
     assert runs[0] == runs[1]
+
+
+def test_embedded_gauss_rule_is_gauss_legendre_7():
+    odd = _XK[1::2]  # the three positive Gauss nodes and the centre
+    nodes = [-x for x in odd[:-1]] + list(reversed(odd))
+    weights = list(_WG[:-1]) + list(reversed(_WG))
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(7)
+    assert nodes == pytest.approx(ref_nodes, abs=1e-15)
+    assert weights == pytest.approx(ref_weights, abs=1e-15)
+
+
+@pytest.mark.parametrize("d", range(23))
+def test_kronrod_rule_is_exact_through_degree_22(d):
+    value, _, _ = _panel(lambda x: x ** d, -1.0, 1.0)
+    assert value == pytest.approx((1 + (-1) ** d) / (d + 1), abs=1e-15)
+
+
+def test_estimate_at_the_roundoff_floor_raises():
+    # the exact integral is 0; the sums cancel only to ~1e-10 of a 4e6 total
+    with pytest.raises(QuadratureError, match="roundoff floor"):
+        integrate(lambda x: 1e6 * math.sin(x), 0.0, 2 * math.pi, abs_tol=1e-12)

@@ -10,6 +10,10 @@ from thickcalc.quadrature import integrate
 from thickcalc.sphere import SpherePair
 from thickcalc.testfn import (
     Monomial,
+    _jet_exp,
+    _jet_mul,
+    _jet_recip,
+    _jet_var,
     ThickTestFunction,
     constant_multiplier,
     derivative,
@@ -48,6 +52,16 @@ def test_smoothstep_monotone_and_symmetric():
     assert all(b > a for a, b in zip(vals, vals[1:]))
     for t in ts:
         assert smoothstep_deriv(t, 0) + smoothstep_deriv(1 - t, 0) == pytest.approx(1.0)
+
+
+def test_smoothstep_value_is_the_jet_value_bit_for_bit():
+    def jet_value(t):
+        g1 = _jet_exp([-c for c in _jet_recip(_jet_var(t, 0))])
+        g2 = _jet_exp([-c for c in _jet_recip(_jet_var(1.0 - t, 0))])
+        return _jet_mul(g1, _jet_recip([g1[0] + g2[0]]))[0]
+
+    ts = [k / 997 for k in range(1, 997)] + [1e-300, 1e-3, 0.5, 1 - 1e-3, 1 - 2.0 ** -52]
+    assert [smoothstep_deriv(t, 0) for t in ts] == [jet_value(t) for t in ts]
 
 
 def test_smoothstep_derivative_matches_finite_differences():
