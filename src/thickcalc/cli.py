@@ -90,8 +90,8 @@ def _warn_negative_orders(program: Program) -> None:
     for q in program.queries:
         if q.command in ("eval", "project") and q.testfn is not None:
             e = q.testfn.expansion
-            if not e.is_zero() and e.start < 0:
-                print(f"note: test function has leading order {e.start} < 0",
+            if not e.is_zero() and e.start < 0:  # then each D lowers it by one
+                print(f"note: test function has leading order {e.start - q.derivatives} < 0",
                       file=sys.stderr)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple, Union
 
-from .errors import PointMismatchError
+from .errors import MisclassifiedPowerError, PointMismatchError
 from .sphere import SpherePair, SphereDistribution, as_fraction, g_lambda
 from .testfn import Monomial, Multiplier, derivative as fn_derivative
 
@@ -202,6 +202,41 @@ def _is_heaviside_multiplier(psi: Multiplier) -> bool:
     return psi.body == Monomial(0, SpherePair(1, 0))
 
 
+def density_derivative(f: PfDensity) -> ThickDistribution:
+    """d*f, integrated by parts in the finite-part sense (Estrada & Kanwal,
+    *A Distributional Approach to Asymptotics*, 2002):
+
+        d*(Pf(c(w) r^lam)) = Pf((lam c+, -lam c-) r^(lam-1))
+                             + [-lam = q >= 0] ThickDelta((2c+, -2c-), q)
+
+    The delta term is the finite part of the boundary term eps^lam phi(+-eps),
+    its weights taken through the 1/2 delta normalization; the Pf term
+    vanishes at lam = 0 and is dropped.  So d*(Pf(H(x))) is glambda(1)·delta[0].
+    """
+    lam, c = f.power, f.pair
+    if not f.integral_power and lam <= 0 and lam == int(lam):
+        raise MisclassifiedPowerError(
+            f"power {lam!r} behaves as the integer {int(lam)}, whose derivative has a "
+            "delta term; pass it as an exact int or Fraction"
+        )
+    terms = []
+    if lam != 0:
+        k = as_fraction(lam)
+        terms.append(PfDensity(SpherePair(k * c.plus, -k * c.minus), lam - 1, f.point))
+    if f.integral_power and lam <= 0:
+        terms.append(ThickDelta(SpherePair(2 * c.plus, -2 * c.minus), -lam, f.point))
+    if len(terms) == 1:
+        return terms[0]
+    return LinearCombination(tuple((Fraction(1), t) for t in terms))
+
+
+def nested_derivative(f: ThickDistribution, k: int) -> ThickDistribution:
+    """d*^k f, as k nested Derivative nodes."""
+    for _ in range(k):
+        f = Derivative(f)
+    return f
+
+
 # -- simplify -----------------------------------------------------------------
 
 
@@ -210,9 +245,11 @@ def simplify(f: ThickDistribution) -> ThickDistribution:
 
     Rules: H * Pf(H) collapses, derivatives distribute over multiplier
     products by the product rule (the multiplier differentiated in the
-    ordinary sense, away from the thick point), the derivative of Pf(H) is
-    the one-sided delta, nested linear combinations flatten, and stacked
-    translations merge.
+    ordinary sense, away from the thick point) and over linear combinations,
+    the derivative of a density is ``density_derivative`` (a Pf term plus,
+    at integer powers -q <= 0, a degree-q delta; d*(Pf(H)) is the one-sided
+    delta), nested linear combinations flatten, and stacked translations
+    merge.
     """
     return _simplify(f)
 
@@ -222,8 +259,8 @@ def _simplify(f):
         return f
     if isinstance(f, Derivative):
         inner = _simplify(f.inner)
-        if is_heaviside_pf(inner):
-            return ThickDelta(g_lambda(1), 0, inner.point)
+        if isinstance(inner, PfDensity):
+            return density_derivative(inner)
         if isinstance(inner, MultiplierProduct):
             dpsi = fn_derivative(inner.multiplier)
             terms = []

@@ -29,6 +29,10 @@ tree: a one-term combination keeps its coefficient (``1 * dstar``), a scaled
 or negated product is parenthesized (``2 * (x^2 * dstar)``), and the zero
 multiplier is ``0 * H(x)``.  An ``eval`` or ``project`` record lists the series
 terms of the finite-part formula whose coefficient is not zero.
+
+An ``eval`` whose test function is a chain ``D(...D(psi)...)`` spanning the
+whole argument pairs ``(-1)^k d*^k f`` with ``psi``, so the derivatives land
+on the distribution and ``psi`` is never differentiated.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Union
+from typing import List, NamedTuple, Optional, Union
 
 from . import checks, distributions, expansion, pairing
 from .distributions import (
@@ -80,11 +84,11 @@ _TOKEN_RE = re.compile(r"""
   | (?P<int>\d+)
   | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<sym>[()\[\],+\-*^=/·])
-""", re.VERBOSE)
+  | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # 'int' | 'decimal' | 'name' | symbol text
     text: str
     pos: int
@@ -92,15 +96,15 @@ class Token:
 
 def tokenize(text: str) -> List[Token]:
     out = []
-    i = 0
-    while i < len(text):
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            raise DslError(f"unexpected character {text[i]!r}", i)
-        if m.lastgroup != "ws":
-            kind = m.lastgroup if m.lastgroup in ("int", "decimal", "name") else m.group()
-            out.append(Token(kind, m.group(), i))
-        i = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "ws":
+            continue
+        if kind == "sym":
+            kind = m.group()
+        elif kind == "bad":
+            raise DslError(f"unexpected character {m.group()!r}", m.start())
+        out.append(Token(kind, m.group(), m.start()))
     return out
 
 
@@ -501,6 +505,7 @@ class Query:
     source: str
     dist: object = None
     testfn: Optional[ThickTestFunction] = None
+    derivatives: int = 0  # an eval pairs d*^k dist with testfn, times (-1)^k
     max_order: Optional[int] = None
     suite: Optional[str] = None
 
@@ -538,7 +543,8 @@ def run(program: Program, cfg=None) -> Report:
         try:
             if q.command in ("eval", "project"):
                 target = distributions.project(q.dist) if q.command == "project" else q.dist
-                res = pairing.pair(target, q.testfn, cfg)
+                target = distributions.nested_derivative(target, q.derivatives)
+                res = pairing.pair(target, q.testfn, cfg).scaled((-1) ** q.derivatives)
                 rec["expr"] = print_distribution(q.dist)
                 rec["value"] = float(res.value)
                 if isinstance(res.value, Fraction):
@@ -637,13 +643,36 @@ def _parse_statement(parser: Parser, line: str, queries: List[Query]):
     # eval | project
     dist = parser.parse_value(c)
     c.expect(",")
-    fn = parser.parse_value(c)
+    fn, k = _derivative_chain(parser, c) if head.text == "eval" else (parser.parse_value(c), 0)
     _expect_end(c, line)
     if not _is_dist(dist):
         raise DslError(f"{head.text} takes a distribution first", head.pos)
     if not isinstance(fn, ThickTestFunction):
         raise DslError(f"{head.text} takes a test function second", head.pos)
-    queries.append(Query(head.text, line, dist=dist, testfn=fn))
+    queries.append(Query(head.text, line, dist=dist, testfn=fn, derivatives=k))
+
+
+def _derivative_chain(parser: Parser, c: _Cursor):
+    """An eval's test-function argument as (psi, k): D(...D(psi)...) with k
+    D's spanning the whole argument keeps psi undifferentiated, since
+    <f, D^k psi> = (-1)^k <d*^k f, psi>; any other argument is (value, 0).
+    psi is parsed at the nesting depth the D's give it, so that every error
+    is the one the plain parse raises."""
+    start = c.i
+    k = 0
+    while k < MAX_NESTING and c.at_name("D") and c.at("(", 1):
+        c.i += 2
+        k += 1
+    if k:
+        c.depth += k
+        psi = parser.parse_value(c)
+        c.depth -= k
+        if isinstance(psi, ThickTestFunction) and c.i + k == len(c.tokens) \
+                and all(c.at(")", j) for j in range(k)):
+            c.i += k
+            return psi, k
+        c.i = start
+    return parser.parse_value(c), 0
 
 
 def _expect_end(c: _Cursor, line: str):

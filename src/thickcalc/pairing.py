@@ -8,7 +8,10 @@ each order j through -Re(lambda)-1 (a log A term at the integer boundary
 order); closed-form terms c_j E^(lambda+j+1)/(lambda+j+1) for the higher
 orders on the inner plateau [0, E] of an exact function; and quadrature of
 the expansion-subtracted remainder on [E, A].  The split radius is
-arbitrary; A-independence is one of the main correctness checks.
+arbitrary; A-independence is one of the main correctness checks.  A
+derivative of a density moves onto the density (``density_derivative``), so
+d*^k Pf is paired as densities of power lambda - k and deltas against the
+undifferentiated test function.
 
 ``fp_pair_oracle`` reaches the same number along a completely different
 route: it truncates the integral at epsilon, sweeps epsilon down a geometric
@@ -42,6 +45,8 @@ from .distributions import (
     PfDensity,
     ThickDelta,
     Translate,
+    density_derivative,
+    nested_derivative,
 )
 from .expansion import Expansion, evaluate
 from .quadrature import integrate
@@ -133,6 +138,16 @@ def pair(f, phi: ThickTestFunction, cfg: QuadratureConfig = DEFAULT_CONFIG) -> P
         if isinstance(f, PfDensity):
             return _pair_density(f, phi, cfg)
         if isinstance(f, Derivative):
+            # d*^k of a density or of a combination moves onto the density;
+            # anything else is paired by the definition <d*g, phi> = -<g, phi'>
+            k, g = 1, f.inner
+            while isinstance(g, Derivative):
+                k, g = k + 1, g.inner
+            if isinstance(g, PfDensity):
+                return pair(nested_derivative(density_derivative(g), k - 1), phi, cfg)
+            if isinstance(g, LinearCombination):
+                terms = tuple((c, nested_derivative(d, k)) for c, d in g.terms)
+                return pair(LinearCombination(terms), phi, cfg)
             return pair(f.inner, derivative(phi), cfg).scaled(-1)
         if isinstance(f, MultiplierProduct):
             return pair(f.inner, multiply_by(f.multiplier, phi), cfg)

@@ -12,7 +12,9 @@ Each panel also carries a roundoff floor, 50 eps_mach times the Kronrod sum
 of |f| (QUADPACK's ``resabs``): an estimate at or below it is rounding noise
 that bisection cannot reduce, so when the worst panel reaches its floor
 before the tolerance is met, ``integrate`` gives up at once instead of
-spending the whole panel budget.
+spending the whole panel budget.  The floors are summed like the estimates;
+the returned estimate is never below that sum, and a sum above the tolerance
+is a failure too (QUADPACK likewise reports max(abserr, 50 eps resabs)).
 """
 
 from __future__ import annotations
@@ -79,11 +81,13 @@ def integrate(f, a: float, b: float, abs_tol: float = 1e-10,
               max_panels: int = 2000):
     """Integral of f over [a, b] with an error estimate.
 
-    Returns (value, error_estimate).  Raises QuadratureError when the
-    estimate cannot be brought under tolerance within max_panels panels, or
-    when the worst panel's estimate is already at its roundoff floor.  The
-    subdivision order is a pure function of the inputs, so repeated runs
-    produce bit-identical results.
+    Returns (value, error_estimate); the estimate is never below the summed
+    roundoff floors of the panels.  Raises QuadratureError when the estimate
+    cannot be brought under tolerance within max_panels panels, when the
+    worst panel's estimate is already at its roundoff floor, or when the
+    summed floors alone exceed the tolerance.  The subdivision order is a
+    pure function of the inputs, so repeated runs produce bit-identical
+    results.
     """
     a, b = float(a), float(b)
     if a == b:
@@ -93,7 +97,7 @@ def integrate(f, a: float, b: float, abs_tol: float = 1e-10,
         return -value, err
     value, err, floor = _panel(f, a, b)
     heap = [(-err, a, b, value, err, floor)]
-    total_v, total_e, panels = value, err, 1
+    total_v, total_e, total_floor, panels = value, err, floor, 1
     while heap and panels < max_panels:
         if total_e <= max(abs_tol, abs(total_v) * 1e-13):
             break
@@ -109,12 +113,15 @@ def integrate(f, a: float, b: float, abs_tol: float = 1e-10,
         v2, e2, f2 = _panel(f, mid, hi)
         total_v += (v1 + v2) - v
         total_e += (e1 + e2) - e
+        total_floor += (f1 + f2) - floor
         heapq.heappush(heap, (-e1, lo, mid, v1, e1, f1))
         heapq.heappush(heap, (-e2, mid, hi, v2, e2, f2))
         panels += 1
-    if total_e > max(abs_tol, abs(total_v) * 1e-13):
+    err = max(total_e, total_floor)
+    if err > max(abs_tol, abs(total_v) * 1e-13):
+        at_floor = " (the summed roundoff floor)" if err == total_floor else ""
         raise QuadratureError(
             f"tolerance {abs_tol:g} not reached on [{a:g}, {b:g}]: "
-            f"estimate {total_e:g} after {panels} panels"
+            f"estimate {err:g}{at_floor} after {panels} panels"
         )
-    return total_v, total_e
+    return total_v, err

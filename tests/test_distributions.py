@@ -9,10 +9,12 @@ from thickcalc.distributions import (
     Dilate,
     LinearCombination,
     MultiplierProduct,
+    PfDensity,
     ThickDelta,
     Translate,
     ZERO_DISTRIBUTION,
     delta_star,
+    density_derivative,
     g_lambda_delta,
     is_heaviside_pf,
     pf_heaviside,
@@ -21,7 +23,7 @@ from thickcalc.distributions import (
     project,
     simplify,
 )
-from thickcalc.errors import PointMismatchError
+from thickcalc.errors import MisclassifiedPowerError, PointMismatchError
 from thickcalc.pairing import pair
 from thickcalc.sphere import SpherePair, SphereDistribution, g_lambda
 from thickcalc.testfn import (
@@ -232,3 +234,38 @@ def test_projection_commutes_with_derivative():
             lhs = pair(project(Derivative(f)), phi)
             rhs = pair(project(f), derivative(phi))
             assert float(lhs.value) == pytest.approx(-float(rhs.value), abs=1e-8)
+
+
+# -- the density derivative rule -----------------------------------------------------
+
+
+def test_density_derivative_at_an_integer_power_adds_a_delta():
+    f = simplify(Derivative(pf_power(-2)))
+    assert f == LinearCombination((
+        (Fraction(1), PfDensity(SpherePair(-2, 2), -3)),
+        (Fraction(1), ThickDelta(SpherePair(2, -2), 2)),
+    ))
+
+
+def test_density_derivative_at_a_fractional_power_is_one_density():
+    f = density_derivative(PfDensity(SpherePair(3, -2), Fraction(-1, 2), point=1))
+    assert f == PfDensity(SpherePair(Fraction(-3, 2), -1), Fraction(-3, 2), point=1)
+
+
+def test_density_derivative_drops_the_zero_pf_term():
+    assert density_derivative(pf_power(0)) == ThickDelta(SpherePair(2, -2), 0)
+    assert density_derivative(pf_heaviside(point=2)) == ThickDelta(g_lambda(1), 0, point=2)
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0, -3.0])
+def test_density_derivative_of_an_integral_float_power_is_misclassified(lam):
+    with pytest.raises(MisclassifiedPowerError):
+        density_derivative(pf_power(lam))
+
+
+def test_float_power_reaching_an_integer_raises_at_that_step():
+    assert density_derivative(pf_power(1.0)) == PfDensity(SpherePair(1, -1), 0.0)
+    with pytest.raises(MisclassifiedPowerError):
+        simplify(Derivative(Derivative(pf_power(1.0))))
+    with pytest.raises(MisclassifiedPowerError):
+        pair(Derivative(Derivative(pf_power(1.0))), plateau_bump(1.0))

@@ -1,4 +1,7 @@
+import importlib.util
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +21,7 @@ from thickcalc.distributions import (
     pf_power,
     simplify,
 )
+from thickcalc import dsl
 from thickcalc.dsl import (
     MAX_NESTING,
     Parser,
@@ -429,3 +433,117 @@ def test_hundred_nested_derivatives_derive_and_eval():
     assert report.exit_status == 0
     assert report.records[0]["result"].count("d*(") == 101
     assert report.records[1]["value_exact"] == "0"
+
+
+# -- derivatives of the test function move onto the distribution ------------------------
+
+
+def test_eval_keeps_a_whole_derivative_chain_undifferentiated():
+    q = parse_query("eval Pf(abs(x)^-1/2), D(D(mono(2, pair(1,3), 2)))").queries[0]
+    assert q.derivatives == 2
+    assert q.testfn == thick_monomial(2, (1, 3), 2)
+    for text in ("eval dstar, D(bump(1)) * bump(2)", "eval dstar, D(bump(1)) + bump(2)",
+                 "eval dstar, bump(1) * D(bump(2))", "project dstar, D(bump(1))"):
+        q = parse_query(text).queries[0]
+        assert q.derivatives == 0, text
+
+
+def test_eval_of_a_derivative_chain_pairs_the_transferred_distribution():
+    from thickcalc.dsl import run
+    from thickcalc.pairing import pair
+    report = run(parse_program("eval Pf(abs(x)^-2), D(D(D(poly([1,2,-1,3], 2))))\n"
+                               "eval d*(Pf(H(x))), D(bump(1))"))
+    first, second = report.records
+    assert first["expr"] == "Pf(abs(x)^-2)"
+    direct = pair(pf_power(-2), derivative(derivative(derivative(
+        from_polynomial([1, 2, -1, 3], 2)))))
+    assert first["value"] == pytest.approx(float(direct.value), rel=1e-10)
+    assert second["expr"] == "d*(Pf(H(x)))"
+    assert second["value_exact"] == "0"
+
+
+@pytest.mark.parametrize("argument", [
+    "D(Pf(abs(x)^-1))",
+    "D(D(bump(0)))",
+    "D(x^2)",
+    "D(bump(1)",
+    "D(bump(1)))",
+    "D(D(nosuch))",
+    "D(" * (MAX_NESTING + 5) + "bump(1)" + ")" * (MAX_NESTING + 5),
+    "D(" * 60 + "(" * 45 + "bump(1)" + ")" * 45 + ")" * 60,
+])
+def test_derivative_chain_errors_are_those_of_the_plain_parse(argument, monkeypatch):
+    text = f"eval dstar, {argument}"
+    with pytest.raises(DslError) as chain:
+        parse_query(text)
+    monkeypatch.setattr(dsl, "_derivative_chain", lambda parser, c: (parser.parse_value(c), 0))
+    with pytest.raises(DslError) as plain:
+        parse_query(text)
+    assert str(chain.value) == str(plain.value)
+    assert chain.value.position == plain.value.position
+
+
+def test_derive_of_a_density_prints_the_pf_term_and_the_delta():
+    from thickcalc.dsl import run
+    report = run(parse_program("derive Pf(abs(x)^-2)\nderive d*(Pf(abs(x)^-2))"))
+    first, second = (rec["result"] for rec in report.records)
+    assert first == "Pf(pair(-2,2) * r^-3) + delta[2](pair(2,-2))"
+    for text, source in ((first, pf_power(-2)), (second, Derivative(pf_power(-2)))):
+        tree = parse_value(text)
+        assert tree == simplify(Derivative(source))
+        assert print_distribution(tree) == text
+
+
+# -- tokenizer ---------------------------------------------------------------------------
+
+#: The token pattern as a separate copy, for the one-match-at-a-time reference.
+_REFERENCE_TOKEN = re.compile(r"""
+    (?P<ws>\s+)
+  | (?P<decimal>\d+(?:\.\d+(?:[eE][+-]?\d+)?|[eE][+-]?\d+))
+  | (?P<int>\d+)
+  | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<sym>[()\[\],+\-*^=/·])
+""", re.VERBOSE)
+
+
+def _reference_tokenize(text):
+    out, i = [], 0
+    while i < len(text):
+        m = _REFERENCE_TOKEN.match(text, i)
+        if m is None:
+            raise DslError(f"unexpected character {text[i]!r}", i)
+        if m.lastgroup != "ws":
+            kind = m.lastgroup if m.lastgroup in ("int", "decimal", "name") else m.group()
+            out.append((kind, m.group(), i))
+        i = m.end()
+    return out
+
+
+def _symbolic_pool():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [text for text, _ in module.symbolic_pool()]
+
+
+def test_tokenize_matches_the_reference_on_the_symbolic_pool():
+    pool = _symbolic_pool()
+    assert len(pool) > 1000
+    for text in pool:
+        assert [tuple(t) for t in tokenize(text)] == _reference_tokenize(text)
+
+
+@pytest.mark.parametrize("text", [
+    "dstar @ bump(1)", "eval dstar, bump(1)\x00", "Pf(abs(x)^-1.)", "let x = 2 ; 3",
+    "  \t d*(Pf(H(x)))  ", "λ", "1.5e", "bump(1) # comment", "",
+])
+def test_tokenize_errors_match_the_reference(text):
+    try:
+        expected = _reference_tokenize(text)
+    except DslError as exc:
+        with pytest.raises(DslError) as got:
+            tokenize(text)
+        assert str(got.value) == str(exc) and got.value.position == exc.position
+    else:
+        assert [tuple(t) for t in tokenize(text)] == expected

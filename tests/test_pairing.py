@@ -15,6 +15,7 @@ from thickcalc.distributions import (
     g_lambda_delta,
     pf_heaviside,
     pf_power,
+    pf_sign_power,
     project,
 )
 from thickcalc.errors import (
@@ -502,3 +503,93 @@ def test_non_finite_and_overflowing_pairings_are_typed():
         pair(LinearCombination(((Fraction(1e300), delta_star()),)), from_polynomial([1e300], 1))
     with pytest.raises(NonFiniteError):
         pair(pf_power(Fraction(-1, 2)), from_polynomial([1e308, 1e308], 1))
+
+
+# -- derivative transfer ---------------------------------------------------------------
+
+TRANSFER_POWERS = [-3, Fraction(-5, 2), -2, -1, Fraction(-1, 2), 0, 1]
+TRANSFER_FUNCTIONS = [
+    lambda: thick_monomial(2, (1, 3), 2),        # mono(2,pair(1,3),2)
+    lambda: from_polynomial([1, 2, -1, 3], 2),   # poly([1,2,-1,3],2)
+    lambda: thick_monomial(1, (2, -1), 1),       # mono(1,pair(2,-1),1)
+]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("lam", TRANSFER_POWERS, ids=str)
+def test_transfer_agrees_with_the_differentiated_test_function(k, lam):
+    """<f, D^k psi> directly and (-1)^k <d*^k f, psi> through the density rule."""
+    for sides in ((1, 1), (1, -1), (3, -2)):
+        f = PfDensity(SpherePair(*sides), lam)
+        for build in TRANSFER_FUNCTIONS:
+            psi = build()
+            direct = psi
+            transferred = f
+            for _ in range(k):
+                direct = derivative(direct)
+                transferred = Derivative(transferred)
+            a = float(pair(f, direct).value)
+            b = (-1) ** k * float(pair(transferred, psi).value)
+            assert abs(a - b) <= 1e-10 * max(abs(a), 1.0), (sides, a, b)
+
+
+def test_transfer_differentiates_no_test_function(monkeypatch):
+    calls = []
+    monkeypatch.setattr(pairing, "derivative", lambda phi: calls.append(phi) or derivative(phi))
+    psi = thick_monomial(2, (1, 3), 2) * from_polynomial([1, 1], 2)
+    f = pf_power(Fraction(-3, 2))
+    for _ in range(6):
+        f = Derivative(f)
+    pair(f, psi)
+    pair(Derivative(LinearCombination(((Fraction(2), pf_power(Fraction(-1, 2))),
+                                       (Fraction(1), pf_sign_power(Fraction(1, 2)))))), psi)
+    assert calls == []
+
+
+def test_oracle_never_uses_the_density_rule(monkeypatch):
+    def forbidden(f):
+        raise AssertionError("the oracle must stay independent of the density rule")
+    monkeypatch.setattr(pairing, "density_derivative", forbidden)
+    fit = fp_pair_oracle(pf_power(Fraction(-3, 2)), from_polynomial([1, 2, 1], 2.0))
+    assert math.isfinite(fit.finite_part)
+
+
+#: <Pf(|x|^-3/2), phi^(6)> for phi = mono(2,pair(1,3),2)*poly([1,1],2), by
+#: mpmath at 40 digits (see the test below).
+SIXTH_DERIVATIVE_REFERENCE = -59.32838673301046
+
+
+def test_sixth_derivative_pairing_matches_an_mpmath_reference():
+    """Independent of the density rule: mpmath differentiates phi numerically
+    and integrates |x|^-3/2 phi^(6).  phi is c(w) x^2 (1 + x) S(2 - |x|)^2
+    with the cutoff profile S(t) = g(t) / (g(t) + g(1 - t)), g(t) = exp(-1/t);
+    it is cubic on each side of |x| < 1, so phi^(6) vanishes there and the
+    finite part is an ordinary integral over 1 < |x| < 2."""
+    import mpmath
+    saved = mpmath.mp.dps
+    mpmath.mp.dps = 40
+    try:
+        def S(t):
+            if t <= 0:
+                return mpmath.mpf(0)
+            if t >= 1:
+                return mpmath.mpf(1)
+            g1, g2 = mpmath.exp(-1 / t), mpmath.exp(-1 / (1 - t))
+            return g1 / (g1 + g2)
+
+        def phi(x):
+            return (1 if x > 0 else 3) * x ** 2 * (1 + x) * S(2 - abs(x)) ** 2
+
+        def integrand(x):
+            return abs(x) ** mpmath.mpf(-1.5) * mpmath.diff(phi, x, 6)
+
+        reference = float(mpmath.quad(integrand, [1, 2]) + mpmath.quad(integrand, [-2, -1]))
+    finally:
+        mpmath.mp.dps = saved
+    assert reference == pytest.approx(SIXTH_DERIVATIVE_REFERENCE, rel=1e-14)
+
+    psi = thick_monomial(2, (1, 3), 2) * from_polynomial([1, 1], 2)
+    f = pf_power(Fraction(-3, 2))
+    for _ in range(6):
+        f = Derivative(f)
+    assert float(pair(f, psi).value) == pytest.approx(reference, rel=1e-8)

@@ -64,3 +64,16 @@ def test_estimate_at_the_roundoff_floor_raises():
     # the exact integral is 0; the sums cancel only to ~1e-10 of a 4e6 total
     with pytest.raises(QuadratureError, match="roundoff floor"):
         integrate(lambda x: 1e6 * math.sin(x), 0.0, 2 * math.pi, abs_tol=1e-12)
+
+
+def test_summed_roundoff_floors_above_the_tolerance_raise():
+    # converges to 0.49999995762482285 with a 1.2e-10 estimate if the floors
+    # (about 4e-8 summed) are ignored; the true value is 0.4999999583333347
+    with pytest.raises(QuadratureError, match="roundoff floor"):
+        integrate(lambda x: 1e6 * math.sin(x), 0.0, 2 * math.pi + 1e-3, abs_tol=1e-8)
+
+
+def test_estimate_is_never_below_the_roundoff_floor():
+    value, err = integrate(lambda x: 3 * x ** 2, 0.0, 2.0)
+    _, _, floor = _panel(lambda x: 3 * x ** 2, 0.0, 2.0)
+    assert err >= floor > 0.0
