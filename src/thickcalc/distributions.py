@@ -212,6 +212,8 @@ def density_derivative(f: PfDensity) -> ThickDistribution:
     The delta term is the finite part of the boundary term eps^lam phi(+-eps),
     its weights taken through the 1/2 delta normalization; the Pf term
     vanishes at lam = 0 and is dropped.  So d*(Pf(H(x))) is glambda(1)·delta[0].
+    A float power is taken as the decimal it prints as, so the derivatives of
+    Pf(|x|^1.6) carry 8/5 and the power 0.6, not their binary expansions.
     """
     lam, c = f.power, f.pair
     if not f.integral_power and lam <= 0 and lam == int(lam):
@@ -221,13 +223,22 @@ def density_derivative(f: PfDensity) -> ThickDistribution:
         )
     terms = []
     if lam != 0:
-        k = as_fraction(lam)
-        terms.append(PfDensity(SpherePair(k * c.plus, -k * c.minus), lam - 1, f.point))
+        k = Fraction(repr(lam)) if isinstance(lam, float) else Fraction(lam)
+        power = float(k - 1) if isinstance(lam, float) else lam - 1
+        terms.append(PfDensity(SpherePair(k * c.plus, -k * c.minus), power, f.point))
     if f.integral_power and lam <= 0:
         terms.append(ThickDelta(SpherePair(2 * c.plus, -2 * c.minus), -lam, f.point))
     if len(terms) == 1:
         return terms[0]
     return LinearCombination(tuple((Fraction(1), t) for t in terms))
+
+
+def delta_derivative(f: ThickDelta) -> ThickDelta:
+    """d*delta_q[w] = delta_(q+1)[(-(q+1) w+, (q+1) w-)]: minus the pairing
+    with phi', whose degree-q coefficient is ((q+1) a+, -(q+1) a-) at degree
+    q + 1 (``expansion.differentiate``)."""
+    w, q = f.weights.weights, f.degree
+    return ThickDelta(SpherePair(-(q + 1) * w.plus, (q + 1) * w.minus), q + 1, f.point)
 
 
 def nested_derivative(f: ThickDistribution, k: int) -> ThickDistribution:
@@ -248,8 +259,9 @@ def simplify(f: ThickDistribution) -> ThickDistribution:
     ordinary sense, away from the thick point) and over linear combinations,
     the derivative of a density is ``density_derivative`` (a Pf term plus,
     at integer powers -q <= 0, a degree-q delta; d*(Pf(H)) is the one-sided
-    delta), nested linear combinations flatten, and stacked translations
-    merge.
+    delta), the derivative of a degree-q delta is ``delta_derivative`` (a
+    degree-(q+1) delta), nested linear combinations flatten, and stacked
+    translations merge.
     """
     return _simplify(f)
 
@@ -261,6 +273,8 @@ def _simplify(f):
         inner = _simplify(f.inner)
         if isinstance(inner, PfDensity):
             return density_derivative(inner)
+        if isinstance(inner, ThickDelta):
+            return delta_derivative(inner)
         if isinstance(inner, MultiplierProduct):
             dpsi = fn_derivative(inner.multiplier)
             terms = []

@@ -453,9 +453,8 @@ def print_distribution(d) -> str:
         w = d.weights.weights
         if w == SpherePair(1, 1) and d.degree == 0:
             return "dstar"
-        if w.plus + w.minus == 2:
-            lam = w.plus / 2
-            return f"glambda({lam})·delta[{d.degree}]"
+        if w.plus + w.minus == 2 and 0 <= w.plus <= 2:  # glambda(lam), 0 <= lam <= 1
+            return f"glambda({w.plus / 2})·delta[{d.degree}]"
         return f"delta[{d.degree}](pair({w.plus},{w.minus}))"
     if isinstance(d, PfDensity):
         if d.pair == SpherePair(1, 1):

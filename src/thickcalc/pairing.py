@@ -9,9 +9,10 @@ order); closed-form terms c_j E^(lambda+j+1)/(lambda+j+1) for the higher
 orders on the inner plateau [0, E] of an exact function; and quadrature of
 the expansion-subtracted remainder on [E, A].  The split radius is
 arbitrary; A-independence is one of the main correctness checks.  A
-derivative of a density moves onto the density (``density_derivative``), so
-d*^k Pf is paired as densities of power lambda - k and deltas against the
-undifferentiated test function.
+derivative of a density moves onto the density (``density_derivative``) and
+one of a delta onto the delta (``delta_derivative``), so d*^k Pf is paired as
+densities of power lambda - k and deltas against the undifferentiated test
+function.
 
 ``fp_pair_oracle`` reaches the same number along a completely different
 route: it truncates the integral at epsilon, sweeps epsilon down a geometric
@@ -22,12 +23,12 @@ terms away (``fp_limit``).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Dict, Optional, Tuple, Union
-
-import numpy as np
+from operator import mul
+from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import (
     FitConditionError,
@@ -45,6 +46,7 @@ from .distributions import (
     PfDensity,
     ThickDelta,
     Translate,
+    delta_derivative,
     density_derivative,
     nested_derivative,
 )
@@ -138,13 +140,18 @@ def pair(f, phi: ThickTestFunction, cfg: QuadratureConfig = DEFAULT_CONFIG) -> P
         if isinstance(f, PfDensity):
             return _pair_density(f, phi, cfg)
         if isinstance(f, Derivative):
-            # d*^k of a density or of a combination moves onto the density;
-            # anything else is paired by the definition <d*g, phi> = -<g, phi'>
+            # d*^k of a density, a delta or a combination moves onto the
+            # distribution; anything else is paired by the definition
+            # <d*g, phi> = -<g, phi'>
             k, g = 1, f.inner
             while isinstance(g, Derivative):
                 k, g = k + 1, g.inner
             if isinstance(g, PfDensity):
                 return pair(nested_derivative(density_derivative(g), k - 1), phi, cfg)
+            if isinstance(g, ThickDelta):
+                for _ in range(k):
+                    g = delta_derivative(g)
+                return pair(g, phi, cfg)
             if isinstance(g, LinearCombination):
                 terms = tuple((c, nested_derivative(d, k)) for c, d in g.terms)
                 return pair(LinearCombination(terms), phi, cfg)
@@ -272,37 +279,92 @@ def fp_limit(samples, basis_orders: Tuple[int, int] = (3, 1),
     columns.sort(key=lambda c: (float(c[0]), c[1]))
 
     samples = [(float(eps), float(val)) for eps, val in samples]
+    if not all(0.0 < e < math.inf and math.isfinite(v) for e, v in samples):
+        raise ValueError("samples need finite values at finite eps > 0")
     if len(samples) < len(columns) + 2:
         raise ValueError(
             f"need at least {len(columns) + 2} samples for {len(columns)} "
             f"basis functions, got {len(samples)}"
         )
-    eps = np.array([s[0] for s in samples])
-    F = np.array([s[1] for s in samples])
-    M = np.empty((len(samples), len(columns)))
-    for k, (expo, q) in enumerate(columns):
-        col = eps ** float(expo)
-        if q:
-            col = col * np.log(eps) ** q
-        M[:, k] = col
-    weights = 1.0 / np.maximum(1.0, np.abs(F))
-    Mw = M * weights[:, None]
-    Fw = F * weights
-    norms = np.linalg.norm(Mw, axis=0)
-    norms[norms == 0.0] = 1.0
-    scaled = Mw / norms
-    condition = float(np.linalg.cond(scaled))
+    # column-major: Mw[k] is column k, weighted row by row
+    weights = [1.0 / max(1.0, abs(val)) for _, val in samples]
+    Mw = [[e ** float(expo) * (math.log(e) ** q if q else 1.0) * w
+           for (e, _), w in zip(samples, weights)] for expo, q in columns]
+    Fw = [val * w for (_, val), w in zip(samples, weights)]
+    norms = [math.hypot(*col) or 1.0 for col in Mw]
+    R, qtb = _householder_qr([[x / n for x in col] for col, n in zip(Mw, norms)], Fw)
+    condition = _condition(R)
     if condition > FIT_CONDITION_LIMIT:
         raise FitConditionError(
             f"condition {condition:.3g} exceeds {FIT_CONDITION_LIMIT:.0e}; "
             "basis orders do not match the data (or too few samples)"
         )
-    sol, *_ = np.linalg.lstsq(scaled, Fw, rcond=None)
-    coeffs = sol / norms
-    residual = float(np.linalg.norm(Mw @ coeffs - Fw))
-    table = {col: float(v) for col, v in zip(columns, coeffs)}
+    coeffs = [x / n for x, n in zip(_back_substitute(R, qtb), norms)]
+    residual = math.hypot(*(_dot(row, coeffs) - f for row, f in zip(zip(*Mw), Fw)))
+    table = dict(zip(columns, coeffs))
     const_key = next(c for c in columns if float(c[0]) == 0.0 and c[1] == 0)
-    return FpFit(float(table[const_key]), residual, condition, table)
+    return FpFit(table[const_key], residual, condition, table)
+
+
+def _dot(u, v) -> float:
+    return sum(map(mul, u, v))
+
+
+def _householder_qr(cols: List[List[float]], b: List[float]):
+    """Householder QR of the m x n matrix given by its columns (Golub & Van
+    Loan, *Matrix Computations*, 5.2): returns the columns of the n x n
+    factor R and Q^T b."""
+    cols = [col[:] for col in cols]
+    b = b[:]
+    for k, x in enumerate(cols):
+        alpha = -math.copysign(math.hypot(*x[k:]), x[k])  # v[0] does not cancel
+        if alpha == 0.0:
+            continue
+        v = x[k:]
+        v[0] -= alpha
+        beta = 2.0 / _dot(v, v)
+        for y in cols[k + 1:] + [b]:
+            s = beta * _dot(v, y[k:])
+            y[k:] = [yi - s * vi for yi, vi in zip(y[k:], v)]
+        x[k:] = [alpha] + [0.0] * (len(x) - k - 1)
+    n = len(cols)
+    return [col[:n] for col in cols], b[:n]
+
+
+def _condition(R: List[List[float]]) -> float:
+    """2-norm condition of the square matrix with columns R, by one-sided
+    Jacobi: rotate column pairs until all are orthogonal, then the column
+    norms are the singular values, the small ones to high relative accuracy
+    (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13, 1992).  A zero singular
+    value gives inf."""
+    u = [col[:] for col in R]
+    tol = len(u) * sys.float_info.epsilon
+    for _ in range(30):  # LAPACK dgesvj's sweep limit; a handful suffice
+        rotated = False
+        for i in range(len(u) - 1):
+            for j in range(i + 1, len(u)):
+                a, b, g = _dot(u[i], u[i]), _dot(u[j], u[j]), _dot(u[i], u[j])
+                if abs(g) <= tol * math.sqrt(a * b):
+                    continue
+                rotated = True
+                zeta = (b - a) / (2.0 * g)
+                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+                c = 1.0 / math.hypot(1.0, t)
+                s = c * t
+                u[i], u[j] = ([c * x - s * y for x, y in zip(u[i], u[j])],
+                              [s * x + c * y for x, y in zip(u[i], u[j])])
+        if not rotated:
+            break
+    sigma = [math.hypot(*col) for col in u]
+    return max(sigma) / min(sigma) if min(sigma) > 0.0 else math.inf
+
+
+def _back_substitute(R: List[List[float]], y: List[float]) -> List[float]:
+    """Solve R x = y for upper-triangular R given by its columns."""
+    x = [0.0] * len(y)
+    for i in reversed(range(len(y))):
+        x[i] = (y[i] - _dot((R[j][i] for j in range(i + 1, len(y))), x[i + 1:])) / R[i][i]
+    return x
 
 
 def _exact_exponent(p):

@@ -64,6 +64,35 @@ def test_negative_order_warning_on_stderr():
     assert "leading order" in out.stderr
 
 
+def test_glambda_outside_the_unit_interval_is_a_one_line_note():
+    out = run_cli("derive", "-e", "glambda(3)·delta[0]")
+    assert out.returncode == 0
+    assert "delta[1](pair(-6,-4))" in out.stdout
+    assert out.stderr.startswith("note: side weight 3 outside [0, 1]")
+    assert out.stderr.count("\n") == 1 and "Warning" not in out.stderr
+
+
+def test_derive_prints_a_delta_outside_the_glambda_range_by_its_weights():
+    out = run_cli("derive", "-e", "d*(Pf(pair(3,-2) * r^1))")
+    assert out.returncode == 0
+    assert "-> delta[0](pair(6,-4))" in out.stdout
+    assert out.stderr == ""
+
+
+def test_import_leaves_numpy_out():
+    code = "import sys, thickcalc.cli; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
+def test_check_all_runs_with_numpy_blocked():
+    code = ("import runpy, sys; sys.modules['numpy'] = None; "
+            "sys.argv = ['thickcalc', 'check', 'all', '--json']; "
+            "runpy.run_module('thickcalc', run_name='__main__')")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert all(json.loads(line)["passed"] for line in out.stdout.splitlines())
+
+
 def test_split_radius_flag():
     out = run_cli("eval", "-e", "Pf(abs(x)^-2), bump(1)", "--A", "1/2", "--json")
     rec = json.loads(out.stdout)

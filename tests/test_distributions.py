@@ -13,6 +13,7 @@ from thickcalc.distributions import (
     ThickDelta,
     Translate,
     ZERO_DISTRIBUTION,
+    delta_derivative,
     delta_star,
     density_derivative,
     g_lambda_delta,
@@ -120,7 +121,7 @@ def test_product_rule_expansion():
     (c1, t1), (c2, t2) = f.terms
     assert c1 == c2 == 1
     assert isinstance(t1, MultiplierProduct) and t1.inner == delta_star()
-    assert isinstance(t2, MultiplierProduct) and isinstance(t2.inner, Derivative)
+    assert t2 == MultiplierProduct(psi, ThickDelta(SpherePair(-1, 1), 1))  # d*dstar
 
 
 def test_unit_multiplier_vanishes():
@@ -250,6 +251,27 @@ def test_density_derivative_at_an_integer_power_adds_a_delta():
 def test_density_derivative_at_a_fractional_power_is_one_density():
     f = density_derivative(PfDensity(SpherePair(3, -2), Fraction(-1, 2), point=1))
     assert f == PfDensity(SpherePair(Fraction(-3, 2), -1), Fraction(-3, 2), point=1)
+
+
+def test_density_derivative_of_a_decimal_power_keeps_the_decimal():
+    assert density_derivative(pf_power(1.6)) == PfDensity(SpherePair(Fraction(8, 5),
+                                                                     Fraction(-8, 5)), 0.6)
+    f = simplify(Derivative(Derivative(pf_power(1.6))))
+    assert f == PfDensity(SpherePair(Fraction(24, 25), Fraction(24, 25)), -0.4)
+    for phi in (plateau_bump(2.0), from_polynomial([1, 2, -1, 3], 2.0)):
+        transferred = float(pair(f, phi).value)
+        direct = float(pair(pf_power(1.6), derivative(derivative(phi))).value)
+        assert abs(transferred - direct) <= 1e-10 * max(abs(direct), 1.0)
+
+
+def test_delta_derivative_raises_the_degree():
+    assert delta_derivative(delta_star(point=1)) == ThickDelta(SpherePair(-1, 1), 1, point=1)
+    assert delta_derivative(ThickDelta(SpherePair(3, -2), 2)) == ThickDelta(SpherePair(-9, -6), 3)
+    assert simplify(Derivative(Derivative(pf_power(-2)))) == LinearCombination((
+        (Fraction(1), PfDensity(SpherePair(6, 6), -4)),
+        (Fraction(1), ThickDelta(SpherePair(-4, -4), 3)),
+        (Fraction(1), ThickDelta(SpherePair(-6, -6), 3)),
+    ))
 
 
 def test_density_derivative_drops_the_zero_pf_term():

@@ -1,4 +1,5 @@
 import importlib.util
+import math
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -431,7 +432,9 @@ def test_hundred_nested_derivatives_derive_and_eval():
     dist = "d*(" * 100 + "dstar" + ")" * 100
     report = run(parse_program(f"derive {dist}\neval {dist}, bump(1)"))
     assert report.exit_status == 0
-    assert report.records[0]["result"].count("d*(") == 101
+    # d*^k dstar is the degree-k delta with weights ((-1)^k k!, k!)
+    assert report.records[0]["result"] == \
+        f"delta[101](pair({-math.factorial(101)},{math.factorial(101)}))"
     assert report.records[1]["value_exact"] == "0"
 
 
@@ -485,10 +488,16 @@ def test_derivative_chain_errors_are_those_of_the_plain_parse(argument, monkeypa
 
 def test_derive_of_a_density_prints_the_pf_term_and_the_delta():
     from thickcalc.dsl import run
-    report = run(parse_program("derive Pf(abs(x)^-2)\nderive d*(Pf(abs(x)^-2))"))
-    first, second = (rec["result"] for rec in report.records)
+    report = run(parse_program("derive Pf(abs(x)^-2)\nderive d*(Pf(abs(x)^-2))\n"
+                               "derive d*(Pf(abs(x)^1.6))"))
+    first, second, third = (rec["result"] for rec in report.records)
     assert first == "Pf(pair(-2,2) * r^-3) + delta[2](pair(2,-2))"
-    for text, source in ((first, pf_power(-2)), (second, Derivative(pf_power(-2)))):
+    # the delta takes the delta rule: a flat sum with no d*( ) left
+    assert second == "Pf(pair(6,6) * r^-4) + delta[3](pair(-4,-4)) + delta[3](pair(-6,-6))"
+    # a decimal power is differentiated as the decimal it prints as
+    assert third == "Pf(pair(24/25,24/25) * r^-0.4)"
+    for text, source in ((first, pf_power(-2)), (second, Derivative(pf_power(-2))),
+                         (third, Derivative(pf_power(1.6)))):
         tree = parse_value(text)
         assert tree == simplify(Derivative(source))
         assert print_distribution(tree) == text

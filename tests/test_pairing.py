@@ -10,6 +10,7 @@ from thickcalc.distributions import (
     LinearCombination,
     MultiplierProduct,
     PfDensity,
+    ThickDelta,
     Translate,
     delta_star,
     g_lambda_delta,
@@ -251,6 +252,43 @@ def test_fp_limit_already_finite():
 def test_fp_limit_needs_enough_samples():
     with pytest.raises(ValueError):
         fp_limit([(0.5, 1.0), (0.25, 1.0)])
+
+
+@pytest.mark.parametrize("bad", [(0.0, 1.0), (-0.5, 1.0), (math.inf, 1.0), (math.nan, 1.0),
+                                 (0.5, math.nan), (0.5, -math.inf)])
+def test_fp_limit_rejects_non_finite_samples(bad):
+    samples = [(0.5 ** k, 5.0 + 3.0 * 0.5 ** k) for k in range(1, 21)]
+    with pytest.raises(ValueError, match="finite"):
+        fp_limit(samples[:7] + [bad] + samples[8:])
+
+
+def test_fp_limit_matches_numpy_on_the_check_suite_fits(monkeypatch):
+    """numpy is the reference here only: the condition of the scaled design
+    matrix and the least-squares residual of every fit ``check all`` makes."""
+    np = pytest.importorskip("numpy")
+    from thickcalc import checks
+    fits = []
+
+    def recording_fp_limit(samples, *args, **kwargs):
+        fit = fp_limit(samples, *args, **kwargs)
+        fits.append((samples, fit))
+        return fit
+    monkeypatch.setattr(pairing, "fp_limit", recording_fp_limit)
+    monkeypatch.setattr(checks, "fp_limit", recording_fp_limit)
+    assert all(o.passed for o in run_suite("all"))
+    assert len(fits) == 28
+    for samples, fit in fits:
+        eps = np.array([e for e, _ in samples])
+        F = np.array([v for _, v in samples])
+        M = np.column_stack([eps ** float(p) * np.log(eps) ** q
+                             for p, q in fit.coefficients])  # the fit's column order
+        weights = 1.0 / np.maximum(1.0, np.abs(F))
+        Mw, Fw = M * weights[:, None], F * weights
+        norms = np.linalg.norm(Mw, axis=0)
+        scaled = Mw / norms
+        sol = np.linalg.lstsq(scaled, Fw, rcond=None)[0] / norms
+        assert fit.condition == pytest.approx(np.linalg.cond(scaled), rel=1e-3)
+        assert fit.residual == pytest.approx(np.linalg.norm(Mw @ sol - Fw), abs=1e-9)
 
 
 def test_oracle_heaviside_is_one_sided_integral():
@@ -544,6 +582,38 @@ def test_transfer_differentiates_no_test_function(monkeypatch):
     pair(Derivative(LinearCombination(((Fraction(2), pf_power(Fraction(-1, 2))),
                                        (Fraction(1), pf_sign_power(Fraction(1, 2)))))), psi)
     assert calls == []
+
+
+def test_delta_transfer_differentiates_no_test_function(monkeypatch):
+    """d*^6 Pf(|x|^-2) is a density and deltas of degrees 2..7 after the
+    rules; the deltas take the delta rule instead of differentiating psi."""
+    calls = []
+    monkeypatch.setattr(pairing, "derivative", lambda phi: calls.append(phi) or derivative(phi))
+    psi = thick_monomial(2, (1, 3), 2) * from_polynomial([1, 1], 2)
+    f = pf_power(-2)
+    for _ in range(6):
+        f = Derivative(f)
+    value = float(pair(f, psi).value)
+    assert calls == []
+    d6 = psi
+    for _ in range(6):
+        d6 = derivative(d6)
+    # the far field of D^6 psi stops at its roundoff floor below 1e-8
+    direct = float(pair(pf_power(-2), d6, QuadratureConfig(abs_tol=1e-7)).value)
+    assert abs(value - direct) <= 1e-10 * max(abs(value), 1.0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("delta", [delta_star(), g_lambda_delta(Fraction(1, 3), 1),
+                                   ThickDelta(SpherePair(3, -2), 2)],
+                         ids=["dstar", "glambda-degree-1", "pair-degree-2"])
+def test_delta_rule_agrees_exactly_with_the_differentiated_test_function(k, delta):
+    for build in TRANSFER_FUNCTIONS:
+        psi = build()
+        direct, transferred = psi, delta
+        for _ in range(k):
+            direct, transferred = derivative(direct), Derivative(transferred)
+        assert pair(transferred, psi).value == (-1) ** k * pair(delta, direct).value
 
 
 def test_oracle_never_uses_the_density_rule(monkeypatch):
