@@ -24,6 +24,7 @@ import sys
 import warnings
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 from .checks import outcome_line
 from .dsl import Program, parse_program, parse_query, run
@@ -134,13 +135,13 @@ def main(argv=None) -> int:
             if args.command == "check" and not args.expr:
                 name = args.source or "all"
                 if os.path.isfile(name):
-                    program = parse_program(open(name, encoding="utf-8").read())
+                    program = parse_program(Path(name).read_text(encoding="utf-8"))
                 else:
                     program = parse_query(f"check {name}")
             elif args.expr is not None:
                 program = parse_query(f"{args.command} {args.expr}")
             elif args.source is not None:
-                program = parse_program(open(args.source, encoding="utf-8").read())
+                program = parse_program(Path(args.source).read_text(encoding="utf-8"))
             else:
                 print("thickcalc: give -e <expr> or a program file", file=sys.stderr)
                 return 2

@@ -13,11 +13,11 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple, Union
+from typing import Optional, Tuple, Union
 
 from .errors import MisclassifiedPowerError, PointMismatchError
 from .sphere import SpherePair, SphereDistribution, as_fraction, g_lambda
-from .testfn import Monomial, Multiplier, derivative as fn_derivative
+from .testfn import Multiplier, derivative as fn_derivative, heaviside_multiplier
 
 
 def _normalize_power(lam):
@@ -198,8 +198,11 @@ def is_heaviside_pf(f) -> bool:
     return isinstance(f, PfDensity) and f.power == 0 and f.pair == SpherePair(1, 0)
 
 
+_HEAVISIDE_BODY = heaviside_multiplier().body
+
+
 def _is_heaviside_multiplier(psi: Multiplier) -> bool:
-    return psi.body == Monomial(0, SpherePair(1, 0))
+    return psi.body == _HEAVISIDE_BODY
 
 
 def density_derivative(f: PfDensity) -> ThickDistribution:
@@ -241,6 +244,19 @@ def delta_derivative(f: ThickDelta) -> ThickDelta:
     return ThickDelta(SpherePair(-(q + 1) * w.plus, (q + 1) * w.minus), q + 1, f.point)
 
 
+def derivative_rule(g: ThickDistribution) -> Optional[ThickDistribution]:
+    """d*g moved onto g: ``density_derivative`` for a density,
+    ``delta_derivative`` for a delta, d* of each term for a combination; None
+    for any other node, whose d* has no rule of its own."""
+    if isinstance(g, PfDensity):
+        return density_derivative(g)
+    if isinstance(g, ThickDelta):
+        return delta_derivative(g)
+    if isinstance(g, LinearCombination):
+        return LinearCombination(tuple((c, Derivative(d)) for c, d in g.terms))
+    return None
+
+
 def nested_derivative(f: ThickDistribution, k: int) -> ThickDistribution:
     """d*^k f, as k nested Derivative nodes."""
     for _ in range(k):
@@ -254,14 +270,16 @@ def nested_derivative(f: ThickDistribution, k: int) -> ThickDistribution:
 def simplify(f: ThickDistribution) -> ThickDistribution:
     """Conservative rewriting to a normal form; pairing never needs it.
 
-    Rules: H * Pf(H) collapses, derivatives distribute over multiplier
-    products by the product rule (the multiplier differentiated in the
-    ordinary sense, away from the thick point) and over linear combinations,
-    the derivative of a density is ``density_derivative`` (a Pf term plus,
-    at integer powers -q <= 0, a degree-q delta; d*(Pf(H)) is the one-sided
-    delta), the derivative of a degree-q delta is ``delta_derivative`` (a
-    degree-(q+1) delta), nested linear combinations flatten, and stacked
-    translations merge.
+    Rules: H * Pf(H) collapses; a derivative of a density, a delta or a
+    linear combination takes ``derivative_rule`` (a density gives a Pf term
+    plus, at integer powers -q <= 0, a degree-q delta, so d*(Pf(H)) is the
+    one-sided delta; a degree-q delta gives a degree-(q+1) delta); a
+    derivative distributes over a multiplier product by the product rule
+    (the multiplier differentiated in the ordinary sense, away from the
+    thick point); nested linear combinations flatten and merge like terms
+    (deltas of one degree add their weights, densities of one power their
+    pairs, other equal terms their coefficients, and zero terms drop out);
+    stacked translations merge.
     """
     return _simplify(f)
 
@@ -271,10 +289,9 @@ def _simplify(f):
         return f
     if isinstance(f, Derivative):
         inner = _simplify(f.inner)
-        if isinstance(inner, PfDensity):
-            return density_derivative(inner)
-        if isinstance(inner, ThickDelta):
-            return delta_derivative(inner)
+        moved = derivative_rule(inner)
+        if moved is not None:
+            return _simplify(moved)
         if isinstance(inner, MultiplierProduct):
             dpsi = fn_derivative(inner.multiplier)
             terms = []
@@ -284,9 +301,6 @@ def _simplify(f):
             terms.append((Fraction(1), _simplify(
                 MultiplierProduct(inner.multiplier, _simplify(Derivative(inner.inner))))))
             return _simplify(LinearCombination(tuple(terms)))
-        if isinstance(inner, LinearCombination):
-            return _simplify(LinearCombination(
-                tuple((c, Derivative(d)) for c, d in inner.terms)))
         return Derivative(inner)
     if isinstance(f, MultiplierProduct):
         inner = _simplify(f.inner)
@@ -302,12 +316,15 @@ def _simplify(f):
         flat = []
         for c, d in f.terms:
             d = _simplify(d)
-            if c == 0:
-                continue
             if isinstance(d, LinearCombination):
                 flat.extend((c * c2, d2) for c2, d2 in d.terms)
             else:
                 flat.append((c, d))
+        merged = {}  # like-term key -> (coefficient, term)
+        for c, d in flat:
+            key = _like_key(d)
+            merged[key] = _merge(merged[key], c, d) if key in merged else (c, d)
+        flat = [(c, d) for c, d in merged.values() if c != 0 and not _is_zero_leaf(d)]
         if len(flat) == 1 and flat[0][0] == 1:
             return flat[0][1]
         return LinearCombination(tuple(flat))
@@ -324,6 +341,32 @@ def _simplify(f):
             return inner
         return Dilate(inner, f.factor)
     raise TypeError(f"not a distribution node: {f!r}")
+
+
+def _like_key(d):
+    """Terms of one combination (one point) merge by key: deltas by degree,
+    densities by power and its type (2 and 2.0 stay apart), others by equality."""
+    if isinstance(d, ThickDelta):
+        return ThickDelta, d.degree
+    if isinstance(d, PfDensity):
+        return PfDensity, type(d.power), d.power
+    return d
+
+
+def _merge(first, c, d):
+    """The term (c0, d0) plus c * d, for d of the same key as d0."""
+    c0, d0 = first
+    if isinstance(d, ThickDelta):
+        weights = d0.weights.weights * c0 + d.weights.weights * c
+        return Fraction(1), ThickDelta(weights, d.degree, d.point)
+    if isinstance(d, PfDensity):
+        return Fraction(1), PfDensity(d0.pair * c0 + d.pair * c, d.power, d.point)
+    return c0 + c, d0
+
+
+def _is_zero_leaf(d) -> bool:
+    return (isinstance(d, ThickDelta) and d.weights.weights.is_zero()) \
+        or (isinstance(d, PfDensity) and d.pair.is_zero())
 
 
 # -- projection ------------------------------------------------------------------

@@ -56,12 +56,10 @@ from .distributions import (
     simplify,
 )
 from .errors import DslError, PointMismatchError, ThickCalcError
-from .sphere import SpherePair
+from .sphere import SpherePair, parity_pair
 from .testfn import (
-    Monomial,
     Multiplier,
     ThickTestFunction,
-    constant_multiplier,
     derivative as fn_derivative,
     from_polynomial,
     heaviside_multiplier,
@@ -258,10 +256,8 @@ class Parser:
         if isinstance(a, (int, Fraction, float)):
             if _is_dist(b):
                 return _flatten_combination(((_build(op, Fraction, a), b),))
-            if isinstance(b, ThickTestFunction):
+            if isinstance(b, (ThickTestFunction, Multiplier)):
                 return _build(op, b.scale, a)
-            if isinstance(b, Multiplier):
-                return _build(op, monomial_scale, b, a)
         if isinstance(b, (int, Fraction, float)):
             return self._combine_mul(b, a, op)
         if isinstance(a, Multiplier) and _is_dist(b):
@@ -397,15 +393,6 @@ def _build(tok: Token, constructor, *args):
         raise DslError(str(exc), tok.pos) from None
 
 
-def monomial_scale(m: Multiplier, k) -> Multiplier:
-    if m.is_zero() or k == 0:
-        return constant_multiplier(0, m.point)
-    if not isinstance(m.body, Monomial):
-        raise DslError("can only scale simple monomial multipliers")
-    pair = m.body.pair * Fraction(k)
-    return monomial_multiplier(m.body.order, pair, m.point)
-
-
 def _is_dist(v) -> bool:
     return isinstance(v, (PfDensity, ThickDelta, Derivative, MultiplierProduct,
                           LinearCombination, Translate, Dilate))
@@ -435,17 +422,14 @@ def _flatten_combination(terms) -> LinearCombination:
 
 
 def print_multiplier(m: Multiplier) -> str:
-    body = m.body
-    if isinstance(body, Monomial):
-        if body.order == 0 and body.pair == SpherePair(1, 0):
-            return "H(x)"
-        sign = 1 if body.order % 2 == 0 else -1
-        if body.pair.plus == 1 and body.pair.minus == sign:
-            return f"x^{body.order}"
-        return f"mult(pair({body.pair.plus},{body.pair.minus}), {body.order})"
     if m.is_zero():
         return "0 * H(x)"
-    raise DslError("multiplier has no canonical text form")
+    (_, order, pair), = m.body.terms  # one term, with no plateau factor
+    if order == 0 and pair == SpherePair(1, 0):
+        return "H(x)"
+    if pair == parity_pair(1, order):
+        return f"x^{order}"
+    return f"mult(pair({pair.plus},{pair.minus}), {order})"
 
 
 def print_distribution(d) -> str:

@@ -9,10 +9,10 @@ order); closed-form terms c_j E^(lambda+j+1)/(lambda+j+1) for the higher
 orders on the inner plateau [0, E] of an exact function; and quadrature of
 the expansion-subtracted remainder on [E, A].  The split radius is
 arbitrary; A-independence is one of the main correctness checks.  A
-derivative of a density moves onto the density (``density_derivative``) and
-one of a delta onto the delta (``delta_derivative``), so d*^k Pf is paired as
-densities of power lambda - k and deltas against the undifferentiated test
-function.
+derivative of a density, a delta or a linear combination of them moves onto
+the distribution (``distributions.derivative_rule``, the rule ``simplify``
+applies too), so d*^k Pf is paired as densities of power lambda - k and
+deltas against the undifferentiated test function.
 
 ``fp_pair_oracle`` reaches the same number along a completely different
 route: it truncates the integral at epsilon, sweeps epsilon down a geometric
@@ -46,8 +46,7 @@ from .distributions import (
     PfDensity,
     ThickDelta,
     Translate,
-    delta_derivative,
-    density_derivative,
+    derivative_rule,
     nested_derivative,
 )
 from .expansion import Expansion, evaluate
@@ -140,21 +139,14 @@ def pair(f, phi: ThickTestFunction, cfg: QuadratureConfig = DEFAULT_CONFIG) -> P
         if isinstance(f, PfDensity):
             return _pair_density(f, phi, cfg)
         if isinstance(f, Derivative):
-            # d*^k of a density, a delta or a combination moves onto the
-            # distribution; anything else is paired by the definition
-            # <d*g, phi> = -<g, phi'>
+            # d*^k g takes g's derivative rule when it has one; anything else
+            # is paired by the definition <d*g, phi> = -<g, phi'>
             k, g = 1, f.inner
             while isinstance(g, Derivative):
                 k, g = k + 1, g.inner
-            if isinstance(g, PfDensity):
-                return pair(nested_derivative(density_derivative(g), k - 1), phi, cfg)
-            if isinstance(g, ThickDelta):
-                for _ in range(k):
-                    g = delta_derivative(g)
-                return pair(g, phi, cfg)
-            if isinstance(g, LinearCombination):
-                terms = tuple((c, nested_derivative(d, k)) for c, d in g.terms)
-                return pair(LinearCombination(terms), phi, cfg)
+            moved = derivative_rule(g)
+            if moved is not None:
+                return pair(nested_derivative(moved, k - 1), phi, cfg)
             return pair(f.inner, derivative(phi), cfg).scaled(-1)
         if isinstance(f, MultiplierProduct):
             return pair(f.inner, multiply_by(f.multiplier, phi), cfg)

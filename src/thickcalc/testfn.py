@@ -16,6 +16,10 @@ numeric, and their size grows polynomially in the order.  Every built-in
 constructor produces the expansion alongside the body; on the inner plateau
 the expansion equals the function identically, which is what makes the
 downstream pairing formulas testable with tight tolerances.
+
+A multiplier is the same kind of object without compact support: its body is
+a ``Body`` with one term and no plateau factor (or none at all), so it
+multiplies, differentiates and scales as a test function does.
 """
 
 from __future__ import annotations
@@ -25,11 +29,11 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import groupby
-from typing import Tuple, Union
+from typing import Tuple
 
 from .errors import InsufficientOrderError, PointMismatchError
 from . import expansion as xp
-from .expansion import Expansion, ZERO_EXPANSION
+from .expansion import Expansion
 from .sphere import ONE_PAIR, SpherePair, as_fraction, parity_pair
 
 
@@ -101,31 +105,6 @@ def plateau_value(radius: float, n: int, y: float) -> float:
         return smoothstep_deriv(t, 0)
     slope = -2.0 / radius if y > 0 else 2.0 / radius
     return smoothstep_deriv(t, n) * slope ** n
-
-
-@dataclass(frozen=True)
-class Monomial:
-    """pair(w) * r^order in the local coordinate y (r = |y|, w = sign y);
-    the body of a multiplier."""
-
-    order: int
-    pair: SpherePair
-
-    def __post_init__(self):
-        object.__setattr__(self, "_fp", float(self.pair.plus))
-        object.__setattr__(self, "_fm", float(self.pair.minus))
-
-    def value(self, y: float) -> float:
-        c = self._fp if y > 0 else self._fm
-        if c == 0.0:
-            return 0.0
-        return c * abs(y) ** self.order
-
-    def derivative(self):
-        d = SpherePair(self.order * self.pair.plus, -self.order * self.pair.minus)
-        if d.is_zero():
-            return ZERO_BODY
-        return Monomial(self.order - 1, d)
 
 
 #: Plateau factors of a term: sorted (radius, derivative order) pairs, repeats
@@ -230,14 +209,8 @@ def _canonical(out: dict) -> Body:
     return Body(tuple((f, j, p) for (f, j), p in sorted(out.items()) if not p.is_zero()))
 
 
-def _as_body(b) -> Body:
-    """A multiplier's monomial as a body, so that it can multiply one."""
-    if isinstance(b, Monomial):
-        return Body((((), b.order, b.pair),)) if not b.pair.is_zero() else ZERO_BODY
-    return b
-
-
 ZERO_BODY = Body()
+ONE_BODY = Body((((), 0, ONE_PAIR),))
 
 
 # -- the function types --------------------------------------------------------
@@ -267,7 +240,6 @@ class ThickTestFunction:
     exact_radius: float  # expansion equals the function identically for 0 < r < exact_radius
 
     def __post_init__(self):
-        object.__setattr__(self, "body", _as_body(self.body))
         object.__setattr__(self, "point", as_fraction(self.point))
         object.__setattr__(self, "radius", float(self.radius))
         object.__setattr__(self, "exact_radius", float(self.exact_radius))
@@ -317,9 +289,12 @@ class ThickTestFunction:
 
 @dataclass(frozen=True)
 class Multiplier:
-    """Smooth off the thick point, expansion required, no compact support."""
+    """Smooth off the thick point, expansion required, no compact support.
 
-    body: Union[Monomial, Body]  # a Monomial, or ZERO_BODY
+    Its body is a test-function body without a cutoff: one factorless term
+    pair(w) * r^j, or none for the zero multiplier."""
+
+    body: Body
     expansion: Expansion
     point: Fraction
     exact_radius: float = math.inf
@@ -330,8 +305,10 @@ class Multiplier:
     def evaluate(self, x) -> float:
         return _evaluate(self.body, self.expansion, self.point, None, x)
 
+    scale = ThickTestFunction.scale  # the same new body and expansion
+
     def is_one(self) -> bool:
-        return self.body == Monomial(0, ONE_PAIR)
+        return self.body == ONE_BODY
 
     def is_zero(self) -> bool:
         return self.body == ZERO_BODY and self.expansion.is_zero()
@@ -376,11 +353,7 @@ def from_polynomial(coeffs, radius, point=0) -> ThickTestFunction:
 
 
 def heaviside_multiplier(point=0) -> Multiplier:
-    return Multiplier(
-        body=Monomial(0, SpherePair(1, 0)),
-        expansion=Expansion(0, (SpherePair(1, 0),), exact=True),
-        point=point,
-    )
+    return monomial_multiplier(0, (1, 0), point)
 
 
 def power_multiplier(order: int, point=0) -> Multiplier:
@@ -390,10 +363,8 @@ def power_multiplier(order: int, point=0) -> Multiplier:
 
 def monomial_multiplier(order: int, pair, point=0) -> Multiplier:
     pair = pair if isinstance(pair, SpherePair) else SpherePair(*pair)
-    if pair.is_zero():
-        return constant_multiplier(0, point)
     return Multiplier(
-        body=Monomial(order, pair),
+        body=_canonical({((), order): pair}),
         expansion=Expansion(order, (pair,), exact=True),
         point=point,
     )
@@ -401,8 +372,6 @@ def monomial_multiplier(order: int, pair, point=0) -> Multiplier:
 
 def constant_multiplier(value=1, point=0) -> Multiplier:
     v = as_fraction(value)
-    if v == 0:
-        return Multiplier(body=ZERO_BODY, expansion=ZERO_EXPANSION, point=point)
     return monomial_multiplier(0, SpherePair(v, v), point)
 
 
@@ -420,7 +389,7 @@ def multiply_by(psi: Multiplier, phi: ThickTestFunction) -> ThickTestFunction:
             f"multiplier at {psi.point} cannot act on a function at {phi.point}"
         )
     return ThickTestFunction(
-        body=_as_body(psi.body) * phi.body,
+        body=psi.body * phi.body,
         expansion=xp.multiply(psi.expansion, phi.expansion),
         point=phi.point,
         radius=phi.radius,

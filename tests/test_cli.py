@@ -1,6 +1,8 @@
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -136,6 +138,35 @@ def test_program_file_with_bindings(tmp_path):
     lines = out.stdout.strip().splitlines()
     assert json.loads(lines[0])["value"] == 3.0
     assert json.loads(lines[1])["value"] == 1.0
+
+
+@pytest.mark.parametrize("command", ["eval", "check"])
+def test_program_file_leaves_stderr_empty(tmp_path, command):
+    prog = tmp_path / "prog.tc"
+    prog.write_text("eval dstar, bump(1)\n")
+    out = run_cli(command, str(prog))
+    assert out.returncode == 0
+    assert out.stderr == ""
+
+
+#: A README example: command, quoted expression, and a comment that ends in
+#: the documented ``-> result`` or ``: value``.
+_README_EXAMPLE = re.compile(r'^thickcalc (eval|derive|project|expand) +-e "([^"]*)" +# (.*)$',
+                             re.MULTILINE)
+
+
+def test_readme_cli_examples_hold():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    examples = _README_EXAMPLE.findall(readme)
+    assert len(examples) == 5
+    for command, expr, comment in examples:
+        out = run_cli(command, "-e", expr, "--json")
+        assert out.returncode == 0, expr
+        rec = json.loads(out.stdout)
+        if "-> " in comment:
+            assert rec["result"] == comment.split("-> ", 1)[1], expr
+        else:
+            assert rec["value"] == pytest.approx(float(comment.rsplit(": ", 1)[1]), abs=1e-8)
 
 
 def test_check_single_suite():

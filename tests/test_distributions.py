@@ -136,10 +136,10 @@ def test_nested_combinations_flatten():
     inner = LinearCombination(((2, delta_star()), (3, pf_heaviside())))
     outer = LinearCombination(((Fraction(1, 2), inner), (1, delta_star())))
     flat = simplify(outer)
+    # the two deltas of degree 0 merge into one, their weights added
     assert flat == LinearCombination((
-        (Fraction(1), delta_star()),
+        (Fraction(1), ThickDelta(SpherePair(2, 2), 0)),
         (Fraction(3, 2), pf_heaviside()),
-        (Fraction(1), delta_star()),
     ))
 
 
@@ -264,13 +264,26 @@ def test_density_derivative_of_a_decimal_power_keeps_the_decimal():
         assert abs(transferred - direct) <= 1e-10 * max(abs(direct), 1.0)
 
 
+def test_like_terms_merge_and_zero_terms_drop():
+    x2_dstar = MultiplierProduct(power_multiplier(2), delta_star())
+    f = LinearCombination((
+        (2, pf_power(-2)), (1, PfDensity(SpherePair(1, -1), -2)), (1, pf_power(-2.0)),
+        (3, x2_dstar), (-1, x2_dstar),
+        (1, ThickDelta(SpherePair(1, 0), 2)), (-1, ThickDelta(SpherePair(1, 0), 2)),
+    ))
+    # densities of one power add their pairs, but 2 and 2.0 stay apart; equal
+    # terms add their coefficients; the cancelled deltas drop out
+    assert simplify(f) == LinearCombination((
+        (1, PfDensity(SpherePair(3, 1), -2)), (1, pf_power(-2.0)), (2, x2_dstar),
+    ))
+
+
 def test_delta_derivative_raises_the_degree():
     assert delta_derivative(delta_star(point=1)) == ThickDelta(SpherePair(-1, 1), 1, point=1)
     assert delta_derivative(ThickDelta(SpherePair(3, -2), 2)) == ThickDelta(SpherePair(-9, -6), 3)
     assert simplify(Derivative(Derivative(pf_power(-2)))) == LinearCombination((
         (Fraction(1), PfDensity(SpherePair(6, 6), -4)),
-        (Fraction(1), ThickDelta(SpherePair(-4, -4), 3)),
-        (Fraction(1), ThickDelta(SpherePair(-6, -6), 3)),
+        (Fraction(1), ThickDelta(SpherePair(-10, -10), 3)),
     ))
 
 

@@ -162,7 +162,7 @@ def test_parse_power_multiplier():
 def test_scaled_multipliers():
     got = parse_value("3 * x^2 * dstar")
     assert isinstance(got, MultiplierProduct)
-    assert got.multiplier.body.pair == SpherePair(3, 3)
+    assert got.multiplier == monomial_multiplier(2, SpherePair(3, 3))
     zero = parse_value("2 * D(H(x))")
     assert zero.is_zero()
 
@@ -235,6 +235,15 @@ GOLDEN = [
     MultiplierProduct(monomial_multiplier(2, SpherePair(2, 1)), delta_star()),
     MultiplierProduct(constant_multiplier(0), delta_star()),
 ]
+# `derive <m> * dstar` for each multiplier form: the product and its
+# derivative, except the derivative of D(H(x)) * dstar, which is the zero
+# combination `0` (a number when parsed)
+_MULTIPLIER_FORMS = ("H(x)", "x^1", "x^-1", "mult(pair(2,1), 2)", "(1/2) * x^3",
+                     "2 * (3 * x^2)", "D(x^3)", "D(H(x))")
+GOLDEN += [pytest.param(parse_value(f"{m} * dstar"), id=f"{m} * dstar")
+           for m in _MULTIPLIER_FORMS]
+GOLDEN += [pytest.param(simplify(Derivative(parse_value(f"{m} * dstar"))),
+                        id=f"derive {m} * dstar") for m in _MULTIPLIER_FORMS[:-1]]
 
 
 @pytest.mark.parametrize("tree", GOLDEN, ids=lambda t: type(t).__name__)
@@ -489,15 +498,21 @@ def test_derivative_chain_errors_are_those_of_the_plain_parse(argument, monkeypa
 def test_derive_of_a_density_prints_the_pf_term_and_the_delta():
     from thickcalc.dsl import run
     report = run(parse_program("derive Pf(abs(x)^-2)\nderive d*(Pf(abs(x)^-2))\n"
-                               "derive d*(Pf(abs(x)^1.6))"))
-    first, second, third = (rec["result"] for rec in report.records)
+                               "derive d*(Pf(abs(x)^1.6))\nderive d*(d*(Pf(abs(x)^-2)))\n"
+                               "derive dstar - dstar"))
+    first, second, third, fourth, fifth = (rec["result"] for rec in report.records)
     assert first == "Pf(pair(-2,2) * r^-3) + delta[2](pair(2,-2))"
-    # the delta takes the delta rule: a flat sum with no d*( ) left
-    assert second == "Pf(pair(6,6) * r^-4) + delta[3](pair(-4,-4)) + delta[3](pair(-6,-6))"
+    # the delta takes the delta rule, and the two degree-3 deltas merge
+    assert second == "Pf(pair(6,6) * r^-4) + delta[3](pair(-10,-10))"
     # a decimal power is differentiated as the decimal it prints as
     assert third == "Pf(pair(24/25,24/25) * r^-0.4)"
+    assert fourth == "Pf(pair(-24,24) * r^-5) + delta[4](pair(52,-52))"
+    # the two degree-1 deltas cancel and drop out
+    assert fifth == "0"
+    assert simplify(Derivative(parse_value("dstar - dstar"))) == LinearCombination(())
     for text, source in ((first, pf_power(-2)), (second, Derivative(pf_power(-2))),
-                         (third, Derivative(pf_power(1.6)))):
+                         (third, Derivative(pf_power(1.6))),
+                         (fourth, Derivative(Derivative(pf_power(-2))))):
         tree = parse_value(text)
         assert tree == simplify(Derivative(source))
         assert print_distribution(tree) == text

@@ -28,7 +28,7 @@ from thickcalc.errors import (
     QuadratureError,
 )
 from thickcalc.expansion import Expansion, from_taylor
-from thickcalc import pairing
+from thickcalc import distributions, pairing
 from thickcalc.checks import run_suite
 from thickcalc.pairing import (
     PairingResult,
@@ -42,7 +42,7 @@ from thickcalc.pairing import (
 from thickcalc.quadrature import integrate
 from thickcalc.sphere import SpherePair
 from thickcalc.testfn import (
-    Monomial,
+    Body,
     ThickTestFunction,
     derivative,
     from_polynomial,
@@ -96,7 +96,7 @@ def unit_delta_of_degree(q):
 
 def test_delta_degree_above_window_raises():
     weak = ThickTestFunction(
-        body=Monomial(0, SpherePair(1, 1)),
+        body=Body((((), 0, SpherePair(1, 1)),)),
         expansion=Expansion(0, (SpherePair(1, 1),), exact=False),
         point=0, radius=1.0, exact_radius=0.0,
     )
@@ -195,7 +195,7 @@ def test_float_integer_power_is_rejected():
 
 def test_insufficient_expansion_window():
     weak = ThickTestFunction(
-        body=Monomial(0, SpherePair(1, 1)),
+        body=Body((((), 0, SpherePair(1, 1)),)),
         expansion=from_taylor([1]),  # non-exact, window 0
         point=0, radius=1.0, exact_radius=0.0,
     )
@@ -618,8 +618,9 @@ def test_delta_rule_agrees_exactly_with_the_differentiated_test_function(k, delt
 
 def test_oracle_never_uses_the_density_rule(monkeypatch):
     def forbidden(f):
-        raise AssertionError("the oracle must stay independent of the density rule")
-    monkeypatch.setattr(pairing, "density_derivative", forbidden)
+        raise AssertionError("the oracle must stay independent of the derivative rules")
+    monkeypatch.setattr(distributions, "density_derivative", forbidden)
+    monkeypatch.setattr(distributions, "delta_derivative", forbidden)
     fit = fp_pair_oracle(pf_power(Fraction(-3, 2)), from_polynomial([1, 2, 1], 2.0))
     assert math.isfinite(fit.finite_part)
 

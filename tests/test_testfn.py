@@ -9,7 +9,7 @@ from thickcalc.expansion import Expansion, expansion_of
 from thickcalc.quadrature import integrate
 from thickcalc.sphere import SpherePair
 from thickcalc.testfn import (
-    Monomial,
+    Body,
     _jet_exp,
     _jet_mul,
     _jet_recip,
@@ -312,7 +312,7 @@ def test_seminorm_includes_derivative_orders():
 
 def test_seminorm_insufficient_order():
     weak = ThickTestFunction(
-        body=Monomial(0, SpherePair(1, 1)),
+        body=Body((((), 0, SpherePair(1, 1)),)),
         expansion=Expansion(0, (SpherePair(1, 1),), exact=False),
         point=0, radius=1.0, exact_radius=0.0,
     )
