@@ -409,13 +409,15 @@ def _typename(v) -> str:
 
 
 def _flatten_combination(terms) -> LinearCombination:
+    """One flat combination; zero terms drop out, so `0 * dstar` is the zero
+    distribution the printer writes."""
     flat = []
     for coefficient, dist in terms:
         if isinstance(dist, LinearCombination):
             flat.extend((coefficient * c2, d2) for c2, d2 in dist.terms)
         else:
             flat.append((coefficient, dist))
-    return LinearCombination(tuple(flat))
+    return LinearCombination(tuple((c, d) for c, d in flat if c != 0))
 
 
 # -- printer ---------------------------------------------------------------------
@@ -455,7 +457,7 @@ def print_distribution(d) -> str:
         return f"{print_multiplier(d.multiplier)} * {inner}"
     if isinstance(d, LinearCombination):
         if not d.terms:
-            return "0"
+            return "0 * dstar"  # a bare 0 would read back as a number
         out = ""
         for coefficient, term in d.terms:
             text = print_distribution(term)

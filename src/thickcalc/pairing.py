@@ -2,13 +2,17 @@
 
 The distribution/test-function pairing dispatches on the distribution tree,
 combining sub-results through ``PairingResult.scaled`` and ``+``.  A
-finite-part density c(w) r^lambda splits at a radius A: quadrature over the
-far field [A, R]; an analytic series term c_j A^(lambda+j+1)/(lambda+j+1) for
-each order j through -Re(lambda)-1 (a log A term at the integer boundary
-order); closed-form terms c_j E^(lambda+j+1)/(lambda+j+1) for the higher
-orders on the inner plateau [0, E] of an exact function; and quadrature of
-the expansion-subtracted remainder on [E, A].  The split radius is
-arbitrary; A-independence is one of the main correctness checks.  A
+finite-part density c(w) r^lambda splits at a radius A: the far field
+[A, R]; an analytic series term c_j A^(lambda+j+1)/(lambda+j+1) for each
+order j through -Re(lambda)-1 (a log A term at the integer boundary order);
+closed-form terms c_j E^(lambda+j+1)/(lambda+j+1) for the higher orders on
+the inner plateau [0, E] of an exact function; and the expansion-subtracted
+remainder on [E, A].  A body term with one plain cutoff, p(w) r^j S(2 -
+2r/rho), takes its share of the far field and the remainder in closed form,
+through powers of r and the ramp moment m(lambda + j) of the cutoff
+(``ramp_moment``); the other terms (cutoff derivatives, products of
+cutoffs) go through adaptive quadrature.  The split radius is arbitrary;
+A-independence is one of the main correctness checks.  A
 derivative of a density, a delta or a linear combination of them moves onto
 the distribution (``distributions.derivative_rule``, the rule ``simplify``
 applies too), so d*^k Pf is paired as densities of power lambda - k and
@@ -49,10 +53,9 @@ from .distributions import (
     derivative_rule,
     nested_derivative,
 )
-from .expansion import Expansion, evaluate
 from .quadrature import integrate
-from .sphere import ONE_PAIR, SPHERE_MEASURE, SpherePair
-from .testfn import ThickTestFunction, derivative, dilate, multiply_by, translate
+from .sphere import ONE_PAIR, SPHERE_MEASURE, ZERO_PAIR, SpherePair
+from .testfn import Body, ThickTestFunction, derivative, dilate, multiply_by, translate
 
 
 @dataclass(frozen=True)
@@ -102,19 +105,25 @@ class PairingResult:
                              self.log_term + other.log_term)
 
 
-def _radial(phi, pair: SpherePair, flam: float, e: Optional[Expansion] = None, top: int = 0):
-    """The two-sided radial integrand r^flam * sum_w pair(w) * (phi(a + w r) -
-    e(w, r) through order top); without ``e`` nothing is subtracted."""
-    sides = [(w, float(pair.at(w))) for w in (1, -1) if pair.at(w)]
+def _radial(body: Body, radius: float, pair: SpherePair, flam: float, subtract=()):
+    """The two-sided radial integrand r^flam * sum_w pair(w) * (body(w r) -
+    sum_j a_j(w) r^j) over the orders (j, a_j) in ``subtract``; the body is
+    zero from ``radius`` on."""
+    cp, cm = float(pair.plus), float(pair.minus)
+    sub_p = [(float(a.plus), j) for j, a in subtract]
+    sub_m = [(float(a.minus), j) for j, a in subtract]
 
     def integrand(r):
+        vp, vm = body.radial(r) if r < radius else (0.0, 0.0)
         acc = 0.0
-        for w, c in sides:
-            y = w * r  # phi at a + w r, in local coordinates
-            v = phi.body.value(y) if abs(y) < phi.radius else 0.0
-            if e is not None:
-                v -= evaluate(e, w, r, top)
-            acc += c * v
+        if cp:
+            if sub_p:
+                vp -= math.fsum([c * r ** j for c, j in sub_p])
+            acc += cp * vp
+        if cm:
+            if sub_m:
+                vm -= math.fsum([c * r ** j for c, j in sub_m])
+            acc += cm * vm
         return r ** flam * acc
     return integrand
 
@@ -176,12 +185,12 @@ def _pair_density(f: PfDensity, phi: ThickTestFunction, cfg: QuadratureConfig) -
 
     series = []
     log_term: Number = Fraction(0)
-    near_terms = []
+    closed = []  # the closed-form parts of the near field and of the plain cutoff terms
     for j in orders:
         aj = e.coefficient(j)  # raises beyond the trust window
         cj = f.pair.plus * aj.plus + f.pair.minus * aj.minus
         if j > jmax:
-            near_terms.append(float(cj) * E ** (flam + j + 1) / (flam + j + 1))
+            closed.append(float(cj) * E ** (flam + j + 1) / (flam + j + 1))
         elif not f.integral_power and flam + j + 1 == 0.0:
             raise MisclassifiedPowerError(
                 f"power {lam!r} behaves as the integer {-j - 1} at order {j}; "
@@ -192,18 +201,112 @@ def _pair_density(f: PfDensity, phi: ThickTestFunction, cfg: QuadratureConfig) -
         elif cj != 0:
             series.append((j, cj * A ** (lam + j + 1) / (lam + j + 1)))
 
-    far_value, quad_error = integrate(_radial(phi, f.pair, flam), A, R,
-                                      cfg.abs_tol, cfg.max_subdivisions)
-    near_value = math.fsum(near_terms)
-    if E < A:
+    # A plain cutoff term p(w) r^j S(2 - 2r/rho) of an exact function takes
+    # its far field and near remainder in closed form: the integral of r^mu,
+    # mu = lambda + j, from E (from A, net of its own expansion, when j <=
+    # jmax) to rho/2, plus rho^(mu+1) times the ramp moment m(mu).  The other
+    # terms form the rest, integrated with the rest of the expansion subtracted.
+    rest, quad_error = [], 0.0
+    subtract = {j: c for j, c in e.terms() if j <= jmax}
+    for term in phi.body.terms:
+        factors, j, p = term
+        mu = flam + j
+        plain = len(factors) == 1 and factors[0][1] == 0
+        rho = factors[0][0] if plain else 0.0
+        if not (e.exact and plain and 0 < E <= rho / 2 and rho <= R
+                and abs(mu) <= MOMENT_RANGE):
+            rest.append(term)
+            continue
+        c = float(f.pair.plus * p.plus + f.pair.minus * p.minus)
+        m, tail = ramp_moment(mu)
+        scale = rho ** (mu + 1)
+        closed.append(c * (_power_integral(mu, A if j <= jmax else E, rho / 2) + scale * m))
+        quad_error += abs(c) * scale * tail
+        if j <= jmax:
+            subtract[j] = subtract.get(j, ZERO_PAIR) - p
+    body = phi.body if len(rest) == len(phi.body.terms) else Body(tuple(rest))
+
+    far_value = 0.0
+    if body.terms:
+        far_value, err = integrate(_radial(body, R, f.pair, flam), A, R,
+                                   cfg.abs_tol, cfg.max_subdivisions)
+        quad_error += err
+    near_value = math.fsum(closed)
+    if E < A and (body.terms or any(not c.is_zero() for c in subtract.values())):
         # the expansion-subtracted remainder between the plateau edge and A
-        v, err = integrate(_radial(phi, f.pair, flam, e, jmax), E, A,
+        v, err = integrate(_radial(body, R, f.pair, flam, subtract.items()), E, A,
                            cfg.abs_tol, cfg.max_subdivisions)
         near_value += v
         quad_error += err
 
     value = far_value + near_value + math.fsum(float(v) for _, v in series) + float(log_term)
     return PairingResult(value, A, quad_error, tuple(series), log_term)
+
+
+# -- closed-form ramp moments ------------------------------------------------------
+#
+# On its ramp [rho/2, rho] the plain cutoff S(2 - 2r/rho) against r^mu gives
+# rho^(mu+1) m(mu), with one universal moment function
+#
+#     m(mu) = integral over [1/2, 1] of u^mu S(2 - 2u) du.
+#
+# S(t) + S(1 - t) = 1 makes S(2 - 2u) - 1/2 odd about u = 3/4, so only the odd
+# powers of the binomial series of u^mu = (3/4 + v)^mu survive against it:
+#
+#     m(mu) = 1/2 integral over [1/2, 1] of u^mu du
+#             - sum over odd k of C(mu, k) (3/4)^(mu-k) H_k,
+#     H_k = 2 integral over [0, 1/4] of v^k (S(1/2 + 2v) - 1/2) dv.
+
+#: H_1, H_3, ..., H_81, computed once with mpmath at 40 digits (tanh-sinh
+#: quadrature); the tests recompute them.
+_RAMP_H = (
+    2.7885161228614722771e-2, 9.5205067149535034612e-4, 4.0373020589766871521e-5,
+    1.9019139619348943799e-6, 9.5256553886451061677e-8, 4.9645005029447084179e-9,
+    2.660278224220663119e-10, 1.4550175580757086478e-11, 8.0838994872749810248e-13,
+    4.5473241605069675501e-14, 2.5837451464146825423e-15, 1.4802823074307039385e-16,
+    8.5401270019425872573e-18, 4.9563356706507882841e-19, 2.891199808012482139e-20,
+    1.6940637576010671695e-21, 9.9650857226450479733e-23, 5.8821703674947292338e-24,
+    3.4828646553859036047e-25, 2.0679511188654815836e-26, 1.230923371168196612e-27,
+    7.3435772576706165165e-29, 4.3901821822779101997e-30, 2.6295362520459739768e-31,
+    1.5777217705801727404e-32, 9.4815011021650733764e-34, 5.7064590276452770189e-35,
+    3.4391605872622722327e-36, 2.0753555319381806995e-37, 1.253860636000743783e-38,
+    7.5838345007601493198e-40, 4.5917747990761779327e-41, 2.7828938191798589309e-42,
+    1.6881525012668317377e-43, 1.0249497331945708285e-44, 6.2279931716675860761e-46,
+    3.7872931454579749771e-47, 2.3047672104575484003e-48, 1.4035441346732149762e-49,
+    8.5528470711027879094e-51, 5.2151506533046951436e-52,
+)
+
+#: The |mu| the series serves; outside it a term stays on quadrature.
+MOMENT_RANGE = 24
+
+
+def ramp_moment(mu: float) -> Tuple[float, float]:
+    """(m(mu), a bound on the series terms left out) for |mu| <= MOMENT_RANGE."""
+    b = mu * (4.0 / 3.0)  # C(mu, k) (4/3)^k at k = 1
+    terms = []
+    for k, h in zip(range(1, 83, 2), _RAMP_H):
+        terms.append(b * h)
+        b *= (mu - k) * (mu - k - 1) / ((k + 1) * (k + 2)) * (16.0 / 9.0)
+    scale = 0.75 ** mu
+    # H_k <= 4^-(k+1) / (k+1), so the omitted term k = 83 is below
+    # |b| (3/4)^mu 4^-84 / 84, and each later one below a fifth of the one
+    # before it while |mu| <= 24
+    tail = 2.0 * abs(b) * scale * 4.0 ** -84 / 84
+    return 0.5 * _power_integral(mu, 0.5, 1.0) - scale * math.fsum(terms), tail
+
+
+def _power_integral(mu: float, a: float, b: float) -> float:
+    """The integral of r^mu over [a, b] for a, b > 0, through expm1 of a
+    non-positive argument, so that mu next to -1 keeps its digits and no
+    intermediate overflows."""
+    if a > b:
+        return -_power_integral(mu, b, a)
+    p = mu + 1
+    if p == 0:
+        return math.log(b / a)
+    if p > 0:
+        return -(b ** p) * math.expm1(p * math.log(a / b)) / p
+    return a ** p * math.expm1(p * math.log(b / a)) / p
 
 
 # -- finite part of a limit ----------------------------------------------------
@@ -404,7 +507,7 @@ def fp_pair_oracle(f: PfDensity, phi: ThickTestFunction,
         maxq = 1
         n_cols = len(default_fit_powers(3)) + 7
 
-    integrand = _radial(phi, f.pair, flam)
+    integrand = _radial(phi.body, R, f.pair, flam)
     eps0 = min(phi.exact_radius, R) * 0.9
     count = n_cols + n_extra
     grid = [eps0 * 2.0 ** (-k / 2.0) for k in range(count)]
@@ -418,7 +521,7 @@ def fp_pair_oracle(f: PfDensity, phi: ThickTestFunction,
 
 def radial_integral(phi: ThickTestFunction, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Integral of phi over the line, evaluated as the two-sided radial sum."""
-    value, _ = integrate(_radial(phi, ONE_PAIR, 0.0), 0.0, phi.radius,
+    value, _ = integrate(_radial(phi.body, phi.radius, ONE_PAIR, 0.0), 0.0, phi.radius,
                          cfg.abs_tol, cfg.max_subdivisions)
     return value
 

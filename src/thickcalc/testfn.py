@@ -123,34 +123,39 @@ class Body:
     terms: Tuple[Tuple[Factors, int, SpherePair], ...] = ()
 
     @cached_property
-    def _sides(self):
-        # per side (y > 0, y < 0): nonzero float coefficients grouped by factors
-        sides = []
-        for w in (1, -1):
-            groups = []
-            for factors, terms in groupby(self.terms, key=lambda t: t[0]):
-                coeffs = [(j, float(p.at(w))) for _, j, p in terms if p.at(w)]
-                if coeffs:
-                    groups.append((factors, coeffs))
-            sides.append(groups)
-        return sides
+    def _groups(self):
+        # (factors, nonzero float coefficients (j, c) at y > 0, the same at y < 0)
+        groups = []
+        for factors, terms in groupby(self.terms, key=lambda t: t[0]):
+            terms = list(terms)
+            plus = [(j, float(p.plus)) for _, j, p in terms if p.plus]
+            minus = [(j, float(p.minus)) for _, j, p in terms if p.minus]
+            groups.append((factors, plus, minus))
+        return groups
+
+    def radial(self, r: float) -> Tuple[float, float]:
+        """(value at y = r, value at y = -r) for r > 0.  Each cutoff factor is
+        evaluated once for both sides: its n-th derivative at -r is (-1)^n
+        times the one at r."""
+        plus, minus = [], []
+        for factors, cp, cm in self._groups:
+            a, b = _powers(cp, r), _powers(cm, r)
+            for radius, n in factors:
+                if a == 0.0 and b == 0.0:
+                    break
+                v = plateau_value(radius, n, r)
+                if a != 0.0:
+                    a *= v
+                if b != 0.0:
+                    b *= -v if n % 2 else v
+            if cp:
+                plus.append(a)
+            if cm:
+                minus.append(b)
+        return math.fsum(plus), math.fsum(minus)
 
     def value(self, y: float) -> float:
-        # c * r**j first, as expansion.evaluate computes it, so that a term
-        # on the inner plateau cancels bit-exactly against the expansion
-        r = abs(y)
-        parts = []
-        for factors, coeffs in self._sides[0 if y > 0 else 1]:
-            if len(coeffs) == 1:
-                a = coeffs[0][1] * r ** coeffs[0][0]
-            else:
-                a = math.fsum([c * r ** j for j, c in coeffs])
-            for radius, n in factors:
-                if a == 0.0:
-                    break
-                a *= plateau_value(radius, n, y)
-            parts.append(a)
-        return math.fsum(parts)
+        return self.radial(abs(y))[0 if y > 0 else 1]
 
     def derivative(self) -> "Body":
         """Leibniz rule: the power drops one order, or one factor gains one."""
@@ -198,6 +203,14 @@ class Body:
             scaled = tuple(sorted((float(abs(c)) * radius, n) for radius, n in factors))
             _accumulate(out, scaled, j, _dilate_pair(p, j, c) * c ** sum(n for _, n in factors))
         return _canonical(out)
+
+
+def _powers(coeffs, r: float) -> float:
+    # c * r**j first, as pairing._radial subtracts the expansion, so that a
+    # term on the inner plateau cancels bit-exactly against it
+    if len(coeffs) == 1:
+        return coeffs[0][1] * r ** coeffs[0][0]
+    return math.fsum([c * r ** j for j, c in coeffs])
 
 
 def _accumulate(out: dict, factors: Factors, j: int, p: SpherePair) -> None:

@@ -265,8 +265,9 @@ def test_sixth_derivative_pairing_is_a_value():
     ("eval", "Pf(abs(x)^-6), bump(1)", "  series = [r^0: -12.8]"),
     ("eval", "D(H(x)) * dstar, bump(1)", "  value = 0.0 (exact 0)"),
     ("eval", "0 * x^2 * dstar, bump(1)", "  value = 0.0 (exact 0)"),
-    ("derive", "D(H(x)) * dstar", "  -> 0"),
-    ("derive", "mult(pair(0,0), 2) * dstar", "  -> 0"),
+    ("derive", "D(H(x)) * dstar", "  -> 0 * dstar"),
+    ("derive", "mult(pair(0,0), 2) * dstar", "  -> 0 * dstar"),
+    ("derive", "0 * dstar", "  -> 0 * dstar"),
 ])
 def test_printed_record(command, expr, line):
     out = run_cli(command, "-e", expr)

@@ -235,15 +235,15 @@ GOLDEN = [
     MultiplierProduct(monomial_multiplier(2, SpherePair(2, 1)), delta_star()),
     MultiplierProduct(constant_multiplier(0), delta_star()),
 ]
+GOLDEN += [pytest.param(LinearCombination(()), id="0 * dstar")]
 # `derive <m> * dstar` for each multiplier form: the product and its
-# derivative, except the derivative of D(H(x)) * dstar, which is the zero
-# combination `0` (a number when parsed)
+# derivative (for D(H(x)) the zero combination)
 _MULTIPLIER_FORMS = ("H(x)", "x^1", "x^-1", "mult(pair(2,1), 2)", "(1/2) * x^3",
                      "2 * (3 * x^2)", "D(x^3)", "D(H(x))")
 GOLDEN += [pytest.param(parse_value(f"{m} * dstar"), id=f"{m} * dstar")
            for m in _MULTIPLIER_FORMS]
 GOLDEN += [pytest.param(simplify(Derivative(parse_value(f"{m} * dstar"))),
-                        id=f"derive {m} * dstar") for m in _MULTIPLIER_FORMS[:-1]]
+                        id=f"derive {m} * dstar") for m in _MULTIPLIER_FORMS]
 
 
 @pytest.mark.parametrize("tree", GOLDEN, ids=lambda t: type(t).__name__)
@@ -328,7 +328,8 @@ def test_derive_normal_form_example():
 
 
 def test_print_zero_combination():
-    assert print_distribution(LinearCombination(())) == "0"
+    assert print_distribution(LinearCombination(())) == "0 * dstar"
+    assert parse_value("0 * dstar") == LinearCombination(())
 
 
 # -- programs -----------------------------------------------------------------------
@@ -508,7 +509,7 @@ def test_derive_of_a_density_prints_the_pf_term_and_the_delta():
     assert third == "Pf(pair(24/25,24/25) * r^-0.4)"
     assert fourth == "Pf(pair(-24,24) * r^-5) + delta[4](pair(52,-52))"
     # the two degree-1 deltas cancel and drop out
-    assert fifth == "0"
+    assert fifth == "0 * dstar"
     assert simplify(Derivative(parse_value("dstar - dstar"))) == LinearCombination(())
     for text, source in ((first, pf_power(-2)), (second, Derivative(pf_power(-2))),
                          (third, Derivative(pf_power(1.6))),

@@ -31,6 +31,8 @@ from thickcalc.expansion import Expansion, from_taylor
 from thickcalc import distributions, pairing
 from thickcalc.checks import run_suite
 from thickcalc.pairing import (
+    _RAMP_H,
+    MOMENT_RANGE,
     PairingResult,
     QuadratureConfig,
     axis_integral,
@@ -38,6 +40,7 @@ from thickcalc.pairing import (
     fp_pair_oracle,
     pair,
     radial_integral,
+    ramp_moment,
 )
 from thickcalc.quadrature import integrate
 from thickcalc.sphere import SpherePair
@@ -45,9 +48,12 @@ from thickcalc.testfn import (
     Body,
     ThickTestFunction,
     derivative,
+    dilate,
     from_polynomial,
     heaviside_multiplier,
+    multiply_by,
     plateau_bump,
+    power_multiplier,
     thick_monomial,
     translate,
 )
@@ -204,9 +210,10 @@ def test_insufficient_expansion_window():
 
 
 def test_quadrature_failure_surfaces():
+    # a product of two cutoffs takes no ramp moment, so its far field is integrated
     cfg = QuadratureConfig(abs_tol=1e-14, max_subdivisions=3)
     with pytest.raises(QuadratureError):
-        pair(pf_power(Fraction(-5, 2)), thick_monomial(3, (1, 2), 2.0), cfg)
+        pair(pf_power(Fraction(-5, 2)), thick_monomial(3, (1, 2), 2.0) * plateau_bump(2.0), cfg)
 
 
 # -- A independence -------------------------------------------------------------------
@@ -497,19 +504,34 @@ def counting_integrate(monkeypatch):
 
 
 def test_plateau_tail_needs_no_quadrature(monkeypatch):
-    # R = 2, A = 1 = R/2: [0, A] is all plateau, so only the far field is integrated
+    # R = 2, A = 1 = R/2: [0, A] is all plateau, and the far field of the
+    # plain cutoff terms is their ramp moment, so nothing is integrated
     calls = counting_integrate(monkeypatch)
     phi = from_polynomial([1, 2, 1], 2)
     res = pair(pf_power(Fraction(-5, 2)), phi)
-    assert calls == [(1.0, 2)]
+    assert calls == []
     assert float(res.value) == pytest.approx(fp_pair_oracle(pf_power(Fraction(-5, 2)), phi)
                                              .finite_part, abs=1e-8)
 
 
 @pytest.mark.parametrize("lam", [Fraction(-5, 2), -2, Fraction(-1, 2), Fraction(3, 2)])
 def test_mixed_near_field_agrees_with_oracle(monkeypatch, lam):
-    # exact radius E = 0.5 < A = 1 < R = 2: closed form on [0, E], quadrature on [E, A]
+    # exact radius E = 0.5 < A = 1 < R = 2: closed form on [0, E]; every term
+    # has one plain cutoff, so [E, A] and [A, R] take ramp moments
     phi = from_polynomial([1, 2], 2) + plateau_bump(1)
+    expected = fp_pair_oracle(pf_power(lam), phi).finite_part
+    calls = counting_integrate(monkeypatch)
+    res = pair(pf_power(lam), phi)
+    assert calls == []
+    assert float(res.value) == pytest.approx(expected, abs=1e-8)
+
+
+@pytest.mark.parametrize("lam", [Fraction(-5, 2), -2, Fraction(-1, 2), Fraction(3, 2)])
+def test_mixed_near_field_of_a_product_agrees_with_oracle(monkeypatch, lam):
+    # the same radii with products of cutoffs, which stay on quadrature:
+    # closed form on [0, E], quadrature on [E, A] and on [A, R]
+    phi = from_polynomial([1, 2], 2) * plateau_bump(2) + plateau_bump(1) * plateau_bump(1)
+    assert phi.radius == 2 and phi.exact_radius == 0.5
     expected = fp_pair_oracle(pf_power(lam), phi).finite_part
     calls = counting_integrate(monkeypatch)
     res = pair(pf_power(lam), phi)
@@ -664,3 +686,95 @@ def test_sixth_derivative_pairing_matches_an_mpmath_reference():
     for _ in range(6):
         f = Derivative(f)
     assert float(pair(f, psi).value) == pytest.approx(reference, rel=1e-8)
+
+
+# -- closed-form ramp moments ---------------------------------------------------------
+
+
+def _mp_smoothstep(t):
+    import mpmath
+    if t <= 0:
+        return mpmath.mpf(0)
+    if t >= 1:
+        return mpmath.mpf(1)
+    g1, g2 = mpmath.exp(-1 / t), mpmath.exp(-1 / (1 - t))
+    return g1 / (g1 + g2)
+
+
+def test_embedded_ramp_moments_h_k_match_mpmath():
+    import mpmath
+    with mpmath.workdps(25):
+        for k, h in zip(range(1, 83, 2), _RAMP_H):
+            # v = x / 4 keeps the integrand of order one for every k
+            ref = 2 * mpmath.quad(lambda x: x ** k * (_mp_smoothstep(0.5 + x / 2) - 0.5),
+                                  [0, 0.5, 1]) / mpmath.mpf(4) ** (k + 1)
+            assert h == pytest.approx(float(ref), rel=1e-15, abs=0), k
+
+
+@pytest.mark.parametrize("mu", [-MOMENT_RANGE, -17.5, -9, -4, -2.4, -2, -1 - 1e-9, -1,
+                                -1 + 1e-9, -0.7, 0, 0.25, 1, 1.6, 3, 7.5, 12, 18,
+                                MOMENT_RANGE])
+def test_ramp_moment_matches_mpmath(mu):
+    import mpmath
+    with mpmath.workdps(30):
+        ref = mpmath.quad(lambda u: u ** mu * _mp_smoothstep(2 - 2 * u),
+                          [0.5, 0.625, 0.75, 0.875, 1])
+        scale = mpmath.quad(lambda u: u ** mu, [0.5, 1])  # the integral of |integrand| / S
+    m, tail = ramp_moment(mu)
+    # the series cancels against the half moment for large mu, so the error
+    # is measured against the integral of u^mu over the ramp
+    assert abs(m - float(ref)) <= 1e-15 * float(scale)
+    assert 0 <= tail <= 1e-16 * float(scale)
+
+
+#: One single-cutoff body of each eval-mix shape: bump, poly, mono, a sum of
+#: radii 1 and 2, a dilate, and H(x) and x^k products.
+SINGLE_CUTOFF_BODIES = {
+    "bump": plateau_bump(2.0),
+    "poly": from_polynomial([1, 2, 3], 2.0),
+    "mono": thick_monomial(-1, (1, 2), 3.0),
+    "radii 1 and 2": thick_monomial(1, (2, -1), 1.0) + from_polynomial([1, 0, -1], 2.0),
+    "dilate": dilate(thick_monomial(0, (3, 1), 2.0), Fraction(-3, 2)),
+    "H(x) product": multiply_by(heaviside_multiplier(), from_polynomial([1, 2, 3], 2.0)),
+    "x^k product": multiply_by(power_multiplier(2), thick_monomial(-1, (1, 2), 2.0)),
+}
+
+
+@pytest.mark.parametrize("name", SINGLE_CUTOFF_BODIES)
+def test_single_cutoff_pairings_agree_with_the_oracle(monkeypatch, name):
+    phi = SINGLE_CUTOFF_BODIES[name]
+    assert all(len(factors) == 1 and factors[0][1] == 0 for factors, _, _ in phi.body.terms)
+    powers = (Fraction(-5, 2), -2, -1.3, Fraction(1, 2))
+    expected = [fp_pair_oracle(pf_power(lam), phi).finite_part for lam in powers]
+    calls = counting_integrate(monkeypatch)
+    got = [float(pair(pf_power(lam), phi).value) for lam in powers]
+    assert calls == []  # the ramp moments replace every quadrature
+    assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+def test_plain_and_product_terms_each_take_their_path(monkeypatch):
+    plain = from_polynomial([1, 2], 2.0)
+    product = thick_monomial(1, (1, -1), 2.0) * plateau_bump(1.5)
+    phi = plain + product  # R = 2, E = 0.75 < A = 1
+    f = pf_power(Fraction(-3, 2))
+    expected = fp_pair_oracle(f, phi).finite_part
+    moments = []
+    monkeypatch.setattr(pairing, "ramp_moment",
+                        lambda mu: moments.append(mu) or ramp_moment(mu))
+    calls = counting_integrate(monkeypatch)
+    got = float(pair(f, phi).value)
+    assert moments == [-1.5, -0.5]  # the two plain terms, r^0 and r^1
+    assert sorted(calls) == [(0.75, 1.0), (1.0, 2)]  # the product's near and far field
+    assert got == pytest.approx(expected, rel=1e-12)
+    assert got == pytest.approx(float(pair(f, plain).value) + float(pair(f, product).value),
+                                rel=1e-13)
+
+
+def test_split_radius_spread_of_single_cutoff_bodies():
+    spread = 0.0
+    for phi in SINGLE_CUTOFF_BODIES.values():
+        for lam in (Fraction(-5, 2), -2, -1, Fraction(-1, 2), 0.25, Fraction(3, 2)):
+            values = [float(pair(pf_power(lam), phi, QuadratureConfig(split_radius=A)).value)
+                      for A in (0.3, 0.5, 1.0)]
+            spread = max(spread, max(values) - min(values))
+    assert spread <= 1e-13
