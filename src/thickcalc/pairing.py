@@ -10,8 +10,10 @@ the inner plateau [0, E] of an exact function; and the expansion-subtracted
 remainder on [E, A].  A body term with one plain cutoff, p(w) r^j S(2 -
 2r/rho), takes its share of the far field and the remainder in closed form,
 through powers of r and the ramp moment m(lambda + j) of the cutoff
-(``ramp_moment``); the other terms (cutoff derivatives, products of
-cutoffs) go through adaptive quadrature.  The split radius is arbitrary;
+(``ramp_moment``); a term with one cutoff derivative, which lives on the
+ramp alone, takes m(lambda + j - n) after n integrations by parts
+(``ramp_derivative_moment``); the other terms (products of cutoffs) go
+through adaptive quadrature.  The split radius is arbitrary;
 A-independence is one of the main correctness checks.  A
 derivative of a density, a delta or a linear combination of them moves onto
 the distribution (``distributions.derivative_rule``, the rule ``simplify``
@@ -204,18 +206,28 @@ def _pair_density(f: PfDensity, phi: ThickTestFunction, cfg: QuadratureConfig) -
     # A plain cutoff term p(w) r^j S(2 - 2r/rho) of an exact function takes
     # its far field and near remainder in closed form: the integral of r^mu,
     # mu = lambda + j, from E (from A, net of its own expansion, when j <=
-    # jmax) to rho/2, plus rho^(mu+1) times the ramp moment m(mu).  The other
-    # terms form the rest, integrated with the rest of the expansion subtracted.
+    # jmax) to rho/2, plus rho^(mu+1) times the ramp moment m(mu).  A term
+    # with the n-th cutoff derivative instead lives on the ramp alone, where n
+    # integrations by parts take it to m(mu - n).  The other terms (products
+    # of cutoffs) form the rest, integrated with the rest of the expansion
+    # subtracted.
     rest, quad_error = [], 0.0
     subtract = {j: c for j, c in e.terms() if j <= jmax}
     for term in phi.body.terms:
         factors, j, p = term
         mu = flam + j
-        plain = len(factors) == 1 and factors[0][1] == 0
-        rho = factors[0][0] if plain else 0.0
-        if not (e.exact and plain and 0 < E <= rho / 2 and rho <= R
-                and abs(mu) <= MOMENT_RANGE):
+        single = len(factors) == 1
+        rho, n = factors[0] if single else (0.0, 0)
+        if not (e.exact and single and 0 < E <= rho / 2 and rho <= R
+                and abs(mu - n) <= MOMENT_RANGE):
             rest.append(term)
+            continue
+        if n:
+            # the n-th derivative at -r is (-1)^n times the one at r
+            c = float(f.pair.plus * p.plus + (-1) ** n * (f.pair.minus * p.minus))
+            g, err = ramp_derivative_moment(mu, n, rho)
+            closed.append(c * g)
+            quad_error += abs(c) * err
             continue
         c = float(f.pair.plus * p.plus + f.pair.minus * p.minus)
         m, tail = ramp_moment(mu)
@@ -293,6 +305,34 @@ def ramp_moment(mu: float) -> Tuple[float, float]:
     # before it while |mu| <= 24
     tail = 2.0 * abs(b) * scale * 4.0 ** -84 / 84
     return 0.5 * _power_integral(mu, 0.5, 1.0) - scale * math.fsum(terms), tail
+
+
+# The n-th cutoff derivative, (d/dr)^n S(2 - 2r/rho), is zero off the ramp
+# and all its lower derivatives vanish at r = rho, so integration by parts
+# against r^mu gives
+#
+#     G_1(mu) = integral over [rho/2, rho] of r^mu (d/dr) S(2 - 2r/rho) dr
+#             = -(rho/2)^mu - mu rho^mu m(mu - 1),
+#     G_n(mu) = -mu G_(n-1)(mu - 1)  for n >= 2,
+#
+# where the boundary term at rho/2 is S(1) = 1 for n = 1 and a vanishing
+# derivative of S otherwise.
+
+
+def ramp_derivative_moment(mu: float, n: int, rho: float) -> Tuple[float, float]:
+    """(G_n(mu), an error bound) for n >= 1 and |mu - n| <= MOMENT_RANGE."""
+    nu = mu - n + 1
+    m, tail = ramp_moment(nu - 1)
+    a, b = -(0.5 ** nu), -nu * m
+    k = rho ** nu
+    for i in range(1, n):
+        k *= -(mu - i + 1)
+    # the series' omitted terms, the accuracy of m the tests measure (1e-15
+    # of the integral of u^(nu-1) over the ramp), and the rounding of a + b,
+    # which cancels for large negative nu
+    err = (abs(nu) * (tail + 1e-15 * _power_integral(nu - 1, 0.5, 1.0))
+           + 4 * math.ulp(abs(a) + abs(b)))
+    return k * (a + b), abs(k) * err
 
 
 def _power_integral(mu: float, a: float, b: float) -> float:

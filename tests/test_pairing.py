@@ -1,3 +1,4 @@
+import functools
 import math
 import time
 from fractions import Fraction
@@ -40,6 +41,7 @@ from thickcalc.pairing import (
     fp_pair_oracle,
     pair,
     radial_integral,
+    ramp_derivative_moment,
     ramp_moment,
 )
 from thickcalc.quadrature import integrate
@@ -728,7 +730,9 @@ def test_ramp_moment_matches_mpmath(mu):
 
 
 #: One single-cutoff body of each eval-mix shape: bump, poly, mono, a sum of
-#: radii 1 and 2, a dilate, and H(x) and x^k products.
+#: radii 1 and 2, a dilate, and H(x) and x^k products; and the cutoff
+#: derivatives D(...) gives: alone, next to plain terms, second order, and
+#: through H(x), x^k and a dilate.
 SINGLE_CUTOFF_BODIES = {
     "bump": plateau_bump(2.0),
     "poly": from_polynomial([1, 2, 3], 2.0),
@@ -737,13 +741,21 @@ SINGLE_CUTOFF_BODIES = {
     "dilate": dilate(thick_monomial(0, (3, 1), 2.0), Fraction(-3, 2)),
     "H(x) product": multiply_by(heaviside_multiplier(), from_polynomial([1, 2, 3], 2.0)),
     "x^k product": multiply_by(power_multiplier(2), thick_monomial(-1, (1, 2), 2.0)),
+    "D(bump)": derivative(plateau_bump(2.0)),
+    "D(poly)": derivative(from_polynomial([1, 2, 1], 2.0)),
+    "D(mono)": derivative(thick_monomial(1, (2, 0), 3.0)),
+    "D(D(bump))": derivative(derivative(plateau_bump(2.0))),
+    "H(x) D(poly)": multiply_by(heaviside_multiplier(), derivative(from_polynomial([1, 2], 2.0))),
+    "x^1 D(mono)": multiply_by(power_multiplier(1), derivative(thick_monomial(0, (1, -1), 2.0))),
+    "dilate D(poly)": dilate(derivative(from_polynomial([1, 2, 1], 2.0)), Fraction(-3, 2)),
 }
 
 
 @pytest.mark.parametrize("name", SINGLE_CUTOFF_BODIES)
 def test_single_cutoff_pairings_agree_with_the_oracle(monkeypatch, name):
     phi = SINGLE_CUTOFF_BODIES[name]
-    assert all(len(factors) == 1 and factors[0][1] == 0 for factors, _, _ in phi.body.terms)
+    assert all(len(factors) == 1 for factors, _, _ in phi.body.terms)
+    assert ("D(" in name) == any(factors[0][1] for factors, _, _ in phi.body.terms)
     powers = (Fraction(-5, 2), -2, -1.3, Fraction(1, 2))
     expected = [fp_pair_oracle(pf_power(lam), phi).finite_part for lam in powers]
     calls = counting_integrate(monkeypatch)
@@ -778,3 +790,41 @@ def test_split_radius_spread_of_single_cutoff_bodies():
                       for A in (0.3, 0.5, 1.0)]
             spread = max(spread, max(values) - min(values))
     assert spread <= 1e-13
+
+
+def _mp_ramp_derivative(u, n):
+    """(d/du)^n S(2 - 2u), from the closed form of S' = g1 g2 (1/t^2 + 1/(1-t)^2) / (g1 + g2)^2."""
+    import mpmath
+
+    def first(v):
+        t = 2 - 2 * v
+        if t <= 0 or t >= 1:
+            return mpmath.mpf(0)
+        g1, g2 = mpmath.exp(-1 / t), mpmath.exp(-1 / (1 - t))
+        return -2 * g1 * g2 * (1 / t ** 2 + 1 / (1 - t) ** 2) / (g1 + g2) ** 2
+    return first(u) if n == 1 else mpmath.diff(first, u, n - 1)
+
+
+@pytest.mark.parametrize("n, mu", [(n, mu) for n in (1, 2) for mu in
+                                   (-MOMENT_RANGE + 3, -9, -2.4, -1, -0.5, 0, 1, 1.6, 4, 12,
+                                    MOMENT_RANGE)]
+                         + [(3, -9), (3, -1.3), (3, 2), (3, MOMENT_RANGE)])
+def test_ramp_derivative_moment_matches_mpmath(n, mu):
+    import mpmath
+    nodes = [0.5, 0.625, 0.75, 0.875, 1]
+    with mpmath.workdps(20):
+        # both quadratures visit the same nodes, so the second reads the cache
+        integrand = functools.lru_cache(maxsize=None)(
+            lambda u: u ** mu * _mp_ramp_derivative(u, n))
+        ref = mpmath.quad(integrand, nodes)
+        scale = mpmath.quad(lambda u: abs(integrand(u)), nodes)
+    g, err = ramp_derivative_moment(mu, n, 1.0)
+    # the error stays small next to the integral of |integrand| although
+    # (1/2)^(mu-n+1) cancels for large negative mu; the bound covers it
+    error = abs(g - float(ref))
+    assert error <= (1e-12 if mu < -8 else 1e-14) * float(scale)
+    assert error <= max(err, 1e-16 * float(scale))
+    assert err <= 1e-11 * max(1.0, float(scale))
+    # rho scales the moment by rho^(mu - n + 1)
+    g2, _ = ramp_derivative_moment(mu, n, 2.0)
+    assert g2 == pytest.approx(2.0 ** (mu - n + 1) * g, rel=1e-14)
