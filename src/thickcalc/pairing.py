@@ -12,8 +12,10 @@ remainder on [E, A].  A body term with one plain cutoff, p(w) r^j S(2 -
 through powers of r and the ramp moment m(lambda + j) of the cutoff
 (``ramp_moment``); a term with one cutoff derivative, which lives on the
 ramp alone, takes m(lambda + j - n) after n integrations by parts
-(``ramp_derivative_moment``); the other terms (products of cutoffs) go
-through adaptive quadrature.  The split radius is arbitrary;
+(``ramp_derivative_moment``).  A same-radius product S^2, or S S' =
+(S^2)'/2, does the same through the square moment (``ramp_square_moment``).
+The other terms (S' S', S S'', products of overlapping radii) go through
+adaptive quadrature.  The split radius is arbitrary;
 A-independence is one of the main correctness checks.  A
 derivative of a density, a delta or a linear combination of them moves onto
 the distribution (``distributions.derivative_rule``, the rule ``simplify``
@@ -208,32 +210,32 @@ def _pair_density(f: PfDensity, phi: ThickTestFunction, cfg: QuadratureConfig) -
     # mu = lambda + j, from E (from A, net of its own expansion, when j <=
     # jmax) to rho/2, plus rho^(mu+1) times the ramp moment m(mu).  A term
     # with the n-th cutoff derivative instead lives on the ramp alone, where n
-    # integrations by parts take it to m(mu - n).  The other terms (products
-    # of cutoffs) form the rest, integrated with the rest of the expansion
-    # subtracted.
+    # integrations by parts take it to m(mu - n).  S^2 and S S' = (S^2)'/2
+    # do the same with the square moment.  The other products of cutoffs form
+    # the rest, integrated with the rest of the expansion subtracted.
     rest, quad_error = [], 0.0
     subtract = {j: c for j, c in e.terms() if j <= jmax}
     for term in phi.body.terms:
         factors, j, p = term
         mu = flam + j
-        single = len(factors) == 1
-        rho, n = factors[0] if single else (0.0, 0)
-        if not (e.exact and single and 0 < E <= rho / 2 and rho <= R
-                and abs(mu - n) <= MOMENT_RANGE):
+        shape = _ramp_shape(factors) if e.exact else None
+        if shape is None or not (0 < E <= shape[0] / 2 and shape[0] <= R
+                                 and abs(mu - shape[1]) <= MOMENT_RANGE):
             rest.append(term)
             continue
+        rho, n, moment, weight = shape
         if n:
             # the n-th derivative at -r is (-1)^n times the one at r
-            c = float(f.pair.plus * p.plus + (-1) ** n * (f.pair.minus * p.minus))
-            g, err = ramp_derivative_moment(mu, n, rho)
+            c = weight * float(f.pair.plus * p.plus + (-1) ** n * (f.pair.minus * p.minus))
+            g, err = ramp_derivative_moment(mu, n, rho, moment)
             closed.append(c * g)
             quad_error += abs(c) * err
             continue
         c = float(f.pair.plus * p.plus + f.pair.minus * p.minus)
-        m, tail = ramp_moment(mu)
+        m, tail = moment(mu)
         scale = rho ** (mu + 1)
         closed.append(c * (_power_integral(mu, A if j <= jmax else E, rho / 2) + scale * m))
-        quad_error += abs(c) * scale * tail
+        quad_error += abs(c) * scale * _moment_error(mu, tail)
         if j <= jmax:
             subtract[j] = subtract.get(j, ZERO_PAIR) - p
     body = phi.body if len(rest) == len(phi.body.terms) else Body(tuple(rest))
@@ -268,6 +270,14 @@ def _pair_density(f: PfDensity, phi: ThickTestFunction, cfg: QuadratureConfig) -
 #     m(mu) = 1/2 integral over [1/2, 1] of u^mu du
 #             - sum over odd k of C(mu, k) (3/4)^(mu-k) H_k,
 #     H_k = 2 integral over [0, 1/4] of v^k (S(1/2 + 2v) - 1/2) dv.
+#
+# For a product of two cutoffs of one radius, S^2 = S - 1/4 + T^2 with
+# T = S(2 - 2u) - 1/2, and T^2 is even about u = 3/4, so the square moment is
+#
+#     m_2(mu) = integral over [1/2, 1] of u^mu S(2 - 2u)^2 du
+#             = m(mu) - 1/4 integral over [1/2, 1] of u^mu du
+#               + sum over even k of C(mu, k) (3/4)^(mu-k) K_k,
+#     K_k = 2 integral over [0, 1/4] of v^k (S(1/2 + 2v) - 1/2)^2 dv.
 
 #: H_1, H_3, ..., H_81, computed once with mpmath at 40 digits (tanh-sinh
 #: quadrature); the tests recompute them.
@@ -288,23 +298,71 @@ _RAMP_H = (
     8.5528470711027879094e-51, 5.2151506533046951436e-52,
 )
 
+#: K_0, K_2, ..., K_80, computed the same way.
+_RAMP_K = (
+    7.7852626386675717309e-2, 2.3877898963271550266e-3, 9.5245408035698055222e-5,
+    4.3216696358948649622e-6, 2.1119589674297521213e-7, 1.0821066199035758391e-8,
+    5.7272835143163854899e-10, 3.1033744008741336721e-11, 1.7117008443901461312e-12,
+    9.5727779563774919915e-14, 5.4133979695615741618e-15, 3.0892332043059009713e-16,
+    1.7763295723618605454e-17, 1.0279750776309718619e-18, 5.9817732483349621103e-20,
+    3.4974151041406787147e-21, 2.0534091452590889155e-22, 1.2100455768877303176e-23,
+    7.153988924591250466e-25, 4.2419497524009263326e-26, 2.5218913023951986013e-27,
+    1.502871437806152115e-28, 8.9754828389391971644e-30, 5.3709673726764921871e-31,
+    3.219840231441200055e-32, 1.933482530465609048e-33, 1.1628255938867359308e-34,
+    7.0033814800195877848e-36, 4.2235305232033044604e-37, 2.5502250085519425858e-38,
+    1.5416319254739864914e-39, 9.3293202019510493742e-41, 5.6514151299143207525e-42,
+    3.4266976099647337768e-43, 2.0796081523408354337e-44, 1.2631422762148695565e-45,
+    7.6783477432127249296e-47, 4.6709948782147625757e-48, 2.843543960428821509e-49,
+    1.7322221912928223714e-50, 1.0559070457102375994e-51,
+)
+
 #: The |mu| the series serves; outside it a term stays on quadrature.
 MOMENT_RANGE = 24
 
 
-def ramp_moment(mu: float) -> Tuple[float, float]:
-    """(m(mu), a bound on the series terms left out) for |mu| <= MOMENT_RANGE."""
-    b = mu * (4.0 / 3.0)  # C(mu, k) (4/3)^k at k = 1
+def _ramp_series(mu: float, k0: int, table) -> Tuple[float, float]:
+    """(the sum over k = k0, k0 + 2, ... of C(mu, k) (3/4)^(mu-k) c_k for the
+    coefficients c_k in ``table``, a bound on the terms left out)."""
+    b = mu * (4.0 / 3.0) if k0 else 1.0  # C(mu, k) (4/3)^k at k = k0
     terms = []
-    for k, h in zip(range(1, 83, 2), _RAMP_H):
-        terms.append(b * h)
+    for k, c in zip(range(k0, 83, 2), table):
+        terms.append(b * c)
         b *= (mu - k) * (mu - k - 1) / ((k + 1) * (k + 2)) * (16.0 / 9.0)
     scale = 0.75 ** mu
-    # H_k <= 4^-(k+1) / (k+1), so the omitted term k = 83 is below
-    # |b| (3/4)^mu 4^-84 / 84, and each later one below a fifth of the one
-    # before it while |mu| <= 24
-    tail = 2.0 * abs(b) * scale * 4.0 ** -84 / 84
-    return 0.5 * _power_integral(mu, 0.5, 1.0) - scale * math.fsum(terms), tail
+    # H_k and K_k are below 4^-(k+1) / (k+1), so the first omitted term,
+    # k = k0 + 82, is below |b| (3/4)^mu 4^-(k+1) / (k+1), and each later one
+    # below a fifth of the one before it while |mu| <= 24
+    return scale * math.fsum(terms), 2.0 * abs(b) * scale * 4.0 ** -(k0 + 83) / (k0 + 83)
+
+
+def ramp_moment(mu: float) -> Tuple[float, float]:
+    """(m(mu), a bound on the series terms left out) for |mu| <= MOMENT_RANGE."""
+    odd, tail = _ramp_series(mu, 1, _RAMP_H)
+    return 0.5 * _power_integral(mu, 0.5, 1.0) - odd, tail
+
+
+def ramp_square_moment(mu: float) -> Tuple[float, float]:
+    """(m_2(mu), a bound on the series terms left out) for |mu| <= MOMENT_RANGE."""
+    m, tail = ramp_moment(mu)
+    even, even_tail = _ramp_series(mu, 0, _RAMP_K)
+    return m - 0.25 * _power_integral(mu, 0.5, 1.0) + even, tail + even_tail
+
+
+def _moment_error(mu: float, tail: float) -> float:
+    """The series tail plus the accuracy the tests measure for m and m_2 over
+    |mu| <= 24: 1e-15 of the integral of u^mu over the ramp."""
+    return tail + 1e-15 * _power_integral(mu, 0.5, 1.0)
+
+
+def _ramp_shape(factors):
+    """(rho, n, moment, weight) when the cutoff factors of a term are weight
+    times the n-th derivative of S or of S^2 at one radius rho: S^(n), S S =
+    S^2 or S S' = (S^2)'/2.  None for any other product."""
+    if len(factors) == 1:
+        return factors[0] + (ramp_moment, 1.0)
+    if len(factors) == 2 and factors[0] == (factors[1][0], 0) and factors[1][1] <= 1:
+        return factors[1] + (ramp_square_moment, 0.5 if factors[1][1] else 1.0)
+    return None
 
 
 # The n-th cutoff derivative, (d/dr)^n S(2 - 2r/rho), is zero off the ramp
@@ -316,22 +374,22 @@ def ramp_moment(mu: float) -> Tuple[float, float]:
 #     G_n(mu) = -mu G_(n-1)(mu - 1)  for n >= 2,
 #
 # where the boundary term at rho/2 is S(1) = 1 for n = 1 and a vanishing
-# derivative of S otherwise.
+# derivative of S otherwise.  The same holds for S^2 with m_2 in place of m.
 
 
-def ramp_derivative_moment(mu: float, n: int, rho: float) -> Tuple[float, float]:
-    """(G_n(mu), an error bound) for n >= 1 and |mu - n| <= MOMENT_RANGE."""
+def ramp_derivative_moment(mu: float, n: int, rho: float,
+                           moment=ramp_moment) -> Tuple[float, float]:
+    """(G_n(mu), an error bound) for n >= 1 and |mu - n| <= MOMENT_RANGE;
+    ``moment`` is ``ramp_moment`` for S or ``ramp_square_moment`` for S^2."""
     nu = mu - n + 1
-    m, tail = ramp_moment(nu - 1)
+    m, tail = moment(nu - 1)
     a, b = -(0.5 ** nu), -nu * m
     k = rho ** nu
     for i in range(1, n):
         k *= -(mu - i + 1)
-    # the series' omitted terms, the accuracy of m the tests measure (1e-15
-    # of the integral of u^(nu-1) over the ramp), and the rounding of a + b,
-    # which cancels for large negative nu
-    err = (abs(nu) * (tail + 1e-15 * _power_integral(nu - 1, 0.5, 1.0))
-           + 4 * math.ulp(abs(a) + abs(b)))
+    # the error of the moment and the rounding of a + b, which cancels for
+    # large negative nu
+    err = abs(nu) * _moment_error(nu - 1, tail) + 4 * math.ulp(abs(a) + abs(b))
     return k * (a + b), abs(k) * err
 
 

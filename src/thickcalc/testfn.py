@@ -9,13 +9,14 @@ sum of terms
 in the local coordinate y (r = |y|, w = sign y).  ``pair(w) * r^j`` covers
 x^j, |x|^j, the unit step and signed powers; ``plateau^(k)(R)`` is the k-th
 derivative of a smooth cutoff that is identically 1 on |y| <= R/2 and 0 on
-|y| >= R.  Like terms merge in exact arithmetic and zero terms drop out, so
-the body is closed under sums, scalar multiples, products and symbolic
-differentiation (the Leibniz rule), derivatives are exact objects and never
-numeric, and their size grows polynomially in the order.  Every built-in
-constructor produces the expansion alongside the body; on the inner plateau
-the expansion equals the function identically, which is what makes the
-downstream pairing formulas testable with tight tolerances.
+|y| >= R.  Like terms merge in exact arithmetic, zero terms drop out, and so
+does a cutoff at least twice as wide as another factor of its term (it is 1
+there), so the body is closed under sums, scalar multiples, products and
+symbolic differentiation (the Leibniz rule), derivatives are exact objects
+and never numeric, and their size grows polynomially in the order.  Every
+built-in constructor produces the expansion alongside the body; on the inner
+plateau the expansion equals the function identically, which is what makes
+the downstream pairing formulas testable with tight tolerances.
 
 A multiplier is the same kind of object without compact support: its body is
 a ``Body`` with one term and no plateau factor (or none at all), so it
@@ -214,6 +215,14 @@ def _powers(coeffs, r: float) -> float:
 
 
 def _accumulate(out: dict, factors: Factors, j: int, p: SpherePair) -> None:
+    # a cutoff of radius rho is 1, and its derivatives 0, wherever a factor
+    # of radius at most rho/2 is nonzero: there the plain one drops out and a
+    # derivative makes the term zero (the radii compare exactly, as stored)
+    if factors and factors[-1][0] >= 2 * factors[0][0]:
+        wide = [n for rho, n in factors if rho >= 2 * factors[0][0]]
+        if any(wide):
+            return
+        factors = factors[:len(factors) - len(wide)]
     key = (factors, j)
     out[key] = out[key] + p if key in out else p
 

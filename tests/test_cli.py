@@ -242,13 +242,25 @@ def test_non_finite_tolerance_is_bad_configuration(tol):
     ("derive", "d*(" * 200 + "dstar" + ")" * 200, 2),
     ("expand", "D(" * 250 + "bump(1)" + ")" * 250 + ", 2", 2),
     ("derive", "(" * 300 + "dstar" + ")" * 300, 2),
-    ("eval", "Pf(abs(x)^-1/2), D(D(D(D(D(D(bump(1))))))) * bump(2)", 3),
+    # overlapping radii: the D^6 chain stays inside the product and ends at
+    # the roundoff floor
+    ("eval", "Pf(abs(x)^-1/2), D(D(D(D(D(D(bump(1))))))) * bump(3/2)", 3),
 ])
 def test_non_finite_or_too_deep_input_is_a_typed_error(command, expr, status):
     out = run_cli(command, "-e", expr)
     assert out.returncode == status
     assert "Traceback" not in out.stderr
     assert ("parse error" in out.stderr) if status == 2 else ("error:" in out.stdout)
+
+
+def test_nested_product_pairs_as_its_inner_factor():
+    # bump(2) is 1 wherever D^6(bump(1)) is nonzero, so the product is D^6(bump(1))
+    values = []
+    for fn in ("D(D(D(D(D(D(bump(1))))))) * bump(2)", "D(D(D(D(D(D(bump(1)))))))"):
+        out = run_cli("eval", "-e", f"Pf(abs(x)^-1/2), {fn}", "--json")
+        assert out.returncode == 0
+        values.append(json.loads(out.stdout)["value"])
+    assert values[0] == pytest.approx(values[1], rel=1e-13)
 
 
 def test_sixth_derivative_pairing_is_a_value():

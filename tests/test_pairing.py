@@ -29,11 +29,13 @@ from thickcalc.errors import (
     QuadratureError,
 )
 from thickcalc.expansion import Expansion, from_taylor
-from thickcalc import distributions, pairing
+from thickcalc import distributions, dsl, pairing
 from thickcalc.checks import run_suite
 from thickcalc.pairing import (
     _RAMP_H,
+    _RAMP_K,
     MOMENT_RANGE,
+    _ramp_shape,
     PairingResult,
     QuadratureConfig,
     axis_integral,
@@ -43,6 +45,7 @@ from thickcalc.pairing import (
     radial_integral,
     ramp_derivative_moment,
     ramp_moment,
+    ramp_square_moment,
 )
 from thickcalc.quadrature import integrate
 from thickcalc.sphere import SpherePair
@@ -212,10 +215,11 @@ def test_insufficient_expansion_window():
 
 
 def test_quadrature_failure_surfaces():
-    # a product of two cutoffs takes no ramp moment, so its far field is integrated
+    # a product of cutoffs of overlapping radii takes no ramp moment, so its
+    # far field is integrated
     cfg = QuadratureConfig(abs_tol=1e-14, max_subdivisions=3)
     with pytest.raises(QuadratureError):
-        pair(pf_power(Fraction(-5, 2)), thick_monomial(3, (1, 2), 2.0) * plateau_bump(2.0), cfg)
+        pair(pf_power(Fraction(-5, 2)), thick_monomial(3, (1, 2), 2.0) * plateau_bump(1.5), cfg)
 
 
 # -- A independence -------------------------------------------------------------------
@@ -530,9 +534,22 @@ def test_mixed_near_field_agrees_with_oracle(monkeypatch, lam):
 
 @pytest.mark.parametrize("lam", [Fraction(-5, 2), -2, Fraction(-1, 2), Fraction(3, 2)])
 def test_mixed_near_field_of_a_product_agrees_with_oracle(monkeypatch, lam):
-    # the same radii with products of cutoffs, which stay on quadrature:
-    # closed form on [0, E], quadrature on [E, A] and on [A, R]
+    # the same radii with products of two equal cutoffs, which take the
+    # square moment: closed form on [0, E], on [E, A] and on [A, R]
     phi = from_polynomial([1, 2], 2) * plateau_bump(2) + plateau_bump(1) * plateau_bump(1)
+    assert phi.radius == 2 and phi.exact_radius == 0.5
+    expected = fp_pair_oracle(pf_power(lam), phi).finite_part
+    calls = counting_integrate(monkeypatch)
+    res = pair(pf_power(lam), phi)
+    assert calls == []
+    assert float(res.value) == pytest.approx(expected, abs=1e-8)
+
+
+@pytest.mark.parametrize("lam", [Fraction(-5, 2), -2, Fraction(-1, 2), Fraction(3, 2)])
+def test_mixed_near_field_of_an_overlapping_product_agrees_with_oracle(monkeypatch, lam):
+    # products of overlapping radii stay on quadrature: closed form on
+    # [0, E], quadrature on [E, A] and on [A, R]
+    phi = from_polynomial([1, 2], 2) * plateau_bump(3) + plateau_bump(1) * plateau_bump(1.5)
     assert phi.radius == 2 and phi.exact_radius == 0.5
     expected = fp_pair_oracle(pf_power(lam), phi).finite_part
     calls = counting_integrate(monkeypatch)
@@ -828,3 +845,113 @@ def test_ramp_derivative_moment_matches_mpmath(n, mu):
     # rho scales the moment by rho^(mu - n + 1)
     g2, _ = ramp_derivative_moment(mu, n, 2.0)
     assert g2 == pytest.approx(2.0 ** (mu - n + 1) * g, rel=1e-14)
+
+
+# -- the square moment of same-radius products -------------------------------------
+
+
+def test_embedded_square_moments_k_match_mpmath():
+    import mpmath
+    with mpmath.workdps(25):
+        for k, c in zip(range(0, 82, 2), _RAMP_K):
+            ref = 2 * mpmath.quad(lambda x: x ** k * (_mp_smoothstep(0.5 + x / 2) - 0.5) ** 2,
+                                  [0, 0.5, 1]) / mpmath.mpf(4) ** (k + 1)
+            assert c == pytest.approx(float(ref), rel=1e-15, abs=0), k
+
+
+@pytest.mark.parametrize("mu", [-MOMENT_RANGE, -22.75, -20, -17.5, -13, -9, -4, -2.4, -2,
+                                -1 - 1e-9, -1, -0.7, 0, 0.25, 1, 1.6, 3, 7.5, 12, 16,
+                                18.5, 20, 23.25, MOMENT_RANGE])
+def test_ramp_square_moment_matches_mpmath(mu):
+    import mpmath
+    with mpmath.workdps(30):
+        ref = mpmath.quad(lambda u: u ** mu * _mp_smoothstep(2 - 2 * u) ** 2,
+                          [0.5, 0.625, 0.75, 0.875, 1])
+        scale = mpmath.quad(lambda u: u ** mu, [0.5, 1])
+    m2, tail = ramp_square_moment(mu)
+    # measured against the integral of u^mu over the ramp, as for m: the
+    # error the pairing reports adds 1e-15 of it
+    assert abs(m2 - float(ref)) <= 1e-15 * float(scale)
+    assert 0 <= tail <= 1e-16 * float(scale)
+
+
+#: Same-radius products of each shape the square moment takes: S^2, r^j S^2
+#: (the deep-derivative body), sums of radii 1 and 2, a dilate, H(x) and x^k
+#: products; and the S S' = (S^2)'/2 terms D(...) gives, next to S^2 terms.
+PRODUCT_BODIES = {
+    "S^2": plateau_bump(2.0) * plateau_bump(2.0),
+    "mono * poly": thick_monomial(2, (1, 3), 2.0) * from_polynomial([1, 1], 2.0),
+    "radii 1 and 2": (plateau_bump(1.0) * plateau_bump(1.0)
+                      + from_polynomial([1, 2], 2.0) * plateau_bump(2.0)),
+    "dilate": dilate(thick_monomial(1, (2, -1), 1.0) * plateau_bump(1.0), Fraction(-3, 2)),
+    "H(x) product": multiply_by(heaviside_multiplier(),
+                                from_polynomial([1, 2, 3], 2.0) * plateau_bump(2.0)),
+    "x^k product": multiply_by(power_multiplier(1), thick_monomial(-1, (1, 2), 2.0)
+                               * plateau_bump(2.0)),
+    "D(S^2)": derivative(plateau_bump(2.0) * plateau_bump(2.0)),
+    "D(mono * poly)": derivative(thick_monomial(2, (1, 3), 2.0) * from_polynomial([1, 1], 2.0)),
+    "dilate D(poly * bump)": dilate(derivative(from_polynomial([1, 2], 1.0) * plateau_bump(1.0)),
+                                    Fraction(3, 2)),
+}
+
+
+@pytest.mark.parametrize("name", PRODUCT_BODIES)
+def test_product_pairings_agree_with_the_oracle(monkeypatch, name):
+    phi = PRODUCT_BODIES[name]
+    shapes = {tuple(n for _, n in factors) for factors, _, _ in phi.body.terms}
+    assert shapes <= {(0, 0), (0, 1)} and ((0, 1) in shapes) == ("D(" in name)
+    assert all(factors[0][0] == factors[1][0] for factors, _, _ in phi.body.terms)
+    powers = (Fraction(-5, 2), -2, -1.3, Fraction(1, 2))
+    expected = [fp_pair_oracle(pf_power(lam), phi).finite_part for lam in powers]
+    calls = counting_integrate(monkeypatch)
+    got = [float(pair(pf_power(lam), phi).value) for lam in powers]
+    assert calls == []  # the square moment replaces every quadrature
+    assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+def test_split_radius_spread_of_product_bodies():
+    spread = 0.0
+    for phi in PRODUCT_BODIES.values():
+        for lam in (Fraction(-5, 2), -2, -1, Fraction(-1, 2), 0.25, Fraction(3, 2)):
+            values = [float(pair(pf_power(lam), phi, QuadratureConfig(split_radius=A)).value)
+                      for A in (0.3, 0.5, 1.0)]
+            spread = max(spread, max(values) - min(values))
+    assert spread <= 1e-13
+
+
+def test_square_moment_matches_the_quadrature_it_replaces(monkeypatch):
+    # the same products with the square moment switched off
+    for phi in PRODUCT_BODIES.values():
+        for lam in (Fraction(-3, 2), -1, 0.25):
+            closed = pair(pf_power(lam), phi)
+            with monkeypatch.context() as m:
+                m.setattr(pairing, "_ramp_shape",
+                          lambda factors: None if len(factors) == 2 else _ramp_shape(factors))
+                quad = pair(pf_power(lam), phi)
+            assert closed.value == pytest.approx(quad.value, rel=1e-12, abs=1e-12)
+            assert abs(closed.value - quad.value) <= closed.quad_error + quad.quad_error
+
+
+def test_nested_dilate_pairs_as_the_undilated_product(monkeypatch):
+    # the radii 0.7 and 1.4 - ulp overlap by one ulp until a dilate by 3/2
+    # rounds them onto 1.05 and 2.1, where the wide factor drops out: one side
+    # is closed form, the other quadrature, and <|x|^lam, phi(x/c)> = c^(lam+1)
+    # <|x|^lam, phi>
+    phi = thick_monomial(1, (1, 2), 0.7) * plateau_bump(math.nextafter(1.4, 0))
+    f = pf_power(Fraction(-1, 2))
+    calls = counting_integrate(monkeypatch)
+    nested = float(pair(f, dilate(phi, Fraction(3, 2))).value)
+    assert calls == []
+    assert nested == pytest.approx(1.5 ** 0.5 * float(pair(f, phi).value), rel=1e-10)
+    assert calls
+
+
+@pytest.mark.parametrize("dist", ["Pf(abs(x)^-3/2)", "d*(Pf(H(x)))"])
+def test_deep_derivative_statements_make_no_quadrature(monkeypatch, dist):
+    calls = counting_integrate(monkeypatch)
+    fn = "mono(2,pair(1,3),2)*poly([1,1],2)"
+    for k in range(4):
+        report = dsl.run(dsl.parse_query(f"eval {dist}, {fn}"))
+        assert "error" not in report.records[0]
+        fn = f"D({fn})"
+    assert calls == []

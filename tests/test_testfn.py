@@ -184,6 +184,40 @@ def test_derivative_size_grows_linearly_with_the_order():
         phi = derivative(phi)
 
 
+def test_nested_radii_drop_the_wide_cutoff():
+    # bump(2) is 1 wherever bump(1) or its derivatives are nonzero
+    inner = thick_monomial(1, (1, 2), 1.0)
+    assert (inner * plateau_bump(2.0)).body == inner.body
+    d6 = inner
+    for _ in range(6):
+        d6 = derivative(d6)
+    assert (d6 * plateau_bump(2.0)).body == d6.body
+    # ... and its derivatives vanish there, so such a term is zero
+    assert (inner * derivative(plateau_bump(2.0))).body == Body()
+    assert derivative(inner * plateau_bump(2.0)).body == derivative(inner).body
+    # overlapping radii keep both factors
+    assert [f for f, _, _ in (inner * plateau_bump(1.5)).body.terms] == [((1.0, 0), (1.5, 0))]
+    for x in (0.3, -0.6, 0.9, -0.99):
+        assert (d6 * plateau_bump(2.0)).evaluate(x) == d6.evaluate(x)
+
+
+def test_nested_radii_compare_the_stored_radii_after_dilate():
+    # 1.4 - ulp is below 2 * 0.7, so the undilated product keeps both factors;
+    # dilating by 3/2 rounds the radii to exactly 1.05 and 2.1, which nest
+    wide = math.nextafter(1.4, 0)
+    phi = thick_monomial(1, (1, 2), 0.7) * plateau_bump(wide)
+    assert [f for f, _, _ in phi.body.terms] == [((0.7, 0), (wide, 0))]
+    for c in (Fraction(3, 2), Fraction(-3, 2)):
+        nested = dilate(phi, c)
+        assert [f for f, _, _ in nested.body.terms] == [((1.0499999999999998, 0),)]
+        assert 2 * 1.0499999999999998 == 2.0999999999999996 == float(abs(c)) * wide
+    kept = dilate(phi, 2)  # exact scaling: still one ulp apart, both factors stay
+    assert [f for f, _, _ in kept.body.terms] == [((1.4, 0), (2 * wide, 0))]
+    for c, psi in ((Fraction(3, 2), dilate(phi, Fraction(3, 2))), (2, kept)):
+        for x in (0.3, -0.6, 0.9, -1.0, 1.3):
+            assert psi.evaluate(x) == pytest.approx(phi.evaluate(x / c), abs=1e-15)
+
+
 def test_equal_functions_have_equal_bodies():
     phi = from_polynomial([1, 2], 2.0) * thick_monomial(-1, (1, 3), 2.0)
     assert phi + phi == phi.scale(2)
