@@ -32,8 +32,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 from operator import mul
 from typing import Dict, List, Optional, Tuple, Union
@@ -44,6 +45,7 @@ from .errors import (
     NonFiniteError,
     OrdinaryFunctionRequiredError,
     PointMismatchError,
+    QuadratureError,
 )
 from .distributions import (
     ClassicalDistributionView,
@@ -254,6 +256,13 @@ def _pair_density(f: PfDensity, phi: ThickTestFunction, cfg: QuadratureConfig) -
         quad_error += err
 
     value = far_value + near_value + math.fsum(float(v) for _, v in series) + float(log_term)
+    # each integral met its tolerance, but the stages can cancel: hold the
+    # sum to the rule integrate applies to its own result
+    if quad_error > max(cfg.abs_tol, abs(value) * 1e-13):
+        raise QuadratureError(
+            f"tolerance {cfg.abs_tol:g} not reached: pairing value {value:.6g} "
+            f"has error estimate {quad_error:g}"
+        )
     return PairingResult(value, A, quad_error, tuple(series), log_term)
 
 
@@ -416,15 +425,21 @@ class FpFit:
 
     ``finite_part`` is the coefficient of the constant; ``coefficients`` maps
     (exponent, log power) to the fitted coefficient of eps^exponent * ln^q eps.
+    ``condition`` is the exact 2-norm condition of the scaled design matrix,
+    computed from the kept factor R on first read.
     """
 
     finite_part: float
     residual: float
-    condition: float
     coefficients: Dict[Tuple[Number, int], float]
+    r_factor: List[List[float]] = field(repr=False, compare=False)
 
     def __float__(self):
         return self.finite_part
+
+    @cached_property
+    def condition(self) -> float:
+        return _condition(self.r_factor)
 
     @property
     def log_coefficient(self) -> float:
@@ -486,17 +501,20 @@ def fp_limit(samples, basis_orders: Tuple[int, int] = (3, 1),
     Fw = [val * w for (_, val), w in zip(samples, weights)]
     norms = [math.hypot(*col) or 1.0 for col in Mw]
     R, qtb = _householder_qr([[x / n for x in col] for col, n in zip(Mw, norms)], Fw)
-    condition = _condition(R)
-    if condition > FIT_CONDITION_LIMIT:
-        raise FitConditionError(
-            f"condition {condition:.3g} exceeds {FIT_CONDITION_LIMIT:.0e}; "
-            "basis orders do not match the data (or too few samples)"
-        )
+    # the Frobenius bound is never below the exact condition, so a bound
+    # within the limit accepts the fit; Jacobi decides the rest (and a NaN)
+    if not _condition_bound(R) <= FIT_CONDITION_LIMIT:
+        condition = _condition(R)
+        if condition > FIT_CONDITION_LIMIT:
+            raise FitConditionError(
+                f"condition {condition:.3g} exceeds {FIT_CONDITION_LIMIT:.0e}; "
+                "basis orders do not match the data (or too few samples)"
+            )
     coeffs = [x / n for x, n in zip(_back_substitute(R, qtb), norms)]
     residual = math.hypot(*(_dot(row, coeffs) - f for row, f in zip(zip(*Mw), Fw)))
     table = dict(zip(columns, coeffs))
     const_key = next(c for c in columns if float(c[0]) == 0.0 and c[1] == 0)
-    return FpFit(table[const_key], residual, condition, table)
+    return FpFit(table[const_key], residual, table, R)
 
 
 def _dot(u, v) -> float:
@@ -522,6 +540,17 @@ def _householder_qr(cols: List[List[float]], b: List[float]):
         x[k:] = [alpha] + [0.0] * (len(x) - k - 1)
     n = len(cols)
     return [col[:n] for col in cols], b[:n]
+
+
+def _condition_bound(R: List[List[float]]) -> float:
+    """||R||_F ||R^-1||_F for the upper-triangular R given by its columns: at
+    least the 2-norm condition and at most n times it.  R^-1 takes one
+    triangular solve per column; a zero on the diagonal gives inf."""
+    n = len(R)
+    if not all(R[i][i] for i in range(n)):
+        return math.inf
+    inverse = [x for k in range(n) for x in _back_substitute(R, [0.0] * k + [1.0])]
+    return math.hypot(*(x for col in R for x in col)) * math.hypot(*inverse)
 
 
 def _condition(R: List[List[float]]) -> float:

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import subprocess
 import sys
@@ -245,12 +246,26 @@ def test_non_finite_tolerance_is_bad_configuration(tol):
     # overlapping radii: the D^6 chain stays inside the product and ends at
     # the roundoff floor
     ("eval", "Pf(abs(x)^-1/2), D(D(D(D(D(D(bump(1))))))) * bump(3/2)", 3),
+    # the far field and the series cancel to a value with no correct digit
+    ("eval", "Pf(abs(x)^-400), bump(1)", 3),
 ])
 def test_non_finite_or_too_deep_input_is_a_typed_error(command, expr, status):
     out = run_cli(command, "-e", expr)
     assert out.returncode == status
     assert "Traceback" not in out.stderr
     assert ("parse error" in out.stderr) if status == 2 else ("error:" in out.stdout)
+
+
+def test_pairing_error_is_held_to_the_tolerance():
+    expr = "Pf(abs(x)^-30), poly([1,1],1)"  # error estimate about 1e-6
+    out = run_cli("eval", "-e", expr)
+    assert out.returncode == 3
+    assert "error: tolerance 1e-10 not reached" in out.stdout
+    out = run_cli("eval", "--tol", "1e-5", "-e", expr, "--json")
+    assert out.returncode == 0
+    rec = json.loads(out.stdout)
+    assert 0 < rec["quad_error"] <= 1e-5
+    assert math.isfinite(rec["value"])
 
 
 def test_nested_product_pairs_as_its_inner_factor():

@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import time
 from fractions import Fraction
 
@@ -275,20 +276,32 @@ def test_fp_limit_rejects_non_finite_samples(bad):
         fp_limit(samples[:7] + [bad] + samples[8:])
 
 
+def _check_all_fits(monkeypatch):
+    """The (samples, fit) of every fit ``check all`` makes, and a list that
+    grows by the column count of each Jacobi run from then on."""
+    from thickcalc import checks
+    fits, jacobi = [], []
+    condition = pairing._condition
+
+    def recording_fp_limit(samples, *args, **kwargs):
+        fits.append((samples, fp_limit(samples, *args, **kwargs)))
+        return fits[-1][1]
+
+    def counting_condition(R):
+        jacobi.append(len(R))
+        return condition(R)
+    monkeypatch.setattr(pairing, "fp_limit", recording_fp_limit)
+    monkeypatch.setattr(checks, "fp_limit", recording_fp_limit)
+    monkeypatch.setattr(pairing, "_condition", counting_condition)
+    assert all(o.passed for o in run_suite("all"))
+    return fits, jacobi
+
+
 def test_fp_limit_matches_numpy_on_the_check_suite_fits(monkeypatch):
     """numpy is the reference here only: the condition of the scaled design
     matrix and the least-squares residual of every fit ``check all`` makes."""
     np = pytest.importorskip("numpy")
-    from thickcalc import checks
-    fits = []
-
-    def recording_fp_limit(samples, *args, **kwargs):
-        fit = fp_limit(samples, *args, **kwargs)
-        fits.append((samples, fit))
-        return fit
-    monkeypatch.setattr(pairing, "fp_limit", recording_fp_limit)
-    monkeypatch.setattr(checks, "fp_limit", recording_fp_limit)
-    assert all(o.passed for o in run_suite("all"))
+    fits, _ = _check_all_fits(monkeypatch)
     assert len(fits) == 28
     for samples, fit in fits:
         eps = np.array([e for e, _ in samples])
@@ -408,6 +421,42 @@ def test_fit_condition_guard():
     samples = [(0.5, 1.0)] * 25  # a degenerate grid has no resolving power
     with pytest.raises(FitConditionError):
         fp_limit(samples)
+
+
+def test_check_all_fits_pass_on_the_bound_alone(monkeypatch):
+    fits, jacobi = _check_all_fits(monkeypatch)
+    assert len(fits) == 28
+    assert jacobi == []
+    for _, fit in fits:
+        n = len(fit.r_factor)
+        bound = pairing._condition_bound(fit.r_factor)
+        assert fit.condition <= bound <= n * fit.condition
+    assert len(jacobi) == 28  # the first read runs Jacobi
+    [fit.condition for _, fit in fits]
+    assert len(jacobi) == 28  # later reads take the cached value
+
+
+def _ladder_samples():
+    # the 18-column power-ladder fit of the pairing suite, alpha = -1/2
+    return [(0.5 ** k, (1.0 - (0.5 ** k) ** 0.5) / 0.5) for k in range(1, 21)]
+
+
+def test_fit_between_jacobi_and_the_bound_is_accepted(monkeypatch):
+    fit = fp_limit(_ladder_samples())
+    jacobi, bound = fit.condition, pairing._condition_bound(fit.r_factor)
+    assert len(fit.r_factor) == 18 and jacobi < bound
+    monkeypatch.setattr(pairing, "FIT_CONDITION_LIMIT", math.sqrt(jacobi * bound))
+    accepted = fp_limit(_ladder_samples())
+    assert accepted.finite_part == fit.finite_part
+    assert accepted.condition == jacobi
+
+
+def test_fit_over_the_limit_names_the_jacobi_condition(monkeypatch):
+    from thickcalc.errors import FitConditionError
+    jacobi = fp_limit(_ladder_samples()).condition
+    monkeypatch.setattr(pairing, "FIT_CONDITION_LIMIT", jacobi / 2)
+    with pytest.raises(FitConditionError, match=re.escape(f"condition {jacobi:.3g} exceeds")):
+        fp_limit(_ladder_samples())
 
 
 def test_dilation_scales_convergent_density():
