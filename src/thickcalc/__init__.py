@@ -57,7 +57,6 @@ from .pairing import (
 from .errors import (
     DslError,
     FitConditionError,
-    InsufficientOrderError,
     MisclassifiedPowerError,
     NonFiniteError,
     OrdinaryFunctionRequiredError,

@@ -542,7 +542,7 @@ def run(program: Program, cfg=None) -> Report:
                 rec["expr"] = print_distribution(q.dist)
                 rec["result"] = print_distribution(simplify(Derivative(q.dist)))
             elif q.command == "expand":
-                rec["result"] = expansion.render(q.testfn.expansion.truncate(q.max_order))
+                rec["result"] = expansion.render(q.testfn.expansion, q.max_order)
             elif q.command == "check":
                 outcomes = checks.run_suite(q.suite, cfg)
                 rec["suite"] = q.suite

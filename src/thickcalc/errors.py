@@ -9,10 +9,6 @@ class PointMismatchError(ThickCalcError):
     """Two objects anchored at different thick points were combined."""
 
 
-class InsufficientOrderError(ThickCalcError):
-    """An expansion coefficient beyond the trustworthy window was requested."""
-
-
 class QuadratureError(ThickCalcError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 

@@ -6,7 +6,7 @@ finite-part density c(w) r^lambda splits at a radius A: the far field
 [A, R]; an analytic series term c_j A^(lambda+j+1)/(lambda+j+1) for each
 order j through -Re(lambda)-1 (a log A term at the integer boundary order);
 closed-form terms c_j E^(lambda+j+1)/(lambda+j+1) for the higher orders on
-the inner plateau [0, E] of an exact function; and the expansion-subtracted
+the inner plateau [0, E] (phi = its expansion); and the expansion-subtracted
 remainder on [E, A].  A body term with one plain cutoff, p(w) r^j S(2 -
 2r/rho), takes its share of the far field and the remainder in closed form,
 through powers of r and the ramp moment m(lambda + j) of the cutoff
@@ -184,16 +184,16 @@ def _pair_density(f: PfDensity, phi: ThickTestFunction, cfg: QuadratureConfig) -
     R = phi.radius
     A = cfg.split_radius if cfg.split_radius < R else R / 2
     jmax = -lam - 1 if f.integral_power else math.floor(-flam - 1)
-    # E is the edge of the inner plateau, where an exact function equals its
+    # E is the edge of the inner plateau, where the function equals its
     # expansion; orders above jmax integrate over [0, E] in closed form.
-    E = min(A, phi.exact_radius) if e.exact else 0.0
-    orders = () if e.is_zero() else range(e.start, (max(jmax, e.top) if e.exact else jmax) + 1)
+    E = min(A, phi.exact_radius)
+    orders = () if e.is_zero() else range(e.start, max(jmax, e.top) + 1)
 
     series = []
     log_term: Number = Fraction(0)
     closed = []  # the closed-form parts of the near field and of the plain cutoff terms
     for j in orders:
-        aj = e.coefficient(j)  # raises beyond the trust window
+        aj = e.coefficient(j)
         cj = f.pair.plus * aj.plus + f.pair.minus * aj.minus
         if j > jmax:
             closed.append(float(cj) * E ** (flam + j + 1) / (flam + j + 1))
@@ -207,7 +207,7 @@ def _pair_density(f: PfDensity, phi: ThickTestFunction, cfg: QuadratureConfig) -
         elif cj != 0:
             series.append((j, cj * A ** (lam + j + 1) / (lam + j + 1)))
 
-    # A plain cutoff term p(w) r^j S(2 - 2r/rho) of an exact function takes
+    # A plain cutoff term p(w) r^j S(2 - 2r/rho) takes
     # its far field and near remainder in closed form: the integral of r^mu,
     # mu = lambda + j, from E (from A, net of its own expansion, when j <=
     # jmax) to rho/2, plus rho^(mu+1) times the ramp moment m(mu).  A term
@@ -220,9 +220,9 @@ def _pair_density(f: PfDensity, phi: ThickTestFunction, cfg: QuadratureConfig) -
     for term in phi.body.terms:
         factors, j, p = term
         mu = flam + j
-        shape = _ramp_shape(factors) if e.exact else None
-        if shape is None or not (0 < E <= shape[0] / 2 and shape[0] <= R
-                                 and abs(mu - shape[1]) <= MOMENT_RANGE):
+        # E <= exact_radius <= rho/2, so the ramp lies beyond the plateau
+        shape = _ramp_shape(factors)
+        if shape is None or not (shape[0] <= R and abs(mu - shape[1]) <= MOMENT_RANGE):
             rest.append(term)
             continue
         rho, n, moment, weight = shape
@@ -618,21 +618,16 @@ def fp_pair_oracle(f: PfDensity, phi: ThickTestFunction,
     e = phi.expansion
     R = phi.radius
 
-    if e.exact:
-        powers = []
-        log_needed = False
-        for j, _ in e.terms():
-            p = lam + j + 1 if not isinstance(lam, float) else flam + j + 1
-            if p == 0:
-                log_needed = True
-            else:
-                powers.append(p)
-        maxq = 1 if log_needed else 0
-        n_cols = len(set(powers)) + 1 + maxq
-    else:
-        powers = None
-        maxq = 1
-        n_cols = len(default_fit_powers(3)) + 7
+    powers = []
+    log_needed = False
+    for j, _ in e.terms():
+        p = lam + j + 1 if not isinstance(lam, float) else flam + j + 1
+        if p == 0:
+            log_needed = True
+        else:
+            powers.append(p)
+    maxq = 1 if log_needed else 0
+    n_cols = len(set(powers)) + 1 + maxq
 
     integrand = _radial(phi.body, R, f.pair, flam)
     eps0 = min(phi.exact_radius, R) * 0.9

@@ -13,10 +13,11 @@ derivative of a smooth cutoff that is identically 1 on |y| <= R/2 and 0 on
 does a cutoff at least twice as wide as another factor of its term (it is 1
 there), so the body is closed under sums, scalar multiples, products and
 symbolic differentiation (the Leibniz rule), derivatives are exact objects
-and never numeric, and their size grows polynomially in the order.  Every
-built-in constructor produces the expansion alongside the body; on the inner
-plateau the expansion equals the function identically, which is what makes
-the downstream pairing formulas testable with tight tolerances.
+and never numeric, and their size grows polynomially in the order.  Inside
+the smallest factor radius over 2 every cutoff is 1 and every cutoff
+derivative is 0, so there the body equals its expansion identically, and the
+expansion is read off the body (``Body.expansion``): that identity is what
+makes the downstream pairing formulas testable with tight tolerances.
 
 A multiplier is the same kind of object without compact support: its body is
 a ``Body`` with one term and no plateau factor (or none at all), so it
@@ -32,10 +33,10 @@ from functools import cached_property
 from itertools import groupby
 from typing import Tuple
 
-from .errors import InsufficientOrderError, PointMismatchError
+from .errors import PointMismatchError
 from . import expansion as xp
-from .expansion import Expansion
-from .sphere import ONE_PAIR, SpherePair, as_fraction, parity_pair
+from .expansion import ZERO_EXPANSION, Expansion
+from .sphere import ONE_PAIR, SpherePair, ZERO_PAIR, as_fraction, parity_pair
 
 
 # -- smooth step profile -----------------------------------------------------
@@ -158,6 +159,26 @@ class Body:
     def value(self, y: float) -> float:
         return self.radial(abs(y))[0 if y > 0 else 1]
 
+    @cached_property
+    def expansion(self) -> Expansion:
+        """The body near the thick point: the sum of pair(w) * r^j over the
+        terms whose factors are all plain cutoffs (or none)."""
+        out = {}
+        for factors, j, p in self.terms:
+            if not any(n for _, n in factors):
+                out[j] = out.get(j, ZERO_PAIR) + p
+        if not out:
+            return ZERO_EXPANSION
+        lo = min(out)
+        return Expansion(lo, tuple(out.get(j, ZERO_PAIR) for j in range(lo, max(out) + 1)))
+
+    @cached_property
+    def exact_radius(self) -> float:
+        """The body equals its expansion for 0 < r < this radius: the smallest
+        factor radius over 2, or inf when no term has a factor."""
+        return min((factors[0][0] for factors, _, _ in self.terms if factors),
+                   default=math.inf) / 2
+
     def derivative(self) -> "Body":
         """Leibniz rule: the power drops one order, or one factor gains one."""
         out = {}
@@ -238,13 +259,14 @@ ONE_BODY = Body((((), 0, ONE_PAIR),))
 # -- the function types --------------------------------------------------------
 
 
-def _evaluate(body, expansion, point, radius, x) -> float:
+def _evaluate(body, point, radius, x) -> float:
     y = x - point
     if radius is not None and abs(y) >= radius:
         return 0.0
     if y == 0:
         # value at the thick point itself: defined only when both one-sided
         # limits exist and agree
+        expansion = body.expansion
         if expansion.is_zero() or expansion.start > 0:
             return 0.0
         if expansion.start == 0 and expansion.coefficient(0).is_even():
@@ -256,18 +278,23 @@ def _evaluate(body, expansion, point, radius, x) -> float:
 @dataclass(frozen=True)
 class ThickTestFunction:
     body: Body
-    expansion: Expansion
     point: Fraction
-    radius: float
-    exact_radius: float  # expansion equals the function identically for 0 < r < exact_radius
+    radius: float  # the support; kept as built, as a cancelling sum may shrink the body's
 
     def __post_init__(self):
         object.__setattr__(self, "point", as_fraction(self.point))
         object.__setattr__(self, "radius", float(self.radius))
-        object.__setattr__(self, "exact_radius", float(self.exact_radius))
+
+    @property
+    def expansion(self) -> Expansion:
+        return self.body.expansion
+
+    @property
+    def exact_radius(self) -> float:
+        return self.body.exact_radius
 
     def evaluate(self, x) -> float:
-        return _evaluate(self.body, self.expansion, self.point, self.radius, x)
+        return _evaluate(self.body, self.point, self.radius, x)
 
     @property
     def is_ordinary(self) -> bool:
@@ -277,21 +304,11 @@ class ThickTestFunction:
     def __add__(self, other: "ThickTestFunction") -> "ThickTestFunction":
         if self.point != other.point:
             raise PointMismatchError("cannot add functions at different thick points")
-        return ThickTestFunction(
-            body=self.body + other.body,
-            expansion=xp.add(self.expansion, other.expansion),
-            point=self.point,
-            radius=max(self.radius, other.radius),
-            exact_radius=min(self.exact_radius, other.exact_radius),
-        )
+        return ThickTestFunction(self.body + other.body, self.point,
+                                 max(self.radius, other.radius))
 
     def scale(self, k) -> "ThickTestFunction":
-        k = as_fraction(k)
-        return replace(
-            self,
-            body=self.body.scale(k),
-            expansion=xp.multiply(self.expansion, xp.from_taylor([k], exact=True)),
-        )
+        return replace(self, body=self.body.scale(k))
 
     def __mul__(self, other):
         if isinstance(other, Multiplier):
@@ -299,41 +316,36 @@ class ThickTestFunction:
         if isinstance(other, ThickTestFunction):
             if self.point != other.point:
                 raise PointMismatchError("cannot multiply functions at different thick points")
-            return ThickTestFunction(
-                body=self.body * other.body,
-                expansion=xp.multiply(self.expansion, other.expansion),
-                point=self.point,
-                radius=min(self.radius, other.radius),
-                exact_radius=min(self.exact_radius, other.exact_radius),
-            )
+            return ThickTestFunction(self.body * other.body, self.point,
+                                     min(self.radius, other.radius))
         return NotImplemented
 
 
 @dataclass(frozen=True)
 class Multiplier:
-    """Smooth off the thick point, expansion required, no compact support.
+    """Smooth off the thick point, no compact support.
 
     Its body is a test-function body without a cutoff: one factorless term
     pair(w) * r^j, or none for the zero multiplier."""
 
     body: Body
-    expansion: Expansion
     point: Fraction
-    exact_radius: float = math.inf
 
     def __post_init__(self):
         object.__setattr__(self, "point", as_fraction(self.point))
 
-    def evaluate(self, x) -> float:
-        return _evaluate(self.body, self.expansion, self.point, None, x)
+    expansion = ThickTestFunction.expansion
 
-    scale = ThickTestFunction.scale  # the same new body and expansion
+    def evaluate(self, x) -> float:
+        return _evaluate(self.body, self.point, None, x)
+
+    scale = ThickTestFunction.scale  # the same new body
 
     def is_one(self) -> bool:
         return self.body == ONE_BODY
 
     def is_zero(self) -> bool:
-        return self.body == ZERO_BODY and self.expansion.is_zero()
+        return self.body == ZERO_BODY
 
 
 # -- constructors ---------------------------------------------------------------
@@ -350,28 +362,19 @@ def thick_monomial(order: int, pair, radius, point=0) -> ThickTestFunction:
         raise ValueError("support radius must be positive and finite")
     pair = pair if isinstance(pair, SpherePair) else SpherePair(*pair)
     cutoff = ((float(radius), 0),)
-    return ThickTestFunction(
-        body=Body(((cutoff, order, pair),)) if not pair.is_zero() else ZERO_BODY,
-        expansion=Expansion(order, (pair,), exact=True),
-        point=point,
-        radius=radius,
-        exact_radius=radius / 2,
-    )
+    return ThickTestFunction(Body(((cutoff, order, pair),)) if not pair.is_zero() else ZERO_BODY,
+                             point, radius)
 
 
 def from_polynomial(coeffs, radius, point=0) -> ThickTestFunction:
-    """p(x - a) times the plateau cutoff, expansion taken from the coefficients."""
+    """p(x - a) times the plateau cutoff."""
     if not 0 < radius < math.inf:
         raise ValueError("support radius must be positive and finite")
     cs = [as_fraction(c) for c in coeffs]
     cutoff = ((float(radius), 0),)
     return ThickTestFunction(
-        body=Body(tuple((cutoff, j, parity_pair(c, j)) for j, c in enumerate(cs) if c != 0)),
-        expansion=xp.from_taylor(cs, exact=True),
-        point=point,
-        radius=radius,
-        exact_radius=radius / 2,
-    )
+        Body(tuple((cutoff, j, parity_pair(c, j)) for j, c in enumerate(cs) if c != 0)),
+        point, radius)
 
 
 def heaviside_multiplier(point=0) -> Multiplier:
@@ -385,11 +388,7 @@ def power_multiplier(order: int, point=0) -> Multiplier:
 
 def monomial_multiplier(order: int, pair, point=0) -> Multiplier:
     pair = pair if isinstance(pair, SpherePair) else SpherePair(*pair)
-    return Multiplier(
-        body=_canonical({((), order): pair}),
-        expansion=Expansion(order, (pair,), exact=True),
-        point=point,
-    )
+    return Multiplier(_canonical({((), order): pair}), point)
 
 
 def constant_multiplier(value=1, point=0) -> Multiplier:
@@ -402,7 +401,7 @@ def constant_multiplier(value=1, point=0) -> Multiplier:
 
 def derivative(f):
     """Symbolic derivative; works on both test functions and multipliers."""
-    return replace(f, body=f.body.derivative(), expansion=xp.differentiate(f.expansion))
+    return replace(f, body=f.body.derivative())
 
 
 def multiply_by(psi: Multiplier, phi: ThickTestFunction) -> ThickTestFunction:
@@ -410,13 +409,7 @@ def multiply_by(psi: Multiplier, phi: ThickTestFunction) -> ThickTestFunction:
         raise PointMismatchError(
             f"multiplier at {psi.point} cannot act on a function at {phi.point}"
         )
-    return ThickTestFunction(
-        body=psi.body * phi.body,
-        expansion=xp.multiply(psi.expansion, phi.expansion),
-        point=phi.point,
-        radius=phi.radius,
-        exact_radius=min(psi.exact_radius, phi.exact_radius),
-    )
+    return ThickTestFunction(psi.body * phi.body, phi.point, phi.radius)
 
 
 def translate(f, shift):
@@ -429,16 +422,7 @@ def dilate(f: ThickTestFunction, c) -> ThickTestFunction:
     c = as_fraction(c)
     if c == 0:
         raise ValueError("dilation factor must be nonzero")
-    e = f.expansion
-    return replace(
-        f,
-        body=f.body.dilate(c),
-        expansion=Expansion(e.start, tuple(_dilate_pair(p, j, c) for j, p in e.terms()),
-                            exact=e.exact, order=e.order),
-        point=c * f.point,
-        radius=float(abs(c)) * f.radius,
-        exact_radius=float(abs(c)) * f.exact_radius,
-    )
+    return replace(f, body=f.body.dilate(c), point=c * f.point, radius=float(abs(c)) * f.radius)
 
 
 def _dilate_pair(p: SpherePair, j: int, c: Fraction) -> SpherePair:
@@ -464,13 +448,8 @@ def seminorm(phi: ThickTestFunction, q: int, s: int, k_radius: float) -> float:
                 | {k_radius * 2.0 ** -k for k in range(21)})
     worst = 0.0
     current = phi
-    for p in range(s + 1):
+    for _ in range(s + 1):
         e = current.expansion
-        if not e.exact and e.window < q - 1:
-            raise InsufficientOrderError(
-                f"seminorm with q={q} needs expansion orders through {q - 1}, "
-                f"derivative {p} only reaches {e.order}"
-            )
         for r in rs:
             for w in (1, -1):
                 got = current.body.value(w * r)
@@ -489,11 +468,9 @@ def strength_defect(phi: ThickTestFunction, p: int, through_order: int, r: float
     current = phi
     for _ in range(p):
         current = derivative(current)
-    e = current.expansion
-    top = min(through_order, int(e.window) if not e.exact else through_order)
     out = 0.0
     for w in (1, -1):
         got = current.body.value(w * r)
-        ref = xp.evaluate(e, w, r, top)
-        out = max(out, abs(got - ref) * r ** (-top))
+        ref = xp.evaluate(current.expansion, w, r, through_order)
+        out = max(out, abs(got - ref) * r ** (-through_order))
     return out

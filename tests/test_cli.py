@@ -302,6 +302,24 @@ def test_printed_record(command, expr, line):
     assert line in out.stdout.splitlines()
 
 
+@pytest.mark.parametrize("command, expr, lines", [
+    # the support stays the stored radius 2, not the 1 the cancelled body spans
+    ("eval", "Pf(abs(x)^-2), bump(1)+bump(2)-bump(2)",
+     ["  value = -2.6994263829652043", "  A = 1.0  quad_error = 2e-15"]),
+    ("expand", "bump(1) - bump(1), 3", ["  -> 0"]),
+    ("expand", "0 * bump(1), 3", ["  -> 0"]),
+    ("eval", "dstar, bump(1) - bump(1)", ["  value = 0.0 (exact 0)"]),
+    ("eval", "dstar, 0 * bump(1)", ["  value = 0.0 (exact 0)"]),
+    ("eval", "Pf(abs(x)^-2), bump(1) - bump(1)", ["  value = 0.0"]),
+    ("eval", "Pf(abs(x)^-2), 0 * bump(1)", ["  value = 0.0"]),
+])
+def test_stored_support_and_zero_body(command, expr, lines):
+    out = run_cli(command, "-e", expr)
+    assert out.returncode == 0
+    for line in lines:
+        assert line in out.stdout.splitlines()
+
+
 def test_check_prints_the_outcome_lines():
     from thickcalc.checks import run_suite
     out = run_cli("check", "expansion")

@@ -22,14 +22,12 @@ from thickcalc.distributions import (
     project,
 )
 from thickcalc.errors import (
-    InsufficientOrderError,
     MisclassifiedPowerError,
     NonFiniteError,
     OrdinaryFunctionRequiredError,
     PointMismatchError,
     QuadratureError,
 )
-from thickcalc.expansion import Expansion, from_taylor
 from thickcalc import distributions, dsl, pairing
 from thickcalc.checks import run_suite
 from thickcalc.pairing import (
@@ -51,8 +49,6 @@ from thickcalc.pairing import (
 from thickcalc.quadrature import integrate
 from thickcalc.sphere import SpherePair
 from thickcalc.testfn import (
-    Body,
-    ThickTestFunction,
     derivative,
     dilate,
     from_polynomial,
@@ -104,16 +100,6 @@ def unit_delta_of_degree(q):
     from thickcalc.distributions import ThickDelta
     from thickcalc.sphere import SphereDistribution
     return ThickDelta(SphereDistribution(SpherePair(1, 1)), q)
-
-
-def test_delta_degree_above_window_raises():
-    weak = ThickTestFunction(
-        body=Body((((), 0, SpherePair(1, 1)),)),
-        expansion=Expansion(0, (SpherePair(1, 1),), exact=False),
-        point=0, radius=1.0, exact_radius=0.0,
-    )
-    with pytest.raises(InsufficientOrderError):
-        pair(unit_delta_of_degree(2), weak)
 
 
 def test_delta_degree_below_start_is_zero():
@@ -203,16 +189,6 @@ def test_sign_density():
 def test_float_integer_power_is_rejected():
     with pytest.raises(MisclassifiedPowerError):
         pair(pf_power(-2.0), plateau_bump(2.0))
-
-
-def test_insufficient_expansion_window():
-    weak = ThickTestFunction(
-        body=Body((((), 0, SpherePair(1, 1)),)),
-        expansion=from_taylor([1]),  # non-exact, window 0
-        point=0, radius=1.0, exact_radius=0.0,
-    )
-    with pytest.raises(InsufficientOrderError):
-        pair(pf_power(-3), weak)
 
 
 def test_quadrature_failure_surfaces():

@@ -3,9 +3,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from thickcalc.errors import InsufficientOrderError, PointMismatchError
-from thickcalc.expansion import Expansion, expansion_of
+from thickcalc import expansion as xp
+from thickcalc.errors import PointMismatchError
+from thickcalc.expansion import expansion_of, from_taylor
 from thickcalc.quadrature import integrate
 from thickcalc.sphere import SpherePair
 from thickcalc.testfn import (
@@ -14,12 +17,12 @@ from thickcalc.testfn import (
     _jet_mul,
     _jet_recip,
     _jet_var,
-    ThickTestFunction,
     constant_multiplier,
     derivative,
     dilate,
     from_polynomial,
     heaviside_multiplier,
+    monomial_multiplier,
     multiply_by,
     plateau_bump,
     power_multiplier,
@@ -80,7 +83,7 @@ def test_plateau_values():
     assert phi.evaluate(0.25) == 1.0         # inner plateau
     assert phi.evaluate(1.0) == 0.0          # support edge
     assert phi.evaluate(2.0) == 0.0
-    assert phi.expansion == expansion_of(0, [(1, 1)], exact=True)
+    assert phi.expansion == expansion_of(0, [(1, 1)])
 
 
 def test_plateau_rejects_bad_radius():
@@ -104,7 +107,7 @@ def test_cutoff_heaviside():
     phi = thick_monomial(0, (1, 0), 1.0)
     assert phi.evaluate(0.3) == 1.0
     assert phi.evaluate(-0.3) == 0.0
-    assert phi.expansion == expansion_of(0, [(1, 0)], exact=True)
+    assert phi.expansion == expansion_of(0, [(1, 0)])
 
 
 def test_linear_monomial_is_x():
@@ -148,7 +151,7 @@ def test_polynomial_values_match_horner():
 def test_derivative_of_absolute_value_is_sign():
     phi = thick_monomial(1, (1, 1), 2.0)
     d = derivative(phi)
-    assert d.expansion == expansion_of(0, [(1, -1)], exact=True)
+    assert d.expansion == expansion_of(0, [(1, -1)])
     assert d.evaluate(0.4) == pytest.approx(1.0)
     assert d.evaluate(-0.4) == pytest.approx(-1.0)
 
@@ -225,13 +228,93 @@ def test_equal_functions_have_equal_bodies():
     assert derivative(f + g) == derivative(f) + derivative(g)
 
 
+# -- the expansion read off the body ----------------------------------------------
+#
+# Each drawn function comes with its expansion composed from the parts by the
+# expansion algebra, the reference the body-derived one must equal.
+
+_RADII = st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(4)])
+_PAIRS = st.builds(SpherePair, st.integers(-3, 3), st.integers(-3, 3))
+_SMALL = st.integers(-3, 3)
+_FACTORS = st.sampled_from([Fraction(c) for c in (2, -2, "3/2", "-3/2", "1/2", -1)])
+
+_LEAVES = st.one_of(
+    _RADII.map(lambda R: (plateau_bump(R), from_taylor([1]))),
+    st.builds(lambda j, p, R: (thick_monomial(j, p, R), expansion_of(j, [p])),
+              st.integers(-2, 3), _PAIRS, _RADII),
+    st.builds(lambda cs, R: (from_polynomial(cs, R), from_taylor(cs)),
+              st.lists(_SMALL, min_size=1, max_size=4), _RADII),
+)
+
+_MULTIPLIERS = st.one_of(
+    st.just((heaviside_multiplier(), expansion_of(0, [(1, 0)]))),
+    st.integers(0, 3).map(lambda n: (power_multiplier(n), from_taylor([0] * n + [1]))),
+    st.builds(lambda j, p: (monomial_multiplier(j, p), expansion_of(j, [p])),
+              st.integers(-2, 2), _PAIRS),
+    _SMALL.map(lambda v: (constant_multiplier(v), from_taylor([v]))),
+)
+
+
+def _differentiated(fe, k):
+    f, e = fe
+    for _ in range(k):
+        f, e = derivative(f), xp.differentiate(e)
+    return f, e
+
+
+def _dilated(fe, c):
+    # y -> y / c scales the r^j coefficient by |c|^-j and swaps the sides for c < 0
+    f, e = fe
+    pairs = []
+    for j, p in e.terms():
+        s = abs(c) ** -j
+        pairs.append(SpherePair(p.plus * s, p.minus * s) if c > 0
+                     else SpherePair(p.minus * s, p.plus * s))
+    return dilate(f, c), expansion_of(e.start, pairs)
+
+
+def _composed(children):
+    two = st.tuples(children, children)
+    return st.one_of(
+        two.map(lambda ab: (ab[0][0] + ab[1][0], xp.add(ab[0][1], ab[1][1]))),
+        two.map(lambda ab: (ab[0][0] * ab[1][0], xp.multiply(ab[0][1], ab[1][1]))),
+        st.tuples(children, _SMALL).map(
+            lambda fk: (fk[0][0].scale(fk[1]), xp.multiply(fk[0][1], from_taylor([fk[1]])))),
+        st.tuples(_MULTIPLIERS, children).map(
+            lambda mf: (multiply_by(mf[0][0], mf[1][0]), xp.multiply(mf[0][1], mf[1][1]))),
+        st.tuples(children, st.integers(1, 3)).map(lambda fk: _differentiated(*fk)),
+        st.tuples(children, _FACTORS).map(lambda fc: _dilated(*fc)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.recursive(_LEAVES, _composed, max_leaves=5))
+def test_expansion_read_off_the_body_matches_the_composed_one(fe):
+    f, composed = fe
+    assert f.expansion == composed
+    # inside the exact radius every cutoff is 1 and every cutoff derivative 0
+    for t in (0.999, 0.7, 0.3, 0.01):
+        r = t * f.exact_radius if math.isfinite(f.exact_radius) else t
+        for w in (1, -1):
+            scale = math.fsum(abs(float(p.at(w))) * r ** j for _, j, p in f.body.terms)
+            assert abs(f.body.value(w * r) - xp.evaluate(f.expansion, w, r)) <= 1e-13 * scale
+
+
+def test_exact_radius_is_the_smallest_factor_radius_over_two():
+    assert plateau_bump(2).exact_radius == 1.0
+    assert (plateau_bump(1) * plateau_bump(Fraction(3, 2))).exact_radius == 0.5
+    assert dilate(derivative(plateau_bump(3)), Fraction(-1, 2)).exact_radius == 0.75
+    assert (plateau_bump(1) + plateau_bump(1).scale(-1)).exact_radius == math.inf
+    assert heaviside_multiplier().expansion == expansion_of(0, [(1, 0)])
+
+
 # -- multipliers -------------------------------------------------------------------
 
 
 def test_heaviside_times_plateau_is_cutoff_heaviside():
     h = heaviside_multiplier()
     phi = multiply_by(h, plateau_bump(1.0))
-    assert phi.expansion == expansion_of(0, [(1, 0)], exact=True)
+    assert phi.expansion == expansion_of(0, [(1, 0)])
     assert phi.evaluate(0.2) == 1.0
     assert phi.evaluate(-0.2) == 0.0
 
@@ -342,16 +425,6 @@ def test_seminorm_includes_derivative_orders():
     # whose q=3 remainder over the grid is r^-3 * 0 = 0 after subtraction
     kink = thick_monomial(1, (1, 1), 2.0)
     assert seminorm(kink, q=2, s=1, k_radius=0.25) == 0.0
-
-
-def test_seminorm_insufficient_order():
-    weak = ThickTestFunction(
-        body=Body((((), 0, SpherePair(1, 1)),)),
-        expansion=Expansion(0, (SpherePair(1, 1),), exact=False),
-        point=0, radius=1.0, exact_radius=0.0,
-    )
-    with pytest.raises(InsufficientOrderError):
-        seminorm(weak, q=4, s=0, k_radius=0.25)
 
 
 # -- translation and dilation ----------------------------------------------------------
