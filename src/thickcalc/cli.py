@@ -53,6 +53,14 @@ def load_config_file(path: str) -> dict:
     return values
 
 
+def _number(text: str) -> float:
+    """A setting as a float; ValueError when it has no finite float value."""
+    try:
+        return float(Fraction(text))
+    except (ZeroDivisionError, OverflowError):
+        raise ValueError(f"{text!r} is not a finite number") from None
+
+
 def build_config(args) -> QuadratureConfig:
     cfg = DEFAULT_CONFIG
     if args.config:
@@ -62,11 +70,10 @@ def build_config(args) -> QuadratureConfig:
         for key, value in raw.items():
             if key not in known:
                 raise ValueError(f"unknown config key {key!r}")
-            fields[key] = int(value) if key == "max_subdivisions" \
-                else float(Fraction(value))
+            fields[key] = int(value) if key == "max_subdivisions" else _number(value)
         cfg = replace(cfg, **fields)
     if args.A is not None:
-        cfg = replace(cfg, split_radius=float(Fraction(args.A)))
+        cfg = replace(cfg, split_radius=_number(args.A))
     if args.tol is not None:
         cfg = replace(cfg, abs_tol=args.tol)
     return cfg

@@ -151,10 +151,10 @@ class Dilate:
         return self.inner.point / self.factor
 
 
-ThickDistribution = Union[
-    PfDensity, ThickDelta, Derivative, MultiplierProduct,
-    LinearCombination, Translate, Dilate,
-]
+#: The node types of a distribution tree.
+DISTRIBUTION_TYPES = (PfDensity, ThickDelta, Derivative, MultiplierProduct,
+                      LinearCombination, Translate, Dilate)
+ThickDistribution = Union[DISTRIBUTION_TYPES]
 
 ZERO_DISTRIBUTION = LinearCombination(())
 

@@ -394,8 +394,7 @@ def _build(tok: Token, constructor, *args):
 
 
 def _is_dist(v) -> bool:
-    return isinstance(v, (PfDensity, ThickDelta, Derivative, MultiplierProduct,
-                          LinearCombination, Translate, Dilate))
+    return isinstance(v, distributions.DISTRIBUTION_TYPES)
 
 
 def _typename(v) -> str:
@@ -542,7 +541,7 @@ def run(program: Program, cfg=None) -> Report:
                 rec["expr"] = print_distribution(q.dist)
                 rec["result"] = print_distribution(simplify(Derivative(q.dist)))
             elif q.command == "expand":
-                rec["result"] = expansion.render(q.testfn.expansion, q.max_order)
+                rec["result"] = expansion.render(q.testfn.expansion.truncate(q.max_order))
             elif q.command == "check":
                 outcomes = checks.run_suite(q.suite, cfg)
                 rec["suite"] = q.suite

@@ -27,7 +27,11 @@ class MisclassifiedPowerError(ThickCalcError):
 
 
 class FitConditionError(ThickCalcError):
-    """The finite-part least-squares fit is too ill-conditioned to trust."""
+    """The finite-part least-squares fit is too ill-conditioned to trust: its
+    condition bound ||R||_F ||R^-1||_F, between the 2-norm condition and n
+    times it, is above 1e14.  That refuses more than a 2-norm gate only where
+    the 2-norm condition is within 1e14 and the bound is not; ``check all``'s
+    28 fits have bounds below 4e12, within 1.41 times their condition."""
 
 
 class OrdinaryFunctionRequiredError(ThickCalcError):

@@ -113,24 +113,21 @@ def from_taylor(coeffs: Iterable) -> Expansion:
     return Expansion(0, tuple(parity_pair(as_fraction(c), j) for j, c in enumerate(coeffs)))
 
 
-def evaluate(e: Expansion, w: int, r: float, top: Optional[int] = None) -> float:
-    """Float value of the partial sum through order ``top`` (all stored
-    orders by default) at the sphere point w, radius r > 0."""
+def evaluate(e: Expansion, w: int, r: float) -> float:
+    """Float value of the sum at the sphere point w, radius r > 0."""
     if r <= 0:
         raise ValueError("radius must be positive")
     # termwise with r**j so that it cancels bit-exactly against monomial terms
-    return math.fsum(float(c.at(w)) * r ** j for j, c in e.terms() if top is None or j <= top)
+    return math.fsum(float(c.at(w)) * r ** j for j, c in e.terms())
 
 
 # -- textual form ----------------------------------------------------------
 
 
-def render(e: Expansion, top: Optional[int] = None) -> str:
-    """Terms ``(p|q)·r^j`` through order ``top`` (all stored orders by
-    default) joined by `` + ``, zero pairs inside the stored run included;
-    no term prints as 0."""
-    return " + ".join(f"({c.plus}|{c.minus})·r^{j}" for j, c in e.terms()
-                      if top is None or j <= top) or "0"
+def render(e: Expansion) -> str:
+    """Terms ``(p|q)·r^j`` joined by `` + ``, zero pairs inside the stored
+    run included; no term prints as 0."""
+    return " + ".join(f"({c.plus}|{c.minus})·r^{j}" for j, c in e.terms()) or "0"
 
 
 _TERM_RE = re.compile(

@@ -31,10 +31,8 @@ terms away (``fp_limit``).
 from __future__ import annotations
 
 import math
-import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import accumulate
 from operator import mul
 from typing import Dict, List, Optional, Tuple, Union
@@ -424,68 +422,61 @@ class FpFit:
     """Result of fitting F(eps) against divergent + convergent basis terms.
 
     ``finite_part`` is the coefficient of the constant; ``coefficients`` maps
-    (exponent, log power) to the fitted coefficient of eps^exponent * ln^q eps.
-    ``condition`` is the exact 2-norm condition of the scaled design matrix,
-    computed from the kept factor R on first read.
+    each column (exponent, log power) of ``fit_columns`` to the fitted
+    coefficient of eps^exponent * ln^q eps.
     """
 
     finite_part: float
     residual: float
     coefficients: Dict[Tuple[Number, int], float]
-    r_factor: List[List[float]] = field(repr=False, compare=False)
 
     def __float__(self):
         return self.finite_part
-
-    @cached_property
-    def condition(self) -> float:
-        return _condition(self.r_factor)
 
     @property
     def log_coefficient(self) -> float:
         return self.coefficients.get((Fraction(0), 1), 0.0)
 
 
-#: Condition-number ceiling for the scaled design matrix.
+#: Ceiling for the condition bound of the scaled design matrix.
 FIT_CONDITION_LIMIT = 1e14
 
 
-def default_fit_powers(maxp: int) -> Tuple[Fraction, ...]:
-    """Half-integer exponent ladder: divergent side down to -maxp, convergent
-    side up through 2 (so fractional remainders are representable)."""
-    return tuple(Fraction(k, 2) for k in range(-2 * maxp, 5))
+def fit_columns(powers=None) -> List[Tuple[Number, int]]:
+    """The basis {eps^e ln^q eps} of the fit as (e, q) pairs, sorted by e, then q.
+
+    With no ``powers``, the half-integer ladder e = -3, -5/2, ..., 2 (down to
+    the divergence the power-ladder checks reach, and up far enough that a
+    fractional remainder is representable) and ln eps times each e <= 0.
+    With a sequence of ``powers``, those exponents (ints and Fractions kept
+    exact), the constant, and ln eps when one of them is 0.
+    """
+    if powers is None:
+        exponents = [Fraction(k, 2) for k in range(-6, 5)]
+        logs = [e for e in exponents if e <= 0]
+    else:
+        exponents = [Fraction(0)]  # first, so that the constant's key stays exact
+        for p in powers:
+            p = Fraction(p) if isinstance(p, (int, Fraction)) else float(p)
+            if p not in exponents:
+                exponents.append(p)
+        logs = [Fraction(0)] if 0 in powers else []
+    return sorted([(e, 0) for e in exponents] + [(e, 1) for e in logs],
+                  key=lambda c: (float(c[0]), c[1]))
 
 
-def fp_limit(samples, basis_orders: Tuple[int, int] = (3, 1),
-             powers=None) -> FpFit:
+def fp_limit(samples, powers=None) -> FpFit:
     """Finite part of lim F(eps) as eps -> 0+ by least squares.
 
     ``samples`` is a sequence of (eps, F(eps)) on a decreasing geometric
-    grid.  The basis is {eps^e ln^q eps} with e over a half-integer ladder
-    (or the explicit ``powers``) and q up to basis_orders[1]; the finite part
-    is the fitted coefficient of the constant 1.  Rows are weighted by
+    grid.  The basis is ``fit_columns(powers)``; the finite part is the
+    fitted coefficient of the constant 1.  Rows are weighted by
     1/max(1, |F|) so that the hugely divergent samples do not drown the
-    constant.
+    constant.  The fit is refused (``FitConditionError``) when the bound
+    ||R||_F ||R^-1||_F of the triangular factor of the column-scaled design
+    matrix is above ``FIT_CONDITION_LIMIT``.
     """
-    maxp, maxq = basis_orders
-    if powers is None:
-        exponents = default_fit_powers(maxp)
-        log_exponents = tuple(e for e in exponents if e <= 0)
-    else:
-        exponents = []
-        seen = set()
-        for p in powers:
-            p = _exact_exponent(p)
-            if p not in seen:
-                seen.add(p)
-                exponents.append(p)
-        if Fraction(0) not in seen and 0.0 not in seen:
-            exponents.append(Fraction(0))
-        log_exponents = (Fraction(0),)
-    columns = [(e, 0) for e in exponents]
-    columns += [(e, q) for e in log_exponents for q in range(1, maxq + 1)]
-    columns.sort(key=lambda c: (float(c[0]), c[1]))
-
+    columns = fit_columns(powers)
     samples = [(float(eps), float(val)) for eps, val in samples]
     if not all(0.0 < e < math.inf and math.isfinite(v) for e, v in samples):
         raise ValueError("samples need finite values at finite eps > 0")
@@ -501,20 +492,16 @@ def fp_limit(samples, basis_orders: Tuple[int, int] = (3, 1),
     Fw = [val * w for (_, val), w in zip(samples, weights)]
     norms = [math.hypot(*col) or 1.0 for col in Mw]
     R, qtb = _householder_qr([[x / n for x in col] for col, n in zip(Mw, norms)], Fw)
-    # the Frobenius bound is never below the exact condition, so a bound
-    # within the limit accepts the fit; Jacobi decides the rest (and a NaN)
-    if not _condition_bound(R) <= FIT_CONDITION_LIMIT:
-        condition = _condition(R)
-        if condition > FIT_CONDITION_LIMIT:
-            raise FitConditionError(
-                f"condition {condition:.3g} exceeds {FIT_CONDITION_LIMIT:.0e}; "
-                "basis orders do not match the data (or too few samples)"
-            )
+    bound = _condition_bound(R)
+    if not bound <= FIT_CONDITION_LIMIT:  # a NaN bound is refused too
+        raise FitConditionError(
+            f"condition bound {bound:.3g} exceeds {FIT_CONDITION_LIMIT:.0e}; "
+            "the basis does not match the data (or too few samples)"
+        )
     coeffs = [x / n for x, n in zip(_back_substitute(R, qtb), norms)]
     residual = math.hypot(*(_dot(row, coeffs) - f for row, f in zip(zip(*Mw), Fw)))
     table = dict(zip(columns, coeffs))
-    const_key = next(c for c in columns if float(c[0]) == 0.0 and c[1] == 0)
-    return FpFit(table[const_key], residual, table, R)
+    return FpFit(table[(Fraction(0), 0)], residual, table)
 
 
 def _dot(u, v) -> float:
@@ -553,34 +540,6 @@ def _condition_bound(R: List[List[float]]) -> float:
     return math.hypot(*(x for col in R for x in col)) * math.hypot(*inverse)
 
 
-def _condition(R: List[List[float]]) -> float:
-    """2-norm condition of the square matrix with columns R, by one-sided
-    Jacobi: rotate column pairs until all are orthogonal, then the column
-    norms are the singular values, the small ones to high relative accuracy
-    (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13, 1992).  A zero singular
-    value gives inf."""
-    u = [col[:] for col in R]
-    tol = len(u) * sys.float_info.epsilon
-    for _ in range(30):  # LAPACK dgesvj's sweep limit; a handful suffice
-        rotated = False
-        for i in range(len(u) - 1):
-            for j in range(i + 1, len(u)):
-                a, b, g = _dot(u[i], u[i]), _dot(u[j], u[j]), _dot(u[i], u[j])
-                if abs(g) <= tol * math.sqrt(a * b):
-                    continue
-                rotated = True
-                zeta = (b - a) / (2.0 * g)
-                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
-                c = 1.0 / math.hypot(1.0, t)
-                s = c * t
-                u[i], u[j] = ([c * x - s * y for x, y in zip(u[i], u[j])],
-                              [s * x + c * y for x, y in zip(u[i], u[j])])
-        if not rotated:
-            break
-    sigma = [math.hypot(*col) for col in u]
-    return max(sigma) / min(sigma) if min(sigma) > 0.0 else math.inf
-
-
 def _back_substitute(R: List[List[float]], y: List[float]) -> List[float]:
     """Solve R x = y for upper-triangular R given by its columns."""
     x = [0.0] * len(y)
@@ -589,23 +548,17 @@ def _back_substitute(R: List[List[float]], y: List[float]) -> List[float]:
     return x
 
 
-def _exact_exponent(p):
-    if isinstance(p, (int, Fraction)):
-        return Fraction(p)
-    return float(p)
-
-
 def fp_pair_oracle(f: PfDensity, phi: ThickTestFunction,
-                   cfg: QuadratureConfig = DEFAULT_CONFIG,
-                   n_extra: int = 8) -> FpFit:
+                   cfg: QuadratureConfig = DEFAULT_CONFIG) -> FpFit:
     """Independent check of the density pairing via the finite part of a limit.
 
     F(eps) = integral of the density against phi over |x - a| >= eps is
     computed by quadrature (the test function evaluated through its body,
-    never its expansion) on a decreasing geometric grid eps_0 > eps_1 > ...:
-    [eps_0, R] and each slice [eps_(k+1), eps_k] are integrated once, and
-    F(eps_k) is their running sum.  The finite part is then extracted by
-    fp_limit.
+    never its expansion) on a decreasing geometric grid eps_0 > eps_1 > ...
+    of eight samples more than the fit has columns: [eps_0, R] and each slice
+    [eps_(k+1), eps_k] are integrated once, and F(eps_k) is their running
+    sum.  The finite part is then extracted by fp_limit against the powers
+    lambda + j + 1 of the expansion orders j.
     Only the *exponent set* of the fit is taken from the expansion orders;
     every coefficient comes out of the fit.
     """
@@ -613,29 +566,14 @@ def fp_pair_oracle(f: PfDensity, phi: ThickTestFunction,
         raise TypeError("the finite-part oracle applies to density nodes only")
     if f.point != phi.point:
         raise PointMismatchError("oracle: thick points differ")
-    lam = f.power
-    flam = float(lam)
-    e = phi.expansion
     R = phi.radius
-
-    powers = []
-    log_needed = False
-    for j, _ in e.terms():
-        p = lam + j + 1 if not isinstance(lam, float) else flam + j + 1
-        if p == 0:
-            log_needed = True
-        else:
-            powers.append(p)
-    maxq = 1 if log_needed else 0
-    n_cols = len(set(powers)) + 1 + maxq
-
-    integrand = _radial(phi.body, R, f.pair, flam)
+    powers = [f.power + j + 1 for j, _ in phi.expansion.terms()]
+    integrand = _radial(phi.body, R, f.pair, float(f.power))
     eps0 = min(phi.exact_radius, R) * 0.9
-    count = n_cols + n_extra
-    grid = [eps0 * 2.0 ** (-k / 2.0) for k in range(count)]
+    grid = [eps0 * 2.0 ** (-k / 2.0) for k in range(len(fit_columns(powers)) + 8)]
     pieces = [integrate(integrand, lo, hi, cfg.abs_tol, max(cfg.max_subdivisions, 4000))[0]
               for lo, hi in zip(grid, [R] + grid)]
-    return fp_limit(list(zip(grid, accumulate(pieces))), basis_orders=(3, maxq), powers=powers)
+    return fp_limit(list(zip(grid, accumulate(pieces))), powers)
 
 
 # -- small helpers used by identity checks ---------------------------------------

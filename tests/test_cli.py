@@ -227,6 +227,18 @@ def test_non_finite_tolerance_is_bad_configuration(tol):
     assert "bad configuration" in out.stderr
 
 
+@pytest.mark.parametrize("flag, value", [("--A", "1/0"), ("--A", "1e400"),
+                                         ("--config", "split_radius = 1/0")])
+def test_setting_without_a_float_value_is_bad_configuration(flag, value, tmp_path):
+    if flag == "--config":
+        path = tmp_path / "bad.cfg"
+        path.write_text(value)
+        value = str(path)
+    out = run_cli("eval", flag, value, "-e", "Pf(abs(x)^-1/2), bump(1)")
+    assert out.returncode == 2
+    assert "bad configuration" in out.stderr and "Traceback" not in out.stderr
+
+
 @pytest.mark.parametrize("command, expr, status", [
     ("eval", "Pf(abs(x)^-1/2), bump(1.0e999)", 2),
     ("eval", "Pf(abs(x)^-1/2), mono(0, pair(1,1), 1.0e999)", 2),

@@ -38,6 +38,7 @@ from thickcalc.pairing import (
     PairingResult,
     QuadratureConfig,
     axis_integral,
+    fit_columns,
     fp_limit,
     fp_pair_oracle,
     pair,
@@ -253,33 +254,34 @@ def test_fp_limit_rejects_non_finite_samples(bad):
 
 
 def _check_all_fits(monkeypatch):
-    """The (samples, fit) of every fit ``check all`` makes, and a list that
-    grows by the column count of each Jacobi run from then on."""
+    """The (samples, fit, R, bound) of every fit ``check all`` makes: R is the
+    triangular factor the gate took its condition bound of."""
     from thickcalc import checks
-    fits, jacobi = [], []
-    condition = pairing._condition
+    fits, gates = [], []
+    condition_bound = pairing._condition_bound
 
     def recording_fp_limit(samples, *args, **kwargs):
         fits.append((samples, fp_limit(samples, *args, **kwargs)))
         return fits[-1][1]
 
-    def counting_condition(R):
-        jacobi.append(len(R))
-        return condition(R)
+    def recording_bound(R):
+        gates.append((R, condition_bound(R)))
+        return gates[-1][1]
     monkeypatch.setattr(pairing, "fp_limit", recording_fp_limit)
     monkeypatch.setattr(checks, "fp_limit", recording_fp_limit)
-    monkeypatch.setattr(pairing, "_condition", counting_condition)
+    monkeypatch.setattr(pairing, "_condition_bound", recording_bound)
     assert all(o.passed for o in run_suite("all"))
-    return fits, jacobi
+    assert len(fits) == len(gates) == 28
+    return [fit + gate for fit, gate in zip(fits, gates)]
 
 
 def test_fp_limit_matches_numpy_on_the_check_suite_fits(monkeypatch):
-    """numpy is the reference here only: the condition of the scaled design
-    matrix and the least-squares residual of every fit ``check all`` makes."""
+    """numpy is the reference here only: the least-squares residual of every
+    fit ``check all`` makes, and the gate's bound, which lies between the
+    2-norm condition kappa_2 of the scaled design matrix and n kappa_2, and
+    on these fits within 1.5 kappa_2, far below the limit."""
     np = pytest.importorskip("numpy")
-    fits, _ = _check_all_fits(monkeypatch)
-    assert len(fits) == 28
-    for samples, fit in fits:
+    for samples, fit, R, bound in _check_all_fits(monkeypatch):
         eps = np.array([e for e, _ in samples])
         F = np.array([v for _, v in samples])
         M = np.column_stack([eps ** float(p) * np.log(eps) ** q
@@ -289,8 +291,38 @@ def test_fp_limit_matches_numpy_on_the_check_suite_fits(monkeypatch):
         norms = np.linalg.norm(Mw, axis=0)
         scaled = Mw / norms
         sol = np.linalg.lstsq(scaled, Fw, rcond=None)[0] / norms
-        assert fit.condition == pytest.approx(np.linalg.cond(scaled), rel=1e-3)
+        kappa = np.linalg.cond(scaled)
+        assert len(R) == len(fit.coefficients)
+        assert kappa * (1 - 1e-3) <= bound <= len(R) * kappa
+        assert bound <= 1.5 * kappa and bound <= pairing.FIT_CONDITION_LIMIT / 10
         assert fit.residual == pytest.approx(np.linalg.norm(Mw @ sol - Fw), abs=1e-9)
+
+
+def test_fit_columns_ladder_and_powers():
+    ladder = fit_columns()
+    assert len(ladder) == 18
+    assert ladder.count((0, 0)) == 1 and (0, 1) in ladder
+    assert [e for e, q in ladder if q] == [e for e, q in ladder if not q and e <= 0]
+    for powers in ([Fraction(-3, 2), Fraction(-1, 2), Fraction(1, 2)], [-1, 0, 1, 2],
+                   [-2.0, -1.0, 0.0, 1.0], [-0.5, 0.5], [1, 2, 2]):
+        columns = fit_columns(powers)
+        constants = [e for e, q in columns if e == 0 and q == 0]
+        assert len(constants) == 1 and type(constants[0]) is Fraction
+        assert ((0, 1) in columns) == (0 in powers)
+        assert {e for e, q in columns if not q} == set(powers) | {0}
+        assert columns == sorted(columns, key=lambda c: (float(c[0]), c[1]))
+
+
+def test_oracle_grid_is_eight_samples_over_the_columns(monkeypatch):
+    lengths = []
+    monkeypatch.setattr(pairing, "fp_limit",
+                        lambda samples, *args: (lengths.append(len(samples)),
+                                                fp_limit(samples, *args))[1])
+    phi = from_polynomial([1, 2, 1], 3.0) + thick_monomial(-1, (1, 2), 3.0)
+    for lam in (Fraction(-3, 2), 0, -1, -1.0, Fraction(-5, 2)):
+        fp_pair_oracle(pf_power(lam), phi)
+    fp_pair_oracle(pf_power(-2), plateau_bump(2.0))
+    assert lengths == [13, 13, 13, 13, 13, 10]
 
 
 def test_oracle_heaviside_is_one_sided_integral():
@@ -399,39 +431,24 @@ def test_fit_condition_guard():
         fp_limit(samples)
 
 
-def test_check_all_fits_pass_on_the_bound_alone(monkeypatch):
-    fits, jacobi = _check_all_fits(monkeypatch)
-    assert len(fits) == 28
-    assert jacobi == []
-    for _, fit in fits:
-        n = len(fit.r_factor)
-        bound = pairing._condition_bound(fit.r_factor)
-        assert fit.condition <= bound <= n * fit.condition
-    assert len(jacobi) == 28  # the first read runs Jacobi
-    [fit.condition for _, fit in fits]
-    assert len(jacobi) == 28  # later reads take the cached value
-
-
 def _ladder_samples():
     # the 18-column power-ladder fit of the pairing suite, alpha = -1/2
     return [(0.5 ** k, (1.0 - (0.5 ** k) ** 0.5) / 0.5) for k in range(1, 21)]
 
 
-def test_fit_between_jacobi_and_the_bound_is_accepted(monkeypatch):
-    fit = fp_limit(_ladder_samples())
-    jacobi, bound = fit.condition, pairing._condition_bound(fit.r_factor)
-    assert len(fit.r_factor) == 18 and jacobi < bound
-    monkeypatch.setattr(pairing, "FIT_CONDITION_LIMIT", math.sqrt(jacobi * bound))
-    accepted = fp_limit(_ladder_samples())
-    assert accepted.finite_part == fit.finite_part
-    assert accepted.condition == jacobi
-
-
-def test_fit_over_the_limit_names_the_jacobi_condition(monkeypatch):
+def test_fit_over_the_limit_names_the_condition_bound(monkeypatch):
     from thickcalc.errors import FitConditionError
-    jacobi = fp_limit(_ladder_samples()).condition
-    monkeypatch.setattr(pairing, "FIT_CONDITION_LIMIT", jacobi / 2)
-    with pytest.raises(FitConditionError, match=re.escape(f"condition {jacobi:.3g} exceeds")):
+    bounds = []
+    condition_bound = pairing._condition_bound
+    monkeypatch.setattr(pairing, "_condition_bound",
+                        lambda R: (bounds.append(condition_bound(R)), bounds[-1])[1])
+    fit = fp_limit(_ladder_samples())
+    assert len(fit.coefficients) == 18
+    monkeypatch.setattr(pairing, "FIT_CONDITION_LIMIT", bounds[0])
+    assert fp_limit(_ladder_samples()).finite_part == fit.finite_part
+    monkeypatch.setattr(pairing, "FIT_CONDITION_LIMIT", bounds[0] * (1 - 1e-9))
+    with pytest.raises(FitConditionError,
+                       match=re.escape(f"condition bound {bounds[0]:.3g} exceeds")):
         fp_limit(_ladder_samples())
 
 
