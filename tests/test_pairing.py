@@ -279,7 +279,7 @@ def test_fp_limit_matches_numpy_on_the_check_suite_fits(monkeypatch):
     """numpy is the reference here only: the least-squares residual of every
     fit ``check all`` makes, and the gate's bound, which lies between the
     2-norm condition kappa_2 of the scaled design matrix and n kappa_2, and
-    on these fits within 1.5 kappa_2, far below the limit."""
+    on these fits within 1.5 kappa_2."""
     np = pytest.importorskip("numpy")
     for samples, fit, R, bound in _check_all_fits(monkeypatch):
         eps = np.array([e for e, _ in samples])
@@ -294,8 +294,20 @@ def test_fp_limit_matches_numpy_on_the_check_suite_fits(monkeypatch):
         kappa = np.linalg.cond(scaled)
         assert len(R) == len(fit.coefficients)
         assert kappa * (1 - 1e-3) <= bound <= len(R) * kappa
-        assert bound <= 1.5 * kappa and bound <= pairing.FIT_CONDITION_LIMIT / 10
+        assert bound <= 1.5 * kappa
         assert fit.residual == pytest.approx(np.linalg.norm(Mw @ sol - Fw), abs=1e-9)
+
+
+def test_check_all_fits_pass_on_the_bound_alone(monkeypatch):
+    """Every fit ``check all`` makes is gated once, by the condition bound of
+    its unit-column triangular factor, and lies far below the limit."""
+    for _, fit, R, bound in _check_all_fits(monkeypatch):
+        n = len(R)
+        assert n == len(fit.coefficients)
+        for col in R:
+            assert math.hypot(*col) == pytest.approx(1.0, abs=1e-12)
+        # ||R||_F = sqrt(n) for unit columns, and ||R^-1||_F >= 1
+        assert math.sqrt(n) * (1 - 1e-12) <= bound <= pairing.FIT_CONDITION_LIMIT / 10
 
 
 def test_fit_columns_ladder_and_powers():
