@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List
 
@@ -25,7 +24,7 @@ from .distributions import (
 )
 from .expansion import differentiate, from_taylor
 from .pairing import DEFAULT_CONFIG, QuadratureConfig, fp_limit, fp_pair_oracle, pair
-from .sphere import g_lambda
+from .sphere import FrozenRecord, g_lambda
 from .testfn import (
     derivative,
     from_polynomial,
@@ -36,14 +35,17 @@ from .testfn import (
 )
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
-    suite: str
-    name: str
-    passed: bool
-    observed: float
-    expected: float
-    tolerance: float
+class CheckOutcome(FrozenRecord):
+    __slots__ = ("suite", "name", "passed", "observed", "expected", "tolerance")
+
+    def __init__(self, suite: str, name: str, passed: bool, observed: float,
+                 expected: float, tolerance: float):
+        object.__setattr__(self, "suite", suite)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "observed", observed)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "tolerance", tolerance)
 
     def line(self) -> str:
         return outcome_line(f"{self.suite}.{self.name}", self.passed, self.observed,

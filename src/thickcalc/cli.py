@@ -22,7 +22,6 @@ import json
 import os
 import sys
 import warnings
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,7 +30,7 @@ from .dsl import Program, parse_program, parse_query, run
 from .errors import DslError
 from .pairing import DEFAULT_CONFIG, QuadratureConfig
 
-# The imports above leave some 15,000 objects (modules, classes, functions,
+# The imports above leave some 14,700 objects (modules, classes, functions,
 # tables) that live as long as the process in the collector's young
 # generations, and the first collection that reaches generation 1 would
 # traverse them all (about 0.9 ms on a 2-vCPU x86_64 VM, inside the first
@@ -62,21 +61,17 @@ def _number(text: str) -> float:
 
 
 def build_config(args) -> QuadratureConfig:
-    cfg = DEFAULT_CONFIG
+    fields = {key: getattr(DEFAULT_CONFIG, key) for key in QuadratureConfig.__slots__}
     if args.config:
-        raw = load_config_file(args.config)
-        known = {"abs_tol": float, "max_subdivisions": int, "split_radius": float}
-        fields = {}
-        for key, value in raw.items():
-            if key not in known:
+        for key, value in load_config_file(args.config).items():
+            if key not in fields:
                 raise ValueError(f"unknown config key {key!r}")
             fields[key] = int(value) if key == "max_subdivisions" else _number(value)
-        cfg = replace(cfg, **fields)
     if args.A is not None:
-        cfg = replace(cfg, split_radius=_number(args.A))
+        fields["split_radius"] = _number(args.A)
     if args.tol is not None:
-        cfg = replace(cfg, abs_tol=args.tol)
-    return cfg
+        fields["abs_tol"] = args.tol
+    return QuadratureConfig(**fields)
 
 
 def _print_record(rec: dict, out) -> None:
@@ -157,6 +152,9 @@ def main(argv=None) -> int:
             return 2
         except OSError as exc:
             print(f"thickcalc: {exc}", file=sys.stderr)
+            return 2
+        except UnicodeDecodeError:  # from reading the program file of eval or check
+            print(f"thickcalc: {args.source or 'all'}: not UTF-8 text", file=sys.stderr)
             return 2
     for w in caught:
         print(f"note: {w.message}", file=sys.stderr)

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
 from .errors import MisclassifiedPowerError, PointMismatchError
-from .sphere import SpherePair, SphereDistribution, as_fraction, g_lambda
+from .sphere import FrozenRecord, SpherePair, SphereDistribution, as_fraction, g_lambda
 from .testfn import Multiplier, derivative as fn_derivative, heaviside_multiplier
 
 
@@ -40,74 +39,69 @@ def _normalize_power(lam):
     raise TypeError(f"power must be int, Fraction or float, got {type(lam).__name__}")
 
 
-@dataclass(frozen=True)
-class PfDensity:
+class PfDensity(FrozenRecord):
     """Finite-part regularization of the density pair(w) * r^power."""
 
-    pair: SpherePair
-    power: Union[int, Fraction, float]
-    point: Fraction = Fraction(0)
+    __slots__ = ("pair", "power", "point")
 
-    def __post_init__(self):
-        p = self.pair if isinstance(self.pair, SpherePair) else SpherePair(*self.pair)
-        object.__setattr__(self, "pair", p)
-        object.__setattr__(self, "power", _normalize_power(self.power))
-        object.__setattr__(self, "point", as_fraction(self.point))
+    def __init__(self, pair: SpherePair, power: Union[int, Fraction, float], point=Fraction(0)):
+        pair = pair if isinstance(pair, SpherePair) else SpherePair(*pair)
+        object.__setattr__(self, "pair", pair)
+        object.__setattr__(self, "power", _normalize_power(power))
+        object.__setattr__(self, "point", as_fraction(point))
 
     @property
     def integral_power(self) -> bool:
         return isinstance(self.power, int)
 
 
-@dataclass(frozen=True)
-class ThickDelta:
+class ThickDelta(FrozenRecord):
     """Extracts the degree-q expansion coefficient, weighted on the two sides."""
 
-    weights: SphereDistribution
-    degree: int
-    point: Fraction = Fraction(0)
+    __slots__ = ("weights", "degree", "point")
 
-    def __post_init__(self):
-        w = self.weights
-        if isinstance(w, SpherePair):
-            w = SphereDistribution(w)
-        elif not isinstance(w, SphereDistribution):
-            w = SphereDistribution(SpherePair(*w))
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "point", as_fraction(self.point))
+    def __init__(self, weights: SphereDistribution, degree: int, point=Fraction(0)):
+        if isinstance(weights, SpherePair):
+            weights = SphereDistribution(weights)
+        elif not isinstance(weights, SphereDistribution):
+            weights = SphereDistribution(SpherePair(*weights))
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "point", as_fraction(point))
 
 
-@dataclass(frozen=True)
-class Derivative:
-    inner: "ThickDistribution"
+class Derivative(FrozenRecord):
+    __slots__ = ("inner",)
+
+    def __init__(self, inner: "ThickDistribution"):
+        object.__setattr__(self, "inner", inner)
 
     @property
     def point(self):
         return self.inner.point
 
 
-@dataclass(frozen=True)
-class MultiplierProduct:
-    multiplier: Multiplier
-    inner: "ThickDistribution"
+class MultiplierProduct(FrozenRecord):
+    __slots__ = ("multiplier", "inner")
 
-    def __post_init__(self):
-        if self.multiplier.point != self.inner.point:
+    def __init__(self, multiplier: Multiplier, inner: "ThickDistribution"):
+        if multiplier.point != inner.point:
             raise PointMismatchError(
                 "multiplier and distribution live at different thick points"
             )
+        object.__setattr__(self, "multiplier", multiplier)
+        object.__setattr__(self, "inner", inner)
 
     @property
     def point(self):
         return self.inner.point
 
 
-@dataclass(frozen=True)
-class LinearCombination:
-    terms: Tuple[Tuple[Fraction, "ThickDistribution"], ...]
+class LinearCombination(FrozenRecord):
+    __slots__ = ("terms",)
 
-    def __post_init__(self):
-        terms = tuple((as_fraction(c), d) for c, d in self.terms)
+    def __init__(self, terms: Tuple[Tuple[Fraction, "ThickDistribution"], ...]):
+        terms = tuple((as_fraction(c), d) for c, d in terms)
         points = {d.point for _, d in terms}
         if len(points) > 1:
             raise PointMismatchError("cannot combine distributions at different thick points")
@@ -118,32 +112,30 @@ class LinearCombination:
         return self.terms[0][1].point if self.terms else Fraction(0)
 
 
-@dataclass(frozen=True)
-class Translate:
+class Translate(FrozenRecord):
     """f(x + shift); a distribution at point a moves to a - shift."""
 
-    inner: "ThickDistribution"
-    shift: Fraction
+    __slots__ = ("inner", "shift")
 
-    def __post_init__(self):
-        object.__setattr__(self, "shift", as_fraction(self.shift))
+    def __init__(self, inner: "ThickDistribution", shift):
+        object.__setattr__(self, "inner", inner)
+        object.__setattr__(self, "shift", as_fraction(shift))
 
     @property
     def point(self):
         return self.inner.point - self.shift
 
 
-@dataclass(frozen=True)
-class Dilate:
+class Dilate(FrozenRecord):
     """f(factor * x); the thick point moves from a to a / factor."""
 
-    inner: "ThickDistribution"
-    factor: Fraction
+    __slots__ = ("inner", "factor")
 
-    def __post_init__(self):
-        f = as_fraction(self.factor)
+    def __init__(self, inner: "ThickDistribution", factor):
+        f = as_fraction(factor)
         if f == 0:
             raise ValueError("dilation factor must be nonzero")
+        object.__setattr__(self, "inner", inner)
         object.__setattr__(self, "factor", f)
 
     @property
@@ -372,13 +364,15 @@ def _is_zero_leaf(d) -> bool:
 # -- projection ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClassicalDistributionView:
+class ClassicalDistributionView(FrozenRecord):
     """The same functional, restricted to test functions that are smooth
     across the thick point.  Pairing goes through the thick machinery, the
     view only gates the argument type."""
 
-    source: ThickDistribution
+    __slots__ = ("source",)
+
+    def __init__(self, source: ThickDistribution):
+        object.__setattr__(self, "source", source)
 
     @property
     def point(self):

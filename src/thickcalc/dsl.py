@@ -38,7 +38,6 @@ on the distribution and ``psi`` is never differentiated.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, NamedTuple, Optional, Union
 
@@ -56,7 +55,7 @@ from .distributions import (
     simplify,
 )
 from .errors import DslError, PointMismatchError, ThickCalcError
-from .sphere import SpherePair, parity_pair
+from .sphere import FrozenRecord, Record, SpherePair, parity_pair
 from .testfn import (
     Multiplier,
     ThickTestFunction,
@@ -483,30 +482,40 @@ def print_distribution(d) -> str:
 # -- programs ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Query:
-    command: str  # eval | derive | project | expand | check
-    source: str
-    dist: object = None
-    testfn: Optional[ThickTestFunction] = None
-    derivatives: int = 0  # an eval pairs d*^k dist with testfn, times (-1)^k
-    max_order: Optional[int] = None
-    suite: Optional[str] = None
+class Query(FrozenRecord):
+    __slots__ = ("command", "source", "dist", "testfn", "derivatives", "max_order", "suite")
+
+    def __init__(self, command: str, source: str, dist: object = None,
+                 testfn: Optional[ThickTestFunction] = None, derivatives: int = 0,
+                 max_order: Optional[int] = None, suite: Optional[str] = None):
+        object.__setattr__(self, "command", command)  # eval | derive | project | expand | check
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "dist", dist)
+        object.__setattr__(self, "testfn", testfn)
+        # an eval pairs d*^k dist with testfn, times (-1)^k
+        object.__setattr__(self, "derivatives", derivatives)
+        object.__setattr__(self, "max_order", max_order)
+        object.__setattr__(self, "suite", suite)
 
 
-@dataclass
-class Program:
-    bindings: dict
-    queries: List[Query]
+class Program(Record):
+    __slots__ = ("bindings", "queries")
+
+    def __init__(self, bindings: dict, queries: List[Query]):
+        self.bindings = bindings
+        self.queries = queries
 
 
-@dataclass
-class Report:
+class Report(Record):
     """Per-query records plus the flags the exit status is derived from."""
 
-    records: List[dict]
-    had_error: bool = False
-    check_failed: bool = False
+    __slots__ = ("records", "had_error", "check_failed")
+
+    def __init__(self, records: List[dict], had_error: bool = False,
+                 check_failed: bool = False):
+        self.records = records
+        self.had_error = had_error
+        self.check_failed = check_failed
 
     @property
     def exit_status(self) -> int:

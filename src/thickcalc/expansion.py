@@ -14,21 +14,17 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Tuple
 
-from .sphere import SpherePair, ZERO_PAIR, as_fraction, parity_pair
+from .sphere import FrozenRecord, SpherePair, ZERO_PAIR, as_fraction, parity_pair
 
 
-@dataclass(frozen=True)
-class Expansion:
-    start: int
-    coeffs: Tuple[SpherePair, ...]
+class Expansion(FrozenRecord):
+    __slots__ = ("start", "coeffs")
 
-    def __post_init__(self):
-        coeffs = tuple(self.coeffs)
-        start = self.start
+    def __init__(self, start: int, coeffs: Tuple[SpherePair, ...]):
+        coeffs = tuple(coeffs)
         while coeffs and coeffs[-1].is_zero():
             coeffs = coeffs[:-1]
         while coeffs and coeffs[0].is_zero():

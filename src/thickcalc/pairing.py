@@ -31,7 +31,6 @@ terms away (``fp_limit``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul
@@ -58,21 +57,24 @@ from .distributions import (
     nested_derivative,
 )
 from .quadrature import integrate
-from .sphere import ONE_PAIR, SPHERE_MEASURE, ZERO_PAIR, SpherePair
+from .sphere import ONE_PAIR, SPHERE_MEASURE, ZERO_PAIR, FrozenRecord, SpherePair
 from .testfn import Body, ThickTestFunction, derivative, dilate, multiply_by, translate
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    abs_tol: float = 1e-10
-    max_subdivisions: int = 2000
-    split_radius: float = 1.0
+class QuadratureConfig(FrozenRecord):
+    __slots__ = ("abs_tol", "max_subdivisions", "split_radius")
 
-    def __post_init__(self):
-        if not 0 < self.abs_tol < math.inf:
+    def __init__(self, abs_tol: float = 1e-10, max_subdivisions: int = 2000,
+                 split_radius: float = 1.0):
+        if not 0 < abs_tol < math.inf:
             raise ValueError("abs_tol must be positive and finite")
-        if not 0 < self.split_radius < math.inf:
+        if not (isinstance(max_subdivisions, int) and max_subdivisions >= 1):
+            raise ValueError("max_subdivisions must be an integer of at least 1")
+        if not 0 < split_radius < math.inf:
             raise ValueError("split_radius must be positive and finite")
+        object.__setattr__(self, "abs_tol", abs_tol)
+        object.__setattr__(self, "max_subdivisions", max_subdivisions)
+        object.__setattr__(self, "split_radius", split_radius)
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -80,19 +82,20 @@ DEFAULT_CONFIG = QuadratureConfig()
 Number = Union[Fraction, float]
 
 
-@dataclass(frozen=True)
-class PairingResult:
-    value: Number
-    split_radius: Optional[float]
-    quad_error: float
-    series_terms: Tuple[Tuple[int, Number], ...] = ()
-    log_term: Number = 0
+class PairingResult(FrozenRecord):
+    __slots__ = ("value", "split_radius", "quad_error", "series_terms", "log_term")
 
-    def __post_init__(self):
-        if not math.isfinite(float(self.value)):
+    def __init__(self, value: Number, split_radius: Optional[float], quad_error: float,
+                 series_terms: Tuple[Tuple[int, Number], ...] = (), log_term: Number = 0):
+        if not math.isfinite(float(value)):
             raise NonFiniteError("pairing produced a non-finite value")
-        if self.quad_error < 0:
+        if quad_error < 0:
             raise ValueError("error estimate cannot be negative")
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "split_radius", split_radius)
+        object.__setattr__(self, "quad_error", quad_error)
+        object.__setattr__(self, "series_terms", series_terms)
+        object.__setattr__(self, "log_term", log_term)
 
     def __float__(self):
         return float(self.value)
@@ -417,8 +420,7 @@ def _power_integral(mu: float, a: float, b: float) -> float:
 # -- finite part of a limit ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FpFit:
+class FpFit(FrozenRecord):
     """Result of fitting F(eps) against divergent + convergent basis terms.
 
     ``finite_part`` is the coefficient of the constant; ``coefficients`` maps
@@ -426,9 +428,13 @@ class FpFit:
     coefficient of eps^exponent * ln^q eps.
     """
 
-    finite_part: float
-    residual: float
-    coefficients: Dict[Tuple[Number, int], float]
+    __slots__ = ("finite_part", "residual", "coefficients")
+
+    def __init__(self, finite_part: float, residual: float,
+                 coefficients: Dict[Tuple[Number, int], float]):
+        object.__setattr__(self, "finite_part", finite_part)
+        object.__setattr__(self, "residual", residual)
+        object.__setattr__(self, "coefficients", coefficients)
 
     def __float__(self):
         return self.finite_part

@@ -8,8 +8,8 @@ tested with straight equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Union
 
 Rational = Union[int, Fraction]
@@ -28,16 +28,54 @@ def as_fraction(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact scalar")
 
 
-@dataclass(frozen=True)
-class SpherePair:
+class Record:
+    """Base of the small record types.  The fields are the ``__slots__`` of
+    the class, read through one ``attrgetter``: records of one class with
+    equal fields are equal, and the repr is ``Name(field=value, ...)``."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        if cls.__slots__:
+            cls._fields = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields(self) == other._fields(other)
+        return NotImplemented
+
+    def __repr__(self):
+        values = self._fields(self) if len(self.__slots__) > 1 else (self._fields(self),)
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, values))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class FrozenRecord(Record):
+    """An immutable record: hashable over its fields, which cannot be
+    assigned or deleted once ``__init__`` has set them."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class SpherePair(FrozenRecord):
     """Values of a function on the two-point sphere: (value at +1, value at -1)."""
 
-    plus: Fraction
-    minus: Fraction
+    __slots__ = ("plus", "minus")
 
-    def __post_init__(self):
-        object.__setattr__(self, "plus", as_fraction(self.plus))
-        object.__setattr__(self, "minus", as_fraction(self.minus))
+    def __init__(self, plus, minus):
+        object.__setattr__(self, "plus", as_fraction(plus))
+        object.__setattr__(self, "minus", as_fraction(minus))
 
     def at(self, w: int) -> Fraction:
         if w == 1:
@@ -107,8 +145,7 @@ def integrate_sphere(f: SpherePair) -> Fraction:
 SPHERE_MEASURE = Fraction(2)
 
 
-@dataclass(frozen=True)
-class SphereDistribution:
+class SphereDistribution(FrozenRecord):
     """A linear functional on sphere pairs, stored as its two pairing weights.
 
     ``pair(a) = weights.plus * a.plus + weights.minus * a.minus``.  The
@@ -116,7 +153,10 @@ class SphereDistribution:
     ``g_lambda``) are baked into the constructors below.
     """
 
-    weights: SpherePair
+    __slots__ = ("weights",)
+
+    def __init__(self, weights: SpherePair):
+        object.__setattr__(self, "weights", weights)
 
     def pair(self, a: SpherePair) -> Fraction:
         return self.weights.plus * a.plus + self.weights.minus * a.minus

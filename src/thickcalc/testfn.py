@@ -27,7 +27,7 @@ multiplies, differentiates and scales as a test function does.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import groupby
@@ -36,7 +36,7 @@ from typing import Tuple
 from .errors import PointMismatchError
 from . import expansion as xp
 from .expansion import ZERO_EXPANSION, Expansion
-from .sphere import ONE_PAIR, SpherePair, ZERO_PAIR, as_fraction, parity_pair
+from .sphere import ONE_PAIR, FrozenRecord, SpherePair, ZERO_PAIR, as_fraction, parity_pair
 
 
 # -- smooth step profile -----------------------------------------------------
@@ -275,15 +275,19 @@ def _evaluate(body, point, radius, x) -> float:
     return body.value(float(y))
 
 
-@dataclass(frozen=True)
-class ThickTestFunction:
-    body: Body
-    point: Fraction
-    radius: float  # the support; kept as built, as a cancelling sum may shrink the body's
+class ThickTestFunction(FrozenRecord):
+    __slots__ = ("body", "point", "radius")
 
-    def __post_init__(self):
-        object.__setattr__(self, "point", as_fraction(self.point))
-        object.__setattr__(self, "radius", float(self.radius))
+    def __init__(self, body: Body, point, radius):
+        object.__setattr__(self, "body", body)
+        object.__setattr__(self, "point", as_fraction(point))
+        # the support; kept as built, as a cancelling sum may shrink the body's
+        object.__setattr__(self, "radius", float(radius))
+
+    def _with(self, body, point):
+        """The same kind of function with another body and point; a test
+        function keeps its support radius."""
+        return ThickTestFunction(body, point, self.radius)
 
     @property
     def expansion(self) -> Expansion:
@@ -308,7 +312,7 @@ class ThickTestFunction:
                                  max(self.radius, other.radius))
 
     def scale(self, k) -> "ThickTestFunction":
-        return replace(self, body=self.body.scale(k))
+        return self._with(self.body.scale(k), self.point)
 
     def __mul__(self, other):
         if isinstance(other, Multiplier):
@@ -321,18 +325,20 @@ class ThickTestFunction:
         return NotImplemented
 
 
-@dataclass(frozen=True)
-class Multiplier:
+class Multiplier(FrozenRecord):
     """Smooth off the thick point, no compact support.
 
     Its body is a test-function body without a cutoff: one factorless term
     pair(w) * r^j, or none for the zero multiplier."""
 
-    body: Body
-    point: Fraction
+    __slots__ = ("body", "point")
 
-    def __post_init__(self):
-        object.__setattr__(self, "point", as_fraction(self.point))
+    def __init__(self, body: Body, point):
+        object.__setattr__(self, "body", body)
+        object.__setattr__(self, "point", as_fraction(point))
+
+    def _with(self, body, point):
+        return Multiplier(body, point)
 
     expansion = ThickTestFunction.expansion
 
@@ -401,7 +407,7 @@ def constant_multiplier(value=1, point=0) -> Multiplier:
 
 def derivative(f):
     """Symbolic derivative; works on both test functions and multipliers."""
-    return replace(f, body=f.body.derivative())
+    return f._with(f.body.derivative(), f.point)
 
 
 def multiply_by(psi: Multiplier, phi: ThickTestFunction) -> ThickTestFunction:
@@ -414,7 +420,7 @@ def multiply_by(psi: Multiplier, phi: ThickTestFunction) -> ThickTestFunction:
 
 def translate(f, shift):
     """f(x - shift): the graph moves right by shift, the thick point with it."""
-    return replace(f, point=f.point + as_fraction(shift))
+    return f._with(f.body, f.point + as_fraction(shift))
 
 
 def dilate(f: ThickTestFunction, c) -> ThickTestFunction:
@@ -422,7 +428,7 @@ def dilate(f: ThickTestFunction, c) -> ThickTestFunction:
     c = as_fraction(c)
     if c == 0:
         raise ValueError("dilation factor must be nonzero")
-    return replace(f, body=f.body.dilate(c), point=c * f.point, radius=float(abs(c)) * f.radius)
+    return ThickTestFunction(f.body.dilate(c), c * f.point, float(abs(c)) * f.radius)
 
 
 def _dilate_pair(p: SpherePair, j: int, c: Fraction) -> SpherePair:

@@ -187,6 +187,15 @@ def test_missing_input():
     assert out.returncode == 2
 
 
+@pytest.mark.parametrize("command", ["eval", "check"])
+def test_program_file_that_is_not_utf8_is_an_input_error(command, tmp_path):
+    path = tmp_path / "bad.tc"
+    path.write_bytes(b"eval dstar, bump(1)\n\xff\xfe")
+    out = run_cli(command, str(path))
+    assert out.returncode == 2
+    assert out.stderr == f"thickcalc: {path}: not UTF-8 text\n"
+
+
 def test_line_format_shows_exact_value():
     out = run_cli("eval", "-e", "dstar, mono(0, pair(3,1), 2)")
     assert out.returncode == 0
@@ -225,6 +234,18 @@ def test_non_finite_tolerance_is_bad_configuration(tol):
     out = run_cli("eval", "--tol", tol, "-e", "Pf(abs(x)^-1/2), bump(1)")
     assert out.returncode == 2
     assert "bad configuration" in out.stderr
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+@pytest.mark.parametrize("command, expr", [("check", "all"),
+                                           ("eval", "Pf(abs(x)^-1/2), bump(1)*bump(3/2)")])
+def test_non_positive_max_subdivisions_is_bad_configuration(count, command, expr, tmp_path):
+    path = tmp_path / "quad.cfg"
+    path.write_text(f"max_subdivisions = {count}\n")
+    args = [command, expr] if command == "check" else [command, "-e", expr]
+    out = run_cli(*args, "--config", str(path))
+    assert out.returncode == 2
+    assert "bad configuration" in out.stderr and "Traceback" not in out.stderr
 
 
 @pytest.mark.parametrize("flag, value", [("--A", "1/0"), ("--A", "1e400"),

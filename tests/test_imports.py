@@ -1,6 +1,10 @@
-"""Every top-level import of a thickcalc module is used in that module."""
+"""Every top-level import of a thickcalc module is used in that module, and
+starting the command line tool builds one dataclass and no numeric library."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,3 +39,25 @@ def test_no_unused_top_level_import(module):
 def test_the_guard_sees_an_unused_import():
     assert unused_imports("import sys\nfrom a import b, c as d\nfrom __future__ import x\n"
                           "print(b)\n") == ["sys", "d"]
+
+
+STARTUP_PROBE = """
+import sys, thickcalc.cli
+dataclasses = sorted(f"{name.partition('.')[2]}.{cls.__qualname__}"
+                     for name, module in list(sys.modules.items())
+                     if name.startswith("thickcalc.")
+                     for cls in vars(module).values()
+                     if isinstance(cls, type) and cls.__module__ == name
+                     and hasattr(cls, "__dataclass_fields__"))
+print(" ".join(dataclasses))
+print(" ".join(sorted({"numpy", "mpmath"} & set(sys.modules))))
+"""
+
+
+def test_startup_builds_one_dataclass_and_imports_no_numeric_library():
+    path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-c", STARTUP_PROBE], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": path})
+    dataclasses, numeric = out.stdout.split("\n")[:2]
+    assert dataclasses == "testfn.Body"  # perfbench's tracer reads its fields
+    assert numeric == ""
