@@ -212,6 +212,61 @@ def test_mono_requires_pair_literal():
     assert "pair" in str(err.value)
 
 
+#: A malformed statement, the message it is refused with and the position it is
+#: refused at: one or more for each way the parser refuses a statement.
+PARSE_ERRORS = [
+    ("eval dstar @ bump(1)", "unexpected character '@'", 11),
+    ("eval dstar, bump(1", "expected ')', got 'end of input'", 18),
+    ("eval Pf(abs(x)^", "expected 'int', got 'end of input'", 15),
+    ("eval dstar,", "unexpected end of expression", 11),
+    ("let h = 2 - ", "unexpected end of expression", 11),
+    ("eval dstar bump(1)", "expected ',', got 'bump'", 11),
+    ("let h dstar", "expected '=', got 'dstar'", 6),
+    ("let 2 = dstar", "expected 'name', got '2'", 4),
+    ("eval Pf(pair(1,1) * s^2), bump(1)", "expected 'r', got 's'", 20),
+    ("eval H(y) * dstar, bump(1)", "expected 'x', got 'y'", 7),
+    ("eval delta(pair(1,1)), bump(1)", "expected '[', got '('", 10),
+    ("expand poly([1, 2), 1", "expected ',', got ')'", 17),
+    ("eval Pf(abs(x)^1/0), bump(1)", "zero denominator", 15),
+    ("eval dstar, bump(1) + )", "unexpected token ')'", 22),
+    ("eval dstar + mystery, bump(1)", "unbound name 'mystery'", 13),
+    ("eval pair(1,2), bump(1)", "unbound name 'pair'", 5),
+    ("eval Pf(x^2), bump(1)", "Pf( ) takes abs(x)^a, H(x) or pair(p,q) * r^a", 8),
+    ("eval delta[0](1), bump(1)", "expected pair(a, b)", 14),
+    ("eval dstar, mono(1, 5, 2)", "expected pair(a, b)", 20),
+    ("eval translate(bump(1), 1), bump(1)",
+     "expected a distribution argument, got a test function", 15),
+    ("eval dstar, D(dstar)", "expected a function argument, got a distribution", 14),
+    ("eval dstar + bump(1), bump(1)",
+     "cannot combine a distribution and a test function with '+'", 11),
+    ("eval dstar * dstar, bump(1)", "cannot multiply a distribution by a distribution", 11),
+    ("evaluate dstar, bump(1)", "expected a statement keyword, got 'evaluate'", 0),
+    ("2 + dstar", "expected a statement keyword, got '2'", 0),
+    ("check 3", "check takes a suite name", 6),
+    ("check all(", "check takes a suite name", 9),
+    ("derive bump(1)", "derive takes a distribution", 0),
+    ("expand dstar, 2", "expand takes a test function", 0),
+    ("eval bump(1), bump(1)", "eval takes a distribution first", 0),
+    ("eval dstar, dstar", "eval takes a test function second", 0),
+    ("project dstar, H(x)", "project takes a test function second", 0),
+    ("derive dstar dstar", "unexpected trailing input 'dstar'", 13),
+    ("eval dstar, bump(0)", "support radius must be positive and finite", 12),
+    ("eval dilate(dstar, 0), bump(1)", "dilation factor must be nonzero", 5),
+    ("eval " + "d*(" * 101 + "dstar" + ")" * 101 + ", bump(1)",
+     "expression nested deeper than 100 levels", 308),
+    ("eval dstar, " + "-" * 101 + "bump(1)", "expression nested deeper than 100 levels", 113),
+]
+
+
+@pytest.mark.parametrize("text, message, position", PARSE_ERRORS,
+                         ids=[text[:40] for text, _, _ in PARSE_ERRORS])
+def test_parse_error_message_and_position(text, message, position):
+    with pytest.raises(DslError) as err:
+        parse_program(text)
+    assert str(err.value) == f"{message} (at position {position})"
+    assert err.value.position == position
+
+
 # -- round trips ---------------------------------------------------------------------
 
 
