@@ -22,7 +22,12 @@ Expression grammar (precedence: constructors > ``*``/``·`` > ``+``/``-``):
 Numbers are integers, rationals ``p/q`` (kept exact, so the integer-versus-not
 power dispatch is intent-driven) or decimals such as ``0.5``, ``2.5e-3`` and
 ``1e-05`` (always treated as non-integer).  The name ``d`` is reserved:
-``d*( ... )`` is the derivative operator.
+``d*( ... )`` is the derivative operator.  ``let`` refuses the names that are
+always built-ins (``bump``, ``Pf``, ``dstar``, ``delta``, ...).
+
+``Parser`` reads one statement at a time from its plain ``(kind, text, pos)``
+tokens, which end in an end token, by index; ``Parser.parse_value`` reads all
+three binding levels: ``+``/``-``, ``*``/``·`` and a unary ``-`` factor.
 
 The printer writes the canonical text of a tree, which parses back to an equal
 tree: a one-term combination keeps its coefficient (``1 * dstar``), a scaled
@@ -39,7 +44,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import List, NamedTuple, Optional, Union
+from typing import List, Optional, Union
 
 from . import checks, distributions, expansion, pairing
 from .distributions import (
@@ -85,13 +90,9 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE | re.DOTALL)
 
 
-class Token(NamedTuple):
-    kind: str  # 'int' | 'decimal' | 'name' | symbol text
-    text: str
-    pos: int
-
-
-def tokenize(text: str) -> List[Token]:
+def tokenize(text: str) -> List[tuple]:
+    """The tokens of ``text`` as ``(kind, text, pos)``; the kind is ``int``,
+    ``decimal``, ``name`` or the symbol itself."""
     out = []
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
@@ -101,57 +102,13 @@ def tokenize(text: str) -> List[Token]:
             kind = m.group()
         elif kind == "bad":
             raise DslError(f"unexpected character {m.group()!r}", m.start())
-        out.append(Token(kind, m.group(), m.start()))
+        out.append((kind, m.group(), m.start()))
     return out
-
-
-class _Cursor:
-    def __init__(self, tokens: List[Token], text: str):
-        self.tokens = tokens
-        self.text = text
-        self.i = 0
-        self.depth = -1  # nesting level of the factor being parsed; 0 is outermost
-
-    @property
-    def position(self) -> int:
-        """Where the next token starts, or the end of the text."""
-        t = self.peek()
-        return t.pos if t else len(self.text)
-
-    def peek(self, ahead: int = 0) -> Optional[Token]:
-        j = self.i + ahead
-        return self.tokens[j] if j < len(self.tokens) else None
-
-    def next(self) -> Token:
-        t = self.peek()
-        if t is None:
-            raise DslError("unexpected end of input", len(self.text))
-        self.i += 1
-        return t
-
-    def expect(self, kind: str, word: Optional[str] = None) -> Token:
-        """The next token, which must be of ``kind`` (and read ``word``, if given)."""
-        t = self.peek()
-        if t is None or t.kind != kind or (word is not None and t.text != word):
-            got = t.text if t else "end of input"
-            raise DslError(f"expected {word or kind!r}, got {got!r}", self.position)
-        return self.next()
-
-    def at(self, kind: str, ahead: int = 0) -> bool:
-        t = self.peek(ahead)
-        return t is not None and t.kind == kind
-
-    def at_name(self, word: str, ahead: int = 0) -> bool:
-        t = self.peek(ahead)
-        return t is not None and t.kind == "name" and t.text == word
-
-    def done(self) -> bool:
-        return self.i >= len(self.tokens)
 
 
 # -- parser --------------------------------------------------------------------
 
-#: Deepest nesting the parser accepts; it recurses about five frames a level.
+#: Deepest nesting the parser accepts; it recurses at most three frames a level.
 MAX_NESTING = 100
 
 #: Every ``name(arg, ...)`` form: the kinds of its arguments (a ``function`` is
@@ -171,225 +128,332 @@ _CALLS = {
     "d*": (("distribution",), Derivative),
 }
 
+#: The names ``Parser._primary`` always reads as built-ins, so ``let`` refuses
+#: them; ``H``, ``x`` and ``d`` are built-ins only before ``(``, ``^`` and ``*(``.
+_BUILTIN_NAMES = (frozenset(_CALLS) - {"pair", "d*"}) | {"Pf", "dstar", "delta"}
+
+#: The binding level of each binary operator; a unary ``-`` binds at level 2.
+_BINDING = {"+": 0, "-": 0, "*": 1, "·": 1}
+
 
 class Parser:
+    """Reads statements into values and queries, one statement at a time.
+
+    The tokens of the statement being read end in an end token
+    ``(None, "end of input", len(text))``, so a look ahead never runs off the
+    list; ``bindings`` holds the ``let`` names from one statement to the next."""
+
     def __init__(self, bindings=None):
         self.bindings = dict(bindings or {})
+        self.start("")
+
+    def start(self, text: str):
+        """Read the tokens of ``text`` from the first one on."""
+        self.tokens = tokenize(text)
+        self.tokens.append((None, "end of input", len(text)))
+        self.i = 0
+        self.depth = -1  # nesting level of the factor being parsed; 0 is outermost
+
+    def at(self, kind: Optional[str], ahead: int = 0, word: Optional[str] = None) -> bool:
+        """Whether the token ``ahead`` of the next one is of ``kind`` (and reads
+        ``word``, if given); ``at(None)`` is the end of the statement."""
+        t = self.tokens[self.i + ahead]
+        return t[0] == kind and (word is None or t[1] == word)
+
+    def next(self) -> tuple:
+        t = self.tokens[self.i]
+        self.i += 1
+        return t
+
+    def expect(self, kind: str, word: Optional[str] = None) -> tuple:
+        """The next token, which must be of ``kind`` (and read ``word``, if given)."""
+        t = self.tokens[self.i]
+        if t[0] != kind or (word is not None and t[1] != word):
+            raise DslError(f"expected {word or kind!r}, got {t[1]!r}", t[2])
+        self.i += 1
+        return t
 
     # numbers ------------------------------------------------------------
 
-    def parse_number(self, c: _Cursor) -> Number:
+    def parse_number(self) -> Number:
         sign = 1
-        while c.at("-") or c.at("+"):
-            if c.next().kind == "-":
+        while self.at("-") or self.at("+"):
+            if self.next()[0] == "-":
                 sign = -sign
-        if c.at("decimal"):
-            return sign * float(c.next().text)
-        tok = c.expect("int")
-        value = int(tok.text)
-        if c.at("/") and c.at("int", 1):
-            c.next()
-            den = int(c.next().text)
+        if self.at("decimal"):
+            return sign * float(self.next()[1])
+        _, text, pos = self.expect("int")
+        value = int(text)
+        if self.at("/") and self.at("int", 1):
+            self.i += 1
+            den = int(self.next()[1])
             if den == 0:
-                raise DslError("zero denominator", tok.pos)
+                raise DslError("zero denominator", pos)
             q = Fraction(sign * value, den)
             return int(q) if q.denominator == 1 else q
         return sign * value
 
-    def parse_int(self, c: _Cursor) -> int:
+    def parse_int(self) -> int:
         sign = 1
-        while c.at("-"):
-            c.next()
+        while self.at("-"):
+            self.i += 1
             sign = -sign
-        return sign * int(c.expect("int").text)
+        return sign * int(self.expect("int")[1])
 
-    def parse_pair(self, c: _Cursor) -> SpherePair:
-        if not c.at_name("pair"):
-            raise DslError("expected pair(a, b)", c.position)
-        return self._call(c, "pair")
+    def parse_pair(self) -> SpherePair:
+        if not self.at("name", word="pair"):
+            raise DslError("expected pair(a, b)", self.tokens[self.i][2])
+        return self._call("pair")
 
     # expressions ----------------------------------------------------------
 
-    def parse_value(self, c: _Cursor) -> Value:
-        left = self._multiplicative(c)
-        while c.at("+") or c.at("-"):
-            op = c.next()
-            right = self._multiplicative(c)
-            left = self._combine_add(left, right, op)
-        return left
-
-    def _multiplicative(self, c: _Cursor) -> Value:
-        left = self._unary(c)
-        while c.at("*") or c.at("·"):
-            op = c.next()
-            right = self._unary(c)
-            left = self._combine_mul(left, right, op)
-        return left
-
-    def _unary(self, c: _Cursor) -> Value:
-        c.depth += 1  # every nesting level, by '(', an argument or a unary '-', passes here
-        if c.depth > MAX_NESTING:
-            raise DslError(f"expression nested deeper than {MAX_NESTING} levels", c.position)
-        if c.at("-"):
-            tok = c.next()
-            value = self._combine_mul(-1, self._unary(c), tok)
+    def parse_value(self, level: int = 0) -> Value:
+        """Read a value whose binary operators bind at ``level`` or tighter:
+        ``+``/``-`` at 0, ``*``/``·`` at 1, and at 2 one factor, which is a
+        unary ``-`` or a primary."""
+        self.depth += 1  # every nesting level, by '(', an argument or a unary '-', passes here
+        if self.depth > MAX_NESTING:
+            raise DslError(f"expression nested deeper than {MAX_NESTING} levels",
+                           self.tokens[self.i][2])
+        if self.at("-"):
+            op = self.next()
+            left = self._combine_mul(-1, self.parse_value(2), op)
         else:
-            value = self._primary(c)
-        c.depth -= 1
-        return value
+            left = self._primary()
+        self.depth -= 1
+        while (binding := _BINDING.get(self.tokens[self.i][0], -1)) >= level:
+            op = self.next()
+            right = self.parse_value(binding + 1)
+            combine = self._combine_add if binding == 0 else self._combine_mul
+            left = combine(left, right, op)
+        return left
 
-    def _combine_add(self, a: Value, b: Value, op: Token) -> Value:
+    def _combine_add(self, a: Value, b: Value, op: tuple) -> Value:
         if isinstance(a, (int, Fraction, float)) and isinstance(b, (int, Fraction, float)):
-            return a + b if op.kind == "+" else a - b
+            return a + b if op[0] == "+" else a - b
         if isinstance(a, ThickTestFunction) and isinstance(b, ThickTestFunction):
-            return a + b if op.kind == "+" else a + b.scale(-1)
+            return a + b if op[0] == "+" else a + b.scale(-1)
         if _is_dist(a) and _is_dist(b):
-            coefficient = Fraction(1) if op.kind == "+" else Fraction(-1)
-            return _build(op, _flatten_combination, ((Fraction(1), a), (coefficient, b)))
-        raise DslError(f"cannot combine {_typename(a)} and {_typename(b)} with {op.kind!r}",
-                       op.pos)
+            coefficient = Fraction(1) if op[0] == "+" else Fraction(-1)
+            return _build(op[2], _flatten_combination, ((Fraction(1), a), (coefficient, b)))
+        raise DslError(f"cannot combine {_typename(a)} and {_typename(b)} with {op[0]!r}",
+                       op[2])
 
-    def _combine_mul(self, a: Value, b: Value, op: Token) -> Value:
+    def _combine_mul(self, a: Value, b: Value, op: tuple) -> Value:
         if isinstance(a, (int, Fraction, float)) and isinstance(b, (int, Fraction, float)):
             return a * b
         if isinstance(a, (int, Fraction, float)):
             if _is_dist(b):
-                return _flatten_combination(((_build(op, Fraction, a), b),))
+                return _flatten_combination(((_build(op[2], Fraction, a), b),))
             if isinstance(b, (ThickTestFunction, Multiplier)):
-                return _build(op, b.scale, a)
+                return _build(op[2], b.scale, a)
         if isinstance(b, (int, Fraction, float)):
             return self._combine_mul(b, a, op)
         if isinstance(a, Multiplier) and _is_dist(b):
-            return _build(op, MultiplierProduct, a, b)
+            return _build(op[2], MultiplierProduct, a, b)
         if isinstance(a, Multiplier) and isinstance(b, ThickTestFunction):
             return multiply_by(a, b)
         if isinstance(a, ThickTestFunction) and isinstance(b, Multiplier):
             return multiply_by(b, a)
         if isinstance(a, ThickTestFunction) and isinstance(b, ThickTestFunction):
             return a * b
-        raise DslError(f"cannot multiply {_typename(a)} by {_typename(b)}", op.pos)
+        raise DslError(f"cannot multiply {_typename(a)} by {_typename(b)}", op[2])
 
-    def _primary(self, c: _Cursor) -> Value:
-        t = c.peek()
-        if t is None:
-            raise DslError("unexpected end of expression", len(c.text))
-        if t.kind in ("int", "decimal"):
-            return self.parse_number(c)
-        if t.kind == "(":
-            c.next()
-            v = self.parse_value(c)
-            c.expect(")")
+    def _primary(self) -> Value:
+        kind, word, pos = self.tokens[self.i]
+        if kind is None:
+            raise DslError("unexpected end of expression", pos)
+        if kind in ("int", "decimal"):
+            return self.parse_number()
+        if kind == "(":
+            self.i += 1
+            v = self.parse_value()
+            self.expect(")")
             return v
-        if t.kind != "name":
-            raise DslError(f"unexpected token {t.text!r}", t.pos)
-        word = t.text
-        if word == "d" and c.at("*", 1) and c.at("(", 2):
+        if kind != "name":
+            raise DslError(f"unexpected token {word!r}", pos)
+        if word == "d" and self.at("*", 1) and self.at("(", 2):
             word = "d*"
         if word in _CALLS and word != "pair":  # pair(a, b) is an argument, not a value
-            value = self._call(c, word)
-            if word == "glambda" and (c.at("·") or c.at("*")) and c.at_name("delta", 1):
-                c.next()
-                value = ThickDelta(value.weights, self._degree(c))
+            value = self._call(word)
+            if word == "glambda" and (self.at("·") or self.at("*")) \
+                    and self.at("name", 1, "delta"):
+                self.i += 1
+                value = ThickDelta(value.weights, self._degree())
             return value
         if word == "Pf":
-            c.next()
-            c.expect("(")
+            self.i += 1
+            self.expect("(")
             pair, power = SpherePair(1, 0), 0
-            if c.at_name("H"):
-                _read_of_x(c, "H")
+            if self.at("name", word="H"):
+                self._read_of_x("H")
             else:
-                if c.at_name("abs"):
-                    _read_of_x(c, "abs")
+                if self.at("name", word="abs"):
+                    self._read_of_x("abs")
                     pair = SpherePair(1, 1)
-                elif c.at_name("pair"):
-                    pair = self.parse_pair(c)
-                    c.expect("*")
-                    c.expect("name", "r")
+                elif self.at("name", word="pair"):
+                    pair = self.parse_pair()
+                    self.expect("*")
+                    self.expect("name", "r")
                 else:
-                    raise DslError("Pf( ) takes abs(x)^a, H(x) or pair(p,q) * r^a", c.position)
-                c.expect("^")
-                power = self.parse_number(c)
-            c.expect(")")
-            return _build(t, PfDensity, pair, power)
+                    raise DslError("Pf( ) takes abs(x)^a, H(x) or pair(p,q) * r^a",
+                                   self.tokens[self.i][2])
+                self.expect("^")
+                power = self.parse_number()
+            self.expect(")")
+            return _build(pos, PfDensity, pair, power)
         if word == "dstar":
-            c.next()
+            self.i += 1
             return delta_star()
         if word == "delta":
-            degree = self._degree(c)
-            c.expect("(")
-            weights = self.parse_pair(c)
-            c.expect(")")
+            degree = self._degree()
+            self.expect("(")
+            weights = self.parse_pair()
+            self.expect(")")
             return ThickDelta(weights, degree)
-        if word == "H" and c.at("(", 1):
-            _read_of_x(c, "H")
+        if word == "H" and self.at("(", 1):
+            self._read_of_x("H")
             return heaviside_multiplier()
-        if word == "x" and c.at("^", 1):
-            c.next(); c.next()
-            return power_multiplier(self.parse_int(c))
+        if word == "x" and self.at("^", 1):
+            self.i += 2
+            return power_multiplier(self.parse_int())
         if word in self.bindings:
-            c.next()
+            self.i += 1
             return self.bindings[word]
-        raise DslError(f"unbound name {word!r}", t.pos)
+        raise DslError(f"unbound name {word!r}", pos)
 
-    def _call(self, c: _Cursor, name: str):
+    def _call(self, name: str):
         """Read ``name(arg, ...)`` for a name in ``_CALLS`` and build its value;
         an argument the constructor rejects is reported at the name."""
-        tok = c.next()
+        pos = self.next()[2]
         if name == "d*":
-            c.next()
+            self.i += 1
         kinds, constructor = _CALLS[name]
-        c.expect("(")
+        self.expect("(")
         args = []
         for kind in kinds:
             if args:
-                c.expect(",")
+                self.expect(",")
             if kind == "number":
-                arg = self.parse_number(c)
+                arg = self.parse_number()
             elif kind == "integer":
-                arg = self.parse_int(c)
+                arg = self.parse_int()
             elif kind == "pair":
-                arg = self.parse_pair(c)
+                arg = self.parse_pair()
             elif kind == "list":
-                c.expect("[")
+                self.expect("[")
                 arg = []
-                while not c.at("]"):
+                while not self.at("]"):
                     if arg:
-                        c.expect(",")
-                    arg.append(self.parse_number(c))
-                c.next()
+                        self.expect(",")
+                    arg.append(self.parse_number())
+                self.i += 1
             else:
-                start = c.position
-                arg = self.parse_value(c)
+                start = self.tokens[self.i][2]
+                arg = self.parse_value()
                 if not (_is_dist(arg) if kind == "distribution"
                         else isinstance(arg, (ThickTestFunction, Multiplier))):
                     raise DslError(f"expected a {kind} argument, got {_typename(arg)}", start)
             args.append(arg)
-        c.expect(")")
-        return _build(tok, constructor, *args)
+        self.expect(")")
+        return _build(pos, constructor, *args)
 
-    def _degree(self, c: _Cursor) -> int:
+    def _degree(self) -> int:
         """Read ``delta[q]``."""
-        c.expect("name", "delta")
-        c.expect("[")
-        degree = self.parse_int(c)
-        c.expect("]")
+        self.expect("name", "delta")
+        self.expect("[")
+        degree = self.parse_int()
+        self.expect("]")
         return degree
 
+    def _read_of_x(self, name: str):
+        """Read ``name(x)``."""
+        self.expect("name", name)
+        self.expect("(")
+        self.expect("name", "x")
+        self.expect(")")
 
-def _read_of_x(c: _Cursor, name: str):
-    """Read ``name(x)``."""
-    c.expect("name", name)
-    c.expect("(")
-    c.expect("name", "x")
-    c.expect(")")
+    # statements -----------------------------------------------------------
+
+    def _parse_statement(self, line: str) -> Optional[Query]:
+        """Read one statement; a ``let`` binds its name and gives no query."""
+        self.start(line)
+        kind, head, pos = self.next()
+        if kind != "name" or head not in _COMMANDS:
+            raise DslError(f"expected a statement keyword, got {head!r}", pos)
+        if head == "let":
+            _, name, name_pos = self.expect("name")
+            if name in _BUILTIN_NAMES:
+                raise DslError(f"cannot bind {name!r}: it is a built-in name", name_pos)
+            self.expect("=")
+            value = self.parse_value()
+            self._expect_end()
+            self.bindings[name] = value
+            return None
+        if head == "check":
+            pieces = []
+            while not self.at(None):
+                kind, word, where = self.next()
+                if kind not in ("name", "-"):
+                    raise DslError("check takes a suite name", where)
+                pieces.append(word)
+            return Query("check", line, suite="".join(pieces) or "all")
+        first = self.parse_value()
+        if head == "derive":
+            self._expect_end()
+            if not _is_dist(first):
+                raise DslError("derive takes a distribution", pos)
+            return Query("derive", line, dist=first)
+        self.expect(",")
+        if head == "expand":
+            order = self.parse_int()
+            self._expect_end()
+            if not isinstance(first, (ThickTestFunction, Multiplier)):
+                raise DslError("expand takes a test function", pos)
+            return Query("expand", line, testfn=first, max_order=order)
+        # eval | project
+        fn, k = self._derivative_chain() if head == "eval" else (self.parse_value(), 0)
+        self._expect_end()
+        if not _is_dist(first):
+            raise DslError(f"{head} takes a distribution first", pos)
+        if not isinstance(fn, ThickTestFunction):
+            raise DslError(f"{head} takes a test function second", pos)
+        return Query(head, line, dist=first, testfn=fn, derivatives=k)
+
+    def _derivative_chain(self):
+        """An eval's test-function argument as (psi, k): D(...D(psi)...) with k
+        D's spanning the whole argument keeps psi undifferentiated, since
+        <f, D^k psi> = (-1)^k <d*^k f, psi>; any other argument is (value, 0).
+        psi is parsed at the nesting depth the D's give it, so that every error
+        is the one the plain parse raises."""
+        start = self.i
+        k = 0
+        while k < MAX_NESTING and self.at("name", word="D") and self.at("(", 1):
+            self.i += 2
+            k += 1
+        if k:
+            self.depth += k
+            psi = self.parse_value()
+            self.depth -= k
+            if isinstance(psi, ThickTestFunction) and self.i + k == len(self.tokens) - 1 \
+                    and all(self.at(")", j) for j in range(k)):
+                self.i += k
+                return psi, k
+            self.i = start
+        return self.parse_value(), 0
+
+    def _expect_end(self):
+        kind, text, pos = self.tokens[self.i]
+        if kind is not None:
+            raise DslError(f"unexpected trailing input {text!r}", pos)
 
 
-def _build(tok: Token, constructor, *args):
-    """Call a constructor, reporting the arguments it rejects at the token."""
+def _build(pos: int, constructor, *args):
+    """Call a constructor, reporting the arguments it rejects at ``pos``."""
     try:
         return constructor(*args)
     except (ValueError, OverflowError, PointMismatchError) as exc:
-        raise DslError(str(exc), tok.pos) from None
+        raise DslError(str(exc), pos) from None
 
 
 def _is_dist(v) -> bool:
@@ -574,101 +638,21 @@ _COMMANDS = ("eval", "derive", "project", "expand", "check", "let")
 
 
 def parse_program(text: str) -> Program:
-    parser = Parser()
-    queries: List[Query] = []
-    for raw_line in text.splitlines():
-        line = raw_line.split("#", 1)[0].strip()
-        if line:
-            _parse_statement(parser, line, queries)
-    return Program(parser.bindings, queries)
+    return _parse_statements(line.split("#", 1)[0] for line in text.splitlines())
 
 
 def parse_query(text: str) -> Program:
     """A single statement, e.g. handed to the CLI with -e."""
+    return _parse_statements((text,))
+
+
+def _parse_statements(lines) -> Program:
     parser = Parser()
     queries: List[Query] = []
-    _parse_statement(parser, text.strip(), queries)
+    for line in lines:
+        line = line.strip()
+        if line:
+            query = parser._parse_statement(line)
+            if query is not None:
+                queries.append(query)
     return Program(parser.bindings, queries)
-
-
-def _parse_statement(parser: Parser, line: str, queries: List[Query]):
-    c = _Cursor(tokenize(line), line)
-    head = c.peek()
-    if head is None:
-        return
-    if head.kind != "name" or head.text not in _COMMANDS:
-        raise DslError(f"expected a statement keyword, got {head.text!r}", head.pos)
-    c.next()
-    if head.text == "let":
-        name = c.expect("name").text
-        c.expect("=")
-        value = parser.parse_value(c)
-        _expect_end(c, line)
-        parser.bindings[name] = value
-        return
-    if head.text == "check":
-        pieces = []
-        while not c.done():
-            t = c.next()
-            if t.kind not in ("name", "-"):
-                raise DslError("check takes a suite name", t.pos)
-            pieces.append(t.text)
-        if not pieces:
-            pieces = ["all"]
-        queries.append(Query("check", line, suite="".join(pieces)))
-        return
-    if head.text == "derive":
-        dist = parser.parse_value(c)
-        _expect_end(c, line)
-        if not _is_dist(dist):
-            raise DslError("derive takes a distribution", head.pos)
-        queries.append(Query("derive", line, dist=dist))
-        return
-    if head.text == "expand":
-        fn = parser.parse_value(c)
-        c.expect(",")
-        order = parser.parse_int(c)
-        _expect_end(c, line)
-        if not isinstance(fn, (ThickTestFunction, Multiplier)):
-            raise DslError("expand takes a test function", head.pos)
-        queries.append(Query("expand", line, testfn=fn, max_order=order))
-        return
-    # eval | project
-    dist = parser.parse_value(c)
-    c.expect(",")
-    fn, k = _derivative_chain(parser, c) if head.text == "eval" else (parser.parse_value(c), 0)
-    _expect_end(c, line)
-    if not _is_dist(dist):
-        raise DslError(f"{head.text} takes a distribution first", head.pos)
-    if not isinstance(fn, ThickTestFunction):
-        raise DslError(f"{head.text} takes a test function second", head.pos)
-    queries.append(Query(head.text, line, dist=dist, testfn=fn, derivatives=k))
-
-
-def _derivative_chain(parser: Parser, c: _Cursor):
-    """An eval's test-function argument as (psi, k): D(...D(psi)...) with k
-    D's spanning the whole argument keeps psi undifferentiated, since
-    <f, D^k psi> = (-1)^k <d*^k f, psi>; any other argument is (value, 0).
-    psi is parsed at the nesting depth the D's give it, so that every error
-    is the one the plain parse raises."""
-    start = c.i
-    k = 0
-    while k < MAX_NESTING and c.at_name("D") and c.at("(", 1):
-        c.i += 2
-        k += 1
-    if k:
-        c.depth += k
-        psi = parser.parse_value(c)
-        c.depth -= k
-        if isinstance(psi, ThickTestFunction) and c.i + k == len(c.tokens) \
-                and all(c.at(")", j) for j in range(k)):
-            c.i += k
-            return psi, k
-        c.i = start
-    return parser.parse_value(c), 0
-
-
-def _expect_end(c: _Cursor, line: str):
-    if not c.done():
-        t = c.peek()
-        raise DslError(f"unexpected trailing input {t.text!r}", t.pos)

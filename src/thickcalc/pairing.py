@@ -57,7 +57,7 @@ from .distributions import (
     nested_derivative,
 )
 from .quadrature import integrate
-from .sphere import ONE_PAIR, SPHERE_MEASURE, ZERO_PAIR, FrozenRecord, SpherePair
+from .sphere import SPHERE_MEASURE, ZERO_PAIR, FrozenRecord, SpherePair
 from .testfn import Body, ThickTestFunction, derivative, dilate, multiply_by, translate
 
 
@@ -511,7 +511,7 @@ def fp_limit(samples, powers=None) -> FpFit:
 
 
 def _dot(u, v) -> float:
-    return sum(map(mul, u, v))
+    return math.fsum(map(mul, u, v))  # correctly rounded, so the same on every Python
 
 
 def _householder_qr(cols: List[List[float]], b: List[float]):
@@ -580,21 +580,3 @@ def fp_pair_oracle(f: PfDensity, phi: ThickTestFunction,
     pieces = [integrate(integrand, lo, hi, cfg.abs_tol, max(cfg.max_subdivisions, 4000))[0]
               for lo, hi in zip(grid, [R] + grid)]
     return fp_limit(list(zip(grid, accumulate(pieces))), powers)
-
-
-# -- small helpers used by identity checks ---------------------------------------
-
-
-def radial_integral(phi: ThickTestFunction, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Integral of phi over the line, evaluated as the two-sided radial sum."""
-    value, _ = integrate(_radial(phi.body, phi.radius, ONE_PAIR, 0.0), 0.0, phi.radius,
-                         cfg.abs_tol, cfg.max_subdivisions)
-    return value
-
-
-def axis_integral(phi: ThickTestFunction, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Integral of phi over the line, evaluated on the x axis directly."""
-    a = float(phi.point)
-    value, _ = integrate(lambda x: phi.evaluate(x), a - phi.radius, a + phi.radius,
-                         cfg.abs_tol, cfg.max_subdivisions)
-    return value

@@ -126,6 +126,14 @@ def test_malformed_config_line(tmp_path):
     assert "key = value" in out.stderr
 
 
+def test_let_of_a_built_in_name_is_a_parse_error(tmp_path):
+    prog = tmp_path / "session.tc"
+    prog.write_text("let dstar = bump(1)\neval dstar, dstar\n")
+    out = run_cli("eval", str(prog))
+    assert out.returncode == 2
+    assert "cannot bind 'dstar': it is a built-in name" in out.stderr
+
+
 def test_program_file_with_bindings(tmp_path):
     prog = tmp_path / "session.tc"
     prog.write_text(

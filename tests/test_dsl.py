@@ -26,7 +26,6 @@ from thickcalc import dsl
 from thickcalc.dsl import (
     MAX_NESTING,
     Parser,
-    _Cursor,
     parse_program,
     parse_query,
     print_distribution,
@@ -50,9 +49,9 @@ from thickcalc.testfn import (
 
 def parse_value(text: str, bindings=None):
     parser = Parser(bindings)
-    cursor = _Cursor(tokenize(text), text)
-    value = parser.parse_value(cursor)
-    assert cursor.done(), f"trailing tokens in {text!r}"
+    parser.start(text)
+    value = parser.parse_value()
+    assert parser.at(None), f"trailing tokens in {text!r}"
     return value
 
 
@@ -410,6 +409,24 @@ def test_binding_must_precede_use():
         parse_program("eval dstar, phi\nlet phi = bump(1)")
 
 
+@pytest.mark.parametrize("name", ["bump", "mono", "poly", "mult", "glambda", "translate",
+                                  "dilate", "D", "Pf", "dstar", "delta"])
+def test_let_refuses_a_built_in_name(name):
+    # each of these is read as the built-in wherever it stands, never as a binding
+    with pytest.raises(DslError) as err:
+        parse_program(f"eval dstar, bump(1)\nlet {name} = bump(1)\neval dstar, {name}")
+    assert str(err.value) == f"cannot bind {name!r}: it is a built-in name (at position 4)"
+    assert err.value.position == 4
+
+
+def test_let_binds_the_names_that_are_built_ins_only_in_context():
+    for name in ("H", "x", "d", "pair"):
+        program = parse_program(f"let {name} = bump(1)\neval dstar, {name}")
+        assert program.queries[0].testfn == plateau_bump(1)
+    program = parse_program("let x = 2\nexpand x * bump(1), 0")
+    assert program.queries[0].testfn == plateau_bump(1).scale(2)
+
+
 def test_parse_query_shapes():
     q = parse_query("expand poly([0,0,0,1],1), 4").queries[0]
     assert q.command == "expand"
@@ -544,7 +561,7 @@ def test_derivative_chain_errors_are_those_of_the_plain_parse(argument, monkeypa
     text = f"eval dstar, {argument}"
     with pytest.raises(DslError) as chain:
         parse_query(text)
-    monkeypatch.setattr(dsl, "_derivative_chain", lambda parser, c: (parser.parse_value(c), 0))
+    monkeypatch.setattr(dsl.Parser, "_derivative_chain", lambda parser: (parser.parse_value(), 0))
     with pytest.raises(DslError) as plain:
         parse_query(text)
     assert str(chain.value) == str(plain.value)

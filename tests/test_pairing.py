@@ -37,12 +37,10 @@ from thickcalc.pairing import (
     _ramp_shape,
     PairingResult,
     QuadratureConfig,
-    axis_integral,
     fit_columns,
     fp_limit,
     fp_pair_oracle,
     pair,
-    radial_integral,
     ramp_derivative_moment,
     ramp_moment,
     ramp_square_moment,
@@ -521,9 +519,16 @@ def test_projected_step_acts_as_ordinary_step():
 
 
 def test_radial_equals_axis_integral():
+    # the integral of phi over the line, as the two-sided radial sum and on the x axis
+    cfg = pairing.DEFAULT_CONFIG
     for phi in (plateau_bump(1.5), from_polynomial([1, 2, 3], 2.0),
                 translate(from_polynomial([1, 1], 1.0), Fraction(5, 2))):
-        assert radial_integral(phi) == pytest.approx(axis_integral(phi), abs=1e-10)
+        radial, _ = integrate(pairing._radial(phi.body, phi.radius, SpherePair(1, 1), 0.0),
+                              0.0, phi.radius, cfg.abs_tol, cfg.max_subdivisions)
+        a = float(phi.point)
+        axis, _ = integrate(phi.evaluate, a - phi.radius, a + phi.radius,
+                            cfg.abs_tol, cfg.max_subdivisions)
+        assert radial == pytest.approx(axis, abs=1e-10)
 
 
 def test_projection_gates_thick_functions():
