@@ -148,7 +148,8 @@ def main(argv=None) -> int:
                 print("thickcalc: give -e <expr> or a program file", file=sys.stderr)
                 return 2
         except DslError as exc:
-            print(f"thickcalc: parse error: {exc}", file=sys.stderr)
+            where = "" if exc.line is None else f"{args.source}:{exc.line}: "
+            print(f"thickcalc: parse error: {where}{exc}", file=sys.stderr)
             return 2
         except OSError as exc:
             print(f"thickcalc: {exc}", file=sys.stderr)

@@ -376,8 +376,11 @@ class Parser:
     # statements -----------------------------------------------------------
 
     def _parse_statement(self, line: str) -> Optional[Query]:
-        """Read one statement; a ``let`` binds its name and gives no query."""
+        """Read one statement; a ``let`` binds its name and gives no query.
+        Positions count from the start of ``line``; the query's source is
+        the stripped line."""
         self.start(line)
+        source = line.strip()
         kind, head, pos = self.next()
         if kind != "name" or head not in _COMMANDS:
             raise DslError(f"expected a statement keyword, got {head!r}", pos)
@@ -397,20 +400,20 @@ class Parser:
                 if kind not in ("name", "-"):
                     raise DslError("check takes a suite name", where)
                 pieces.append(word)
-            return Query("check", line, suite="".join(pieces) or "all")
+            return Query("check", source, suite="".join(pieces) or "all")
         first = self.parse_value()
         if head == "derive":
             self._expect_end()
             if not _is_dist(first):
                 raise DslError("derive takes a distribution", pos)
-            return Query("derive", line, dist=first)
+            return Query("derive", source, dist=first)
         self.expect(",")
         if head == "expand":
             order = self.parse_int()
             self._expect_end()
             if not isinstance(first, (ThickTestFunction, Multiplier)):
                 raise DslError("expand takes a test function", pos)
-            return Query("expand", line, testfn=first, max_order=order)
+            return Query("expand", source, testfn=first, max_order=order)
         # eval | project
         fn, k = self._derivative_chain() if head == "eval" else (self.parse_value(), 0)
         self._expect_end()
@@ -418,7 +421,7 @@ class Parser:
             raise DslError(f"{head} takes a distribution first", pos)
         if not isinstance(fn, ThickTestFunction):
             raise DslError(f"{head} takes a test function second", pos)
-        return Query(head, line, dist=first, testfn=fn, derivatives=k)
+        return Query(head, source, dist=first, testfn=fn, derivatives=k)
 
     def _derivative_chain(self):
         """An eval's test-function argument as (psi, k): D(...D(psi)...) with k
@@ -638,21 +641,29 @@ _COMMANDS = ("eval", "derive", "project", "expand", "check", "let")
 
 
 def parse_program(text: str) -> Program:
-    return _parse_statements(line.split("#", 1)[0] for line in text.splitlines())
+    """The statements of a program, one a line.  A ``DslError`` names the
+    line it was found on (``line``, from 1), and its position counts from the
+    start of that line."""
+    return _parse_statements(enumerate(
+        (line.split("#", 1)[0].rstrip() for line in text.splitlines()), 1))
 
 
 def parse_query(text: str) -> Program:
     """A single statement, e.g. handed to the CLI with -e."""
-    return _parse_statements((text,))
+    return _parse_statements([(None, text.strip())])
 
 
 def _parse_statements(lines) -> Program:
+    """The program of the (line number, statement text) pairs ``lines``."""
     parser = Parser()
     queries: List[Query] = []
-    for line in lines:
-        line = line.strip()
+    for number, line in lines:
         if line:
-            query = parser._parse_statement(line)
+            try:
+                query = parser._parse_statement(line)
+            except DslError as exc:
+                exc.line = number
+                raise
             if query is not None:
                 queries.append(query)
     return Program(parser.bindings, queries)

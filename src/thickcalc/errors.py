@@ -39,10 +39,12 @@ class OrdinaryFunctionRequiredError(ThickCalcError):
 
 
 class DslError(ThickCalcError):
-    """Syntax or binding error in the expression DSL, with a position."""
+    """Syntax or binding error in the expression DSL, with a position; a
+    program file's parser sets ``line``, the line (from 1) it was found on."""
 
     def __init__(self, message, position=None):
         if position is not None:
             message = f"{message} (at position {position})"
         super().__init__(message)
         self.position = position
+        self.line = None

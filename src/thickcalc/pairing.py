@@ -25,13 +25,18 @@ deltas against the undifferentiated test function.
 ``fp_pair_oracle`` reaches the same number along a completely different
 route: it truncates the integral at epsilon, sweeps epsilon down a geometric
 grid, and extracts the finite part of the limit by fitting the divergent
-terms away (``fp_limit``).
+terms away (``fp_limit``).  Given several densities at once, it evaluates
+the test function's body once per node for all of them.
+
+Between calls the module keeps only the ramp moments, cached per exponent;
+the oracle's body samples live as long as one call.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from operator import mul
 from typing import Dict, List, Optional, Tuple, Union
@@ -112,16 +117,17 @@ class PairingResult(FrozenRecord):
                              self.log_term + other.log_term)
 
 
-def _radial(body: Body, radius: float, pair: SpherePair, flam: float, subtract=()):
+def _radial(radial, radius: float, pair: SpherePair, flam: float, subtract=()):
     """The two-sided radial integrand r^flam * sum_w pair(w) * (body(w r) -
-    sum_j a_j(w) r^j) over the orders (j, a_j) in ``subtract``; the body is
+    sum_j a_j(w) r^j) over the orders (j, a_j) in ``subtract``, reading the
+    body through ``radial`` (``Body.radial`` or a memo of it); the body is
     zero from ``radius`` on."""
     cp, cm = float(pair.plus), float(pair.minus)
     sub_p = [(float(a.plus), j) for j, a in subtract]
     sub_m = [(float(a.minus), j) for j, a in subtract]
 
     def integrand(r):
-        vp, vm = body.radial(r) if r < radius else (0.0, 0.0)
+        vp, vm = radial(r) if r < radius else (0.0, 0.0)
         acc = 0.0
         if cp:
             if sub_p:
@@ -245,13 +251,13 @@ def _pair_density(f: PfDensity, phi: ThickTestFunction, cfg: QuadratureConfig) -
 
     far_value = 0.0
     if body.terms:
-        far_value, err = integrate(_radial(body, R, f.pair, flam), A, R,
+        far_value, err = integrate(_radial(body.radial, R, f.pair, flam), A, R,
                                    cfg.abs_tol, cfg.max_subdivisions)
         quad_error += err
     near_value = math.fsum(closed)
     if E < A and (body.terms or any(not c.is_zero() for c in subtract.values())):
         # the expansion-subtracted remainder between the plateau edge and A
-        v, err = integrate(_radial(body, R, f.pair, flam, subtract.items()), E, A,
+        v, err = integrate(_radial(body.radial, R, f.pair, flam, subtract.items()), E, A,
                            cfg.abs_tol, cfg.max_subdivisions)
         near_value += v
         quad_error += err
@@ -329,6 +335,9 @@ _RAMP_K = (
 #: The |mu| the series serves; outside it a term stays on quadrature.
 MOMENT_RANGE = 24
 
+#: Exponents each moment cache keeps (an eval-mix pass asks for 44).
+MOMENT_CACHE_SIZE = 512
+
 
 def _ramp_series(mu: float, k0: int, table) -> Tuple[float, float]:
     """(the sum over k = k0, k0 + 2, ... of C(mu, k) (3/4)^(mu-k) c_k for the
@@ -345,14 +354,23 @@ def _ramp_series(mu: float, k0: int, table) -> Tuple[float, float]:
     return scale * math.fsum(terms), 2.0 * abs(b) * scale * 4.0 ** -(k0 + 83) / (k0 + 83)
 
 
+@lru_cache(maxsize=MOMENT_CACHE_SIZE)
 def ramp_moment(mu: float) -> Tuple[float, float]:
-    """(m(mu), a bound on the series terms left out) for |mu| <= MOMENT_RANGE."""
+    """(m(mu), a bound on the series terms left out) for |mu| <= MOMENT_RANGE.
+
+    Cached by the value of mu (0.0 and -0.0 share an entry); the series is
+    always summed at float(mu), so an entry holds the same bits whatever type
+    of number filled it.  The uncached function is ``ramp_moment.__wrapped__``."""
+    mu = float(mu)
     odd, tail = _ramp_series(mu, 1, _RAMP_H)
     return 0.5 * _power_integral(mu, 0.5, 1.0) - odd, tail
 
 
+@lru_cache(maxsize=MOMENT_CACHE_SIZE)
 def ramp_square_moment(mu: float) -> Tuple[float, float]:
-    """(m_2(mu), a bound on the series terms left out) for |mu| <= MOMENT_RANGE."""
+    """(m_2(mu), a bound on the series terms left out) for |mu| <= MOMENT_RANGE,
+    cached like ``ramp_moment``."""
+    mu = float(mu)
     m, tail = ramp_moment(mu)
     even, even_tail = _ramp_series(mu, 0, _RAMP_K)
     return m - 0.25 * _power_integral(mu, 0.5, 1.0) + even, tail + even_tail
@@ -554,8 +572,7 @@ def _back_substitute(R: List[List[float]], y: List[float]) -> List[float]:
     return x
 
 
-def fp_pair_oracle(f: PfDensity, phi: ThickTestFunction,
-                   cfg: QuadratureConfig = DEFAULT_CONFIG) -> FpFit:
+def fp_pair_oracle(f, phi: ThickTestFunction, cfg: QuadratureConfig = DEFAULT_CONFIG):
     """Independent check of the density pairing via the finite part of a limit.
 
     F(eps) = integral of the density against phi over |x - a| >= eps is
@@ -567,16 +584,36 @@ def fp_pair_oracle(f: PfDensity, phi: ThickTestFunction,
     lambda + j + 1 of the expansion orders j.
     Only the *exponent set* of the fit is taken from the expansion orders;
     every coefficient comes out of the fit.
+
+    ``f`` is one ``PfDensity``, which gives one ``FpFit``, or a list or
+    tuple of them, which gives their fits as a list, in order.  The densities
+    of one call share the body samples: each node r is evaluated once, into a
+    dict that lives as long as the call.  Each fit is otherwise computed alone
+    (its own integrand, grid, quadrature and fit), so it is bit-identical to
+    the fit of a one-density call.
     """
-    if not isinstance(f, PfDensity):
-        raise TypeError("the finite-part oracle applies to density nodes only")
-    if f.point != phi.point:
-        raise PointMismatchError("oracle: thick points differ")
+    densities = f if isinstance(f, (list, tuple)) else (f,)
+    for g in densities:
+        if not isinstance(g, PfDensity):
+            raise TypeError("the finite-part oracle applies to density nodes only")
+        if g.point != phi.point:
+            raise PointMismatchError("oracle: thick points differ")
+    samples = {}
+
+    def radial(r):
+        value = samples.get(r)
+        if value is None:
+            value = samples[r] = phi.body.radial(r)
+        return value
+
     R = phi.radius
-    powers = [f.power + j + 1 for j, _ in phi.expansion.terms()]
-    integrand = _radial(phi.body, R, f.pair, float(f.power))
     eps0 = min(phi.exact_radius, R) * 0.9
-    grid = [eps0 * 2.0 ** (-k / 2.0) for k in range(len(fit_columns(powers)) + 8)]
-    pieces = [integrate(integrand, lo, hi, cfg.abs_tol, max(cfg.max_subdivisions, 4000))[0]
-              for lo, hi in zip(grid, [R] + grid)]
-    return fp_limit(list(zip(grid, accumulate(pieces))), powers)
+    fits = []
+    for g in densities:
+        powers = [g.power + j + 1 for j, _ in phi.expansion.terms()]
+        integrand = _radial(radial, R, g.pair, float(g.power))
+        grid = [eps0 * 2.0 ** (-k / 2.0) for k in range(len(fit_columns(powers)) + 8)]
+        pieces = [integrate(integrand, lo, hi, cfg.abs_tol, max(cfg.max_subdivisions, 4000))[0]
+                  for lo, hi in zip(grid, [R] + grid)]
+        fits.append(fp_limit(list(zip(grid, accumulate(pieces))), powers))
+    return fits if densities is f else fits[0]

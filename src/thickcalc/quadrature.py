@@ -22,6 +22,7 @@ from __future__ import annotations
 import heapq
 import math
 import sys
+from operator import mul
 
 from .errors import QuadratureError
 
@@ -71,9 +72,9 @@ def _panel(f, a: float, b: float):
         absums.append(abs(lo) + abs(hi))
     sums.append(fc)
     absums.append(abs(fc))
-    kronrod = half * math.fsum(w * s for w, s in zip(_WK, sums))
-    gauss = half * math.fsum(w * s for w, s in zip(_WG, sums[1::2]))
-    floor = _ROUNDOFF * half * math.fsum(w * s for w, s in zip(_WK, absums))
+    kronrod = half * math.fsum(map(mul, _WK, sums))
+    gauss = half * math.fsum(map(mul, _WG, sums[1::2]))
+    floor = _ROUNDOFF * half * math.fsum(map(mul, _WK, absums))
     return kronrod, abs(kronrod - gauss), floor
 
 

@@ -95,11 +95,11 @@ def test_criterion_4_oracle_equivalence(capsys):
     powers = [Fraction(-5, 2), -2, -1, Fraction(-1, 2), 0, Fraction(3, 2)]
     cases = 0
     worst = 0.0
-    for lam in powers:
-        for phi in phis:
+    for phi in phis:
+        fits = fp_pair_oracle([pf_power(lam) for lam in powers], phi)
+        for lam, fit in zip(powers, fits):
             engine = float(pair(pf_power(lam), phi).value)
-            oracle = fp_pair_oracle(pf_power(lam), phi).finite_part
-            worst = max(worst, abs(engine - oracle))
+            worst = max(worst, abs(engine - fit.finite_part))
             cases += 1
     assert cases >= 20
 

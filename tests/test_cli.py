@@ -237,6 +237,21 @@ def test_rejected_constructor_argument_is_a_parse_error(expr, position):
     assert "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize("command, second_line, message, position", [
+    ("eval", "  eval dstar, bump(0)  # radius", "support radius must be positive and finite", 14),
+    ("check", "\tcheck 3", "check takes a suite name", 7),
+])
+def test_program_file_parse_error_names_its_line(tmp_path, command, second_line, message,
+                                                 position):
+    # the position counts from the start of the raw line, indentation included
+    prog = tmp_path / "prog.tc"
+    prog.write_text(f"let h = bump(1)  # fine\n{second_line}\neval dstar, h\n")
+    out = run_cli(command, str(prog))
+    assert out.returncode == 2
+    assert out.stderr == (f"thickcalc: parse error: {prog}:2: {message} "
+                          f"(at position {position})\n")
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf"])
 def test_non_finite_tolerance_is_bad_configuration(tol):
     out = run_cli("eval", "--tol", tol, "-e", "Pf(abs(x)^-1/2), bump(1)")

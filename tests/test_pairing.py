@@ -368,6 +368,71 @@ def test_oracle_agrees_with_pair(lam):
     assert res.value == pytest.approx(fit.finite_part, abs=1e-5)
 
 
+#: The test functions and powers of the pairing suite's oracle agreement.
+ORACLE_SUITE_PHIS = [plateau_bump(2.0), from_polynomial([1, 2, 1], 2.0),
+                     thick_monomial(-1, (1, 2), 2.0), thick_monomial(0, (3, 1), 2.0)]
+ORACLE_SUITE_POWERS = [Fraction(-5, 2), -2, -1, Fraction(-1, 2), 0, Fraction(3, 2)]
+
+
+@pytest.mark.parametrize("phi", ORACLE_SUITE_PHIS, ids=range(len(ORACLE_SUITE_PHIS)))
+def test_oracle_sequence_form_equals_one_call_per_density(phi):
+    densities = ([pf_power(lam) for lam in ORACLE_SUITE_POWERS]
+                 + [pf_heaviside(), PfDensity(SpherePair(1, 0), -1)])
+    fits = fp_pair_oracle(densities, phi)
+    alone = [fp_pair_oracle(f, phi) for f in densities]
+    assert isinstance(fits, list) and len(fits) == len(densities)
+    for fit, single in zip(fits, alone):
+        assert fit.finite_part == single.finite_part
+        assert fit.residual == single.residual
+        assert fit.coefficients == single.coefficients
+        assert repr(fit) == repr(single)  # bit for bit, signs of zeros included
+    assert [repr(fit) for fit in fp_pair_oracle(tuple(densities[:2]), phi)] == \
+        [repr(fit) for fit in alone[:2]]
+
+
+def test_oracle_sequence_form_checks_every_density():
+    with pytest.raises(TypeError):
+        fp_pair_oracle([pf_power(-1), delta_star()], plateau_bump(2.0))
+    with pytest.raises(PointMismatchError):
+        fp_pair_oracle([pf_power(-1), PfDensity(SpherePair(1, 1), -2, 1)], plateau_bump(2.0))
+
+
+def test_pairing_suite_samples_each_oracle_node_once(monkeypatch):
+    from thickcalc import checks
+    from thickcalc.testfn import Body
+    radial, oracle = Body.radial, checks.fp_pair_oracle
+    nodes = []  # the (body, r) of each Body.radial call, one list per oracle call
+    inside = []
+
+    def sampled(body, r):
+        if inside:
+            nodes[-1].append((id(body), r))
+        return radial(body, r)
+
+    def one_oracle_call(*args):
+        nodes.append([])
+        inside.append(True)
+        try:
+            return oracle(*args)
+        finally:
+            inside.pop()
+    monkeypatch.setattr(Body, "radial", sampled)
+    monkeypatch.setattr(checks, "fp_pair_oracle", one_oracle_call)
+    calls, evals = [], []
+
+    def counted(f, *args):
+        calls.append(args)
+        return integrate(lambda r: evals.append(r) or f(r), *args)
+    monkeypatch.setattr(pairing, "integrate", counted)
+    assert all(o.passed for o in checks.suite_pairing(pairing.DEFAULT_CONFIG))
+    assert len(nodes) == len(ORACLE_SUITE_PHIS)  # one call for the six powers
+    assert all(len(set(call)) == len(call) for call in nodes)
+    # 1,560 body samples where one call per density took 8,640; the
+    # quadrature itself is unchanged
+    assert sum(map(len, nodes)) == 1560
+    assert len(evals) == 8640 and len(calls) == 252
+
+
 # -- duality and transforms ---------------------------------------------------------
 
 
@@ -523,7 +588,7 @@ def test_radial_equals_axis_integral():
     cfg = pairing.DEFAULT_CONFIG
     for phi in (plateau_bump(1.5), from_polynomial([1, 2, 3], 2.0),
                 translate(from_polynomial([1, 1], 1.0), Fraction(5, 2))):
-        radial, _ = integrate(pairing._radial(phi.body, phi.radius, SpherePair(1, 1), 0.0),
+        radial, _ = integrate(pairing._radial(phi.body.radial, phi.radius, SpherePair(1, 1), 0.0),
                               0.0, phi.radius, cfg.abs_tol, cfg.max_subdivisions)
         a = float(phi.point)
         axis, _ = integrate(phi.evaluate, a - phi.radius, a + phi.radius,
@@ -805,6 +870,19 @@ def test_ramp_moment_matches_mpmath(mu):
     assert 0 <= tail <= 1e-16 * float(scale)
 
 
+@pytest.mark.parametrize("moment", [ramp_moment, ramp_square_moment])
+def test_cached_ramp_moments_equal_the_series(moment):
+    # equal exponents of different types or zero signs can share a cache
+    # entry, so each must give the same bits as the uncached series
+    grid = [0.0, -0.0, 0, 3, 3.0, -2.0, -2, 0.25, -1.3, -1 - 1e-9, 7.5, 23.25,
+            float(MOMENT_RANGE), MOMENT_RANGE, -MOMENT_RANGE, Fraction(-5, 2), -2.5]
+    moment.cache_clear()
+    for mu in grid + grid:  # the second round is served from the cache
+        assert [x.hex() for x in moment(mu)] == [x.hex() for x in moment.__wrapped__(mu)], mu
+    info = moment.cache_info()
+    assert info.maxsize is not None and info.hits >= len(grid) and info.currsize < len(grid)
+
+
 #: One single-cutoff body of each eval-mix shape: bump, poly, mono, a sum of
 #: radii 1 and 2, a dilate, and H(x) and x^k products; and the cutoff
 #: derivatives D(...) gives: alone, next to plain terms, second order, and
@@ -833,7 +911,7 @@ def test_single_cutoff_pairings_agree_with_the_oracle(monkeypatch, name):
     assert all(len(factors) == 1 for factors, _, _ in phi.body.terms)
     assert ("D(" in name) == any(factors[0][1] for factors, _, _ in phi.body.terms)
     powers = (Fraction(-5, 2), -2, -1.3, Fraction(1, 2))
-    expected = [fp_pair_oracle(pf_power(lam), phi).finite_part for lam in powers]
+    expected = [fit.finite_part for fit in fp_pair_oracle([pf_power(lam) for lam in powers], phi)]
     calls = counting_integrate(monkeypatch)
     got = [float(pair(pf_power(lam), phi).value) for lam in powers]
     assert calls == []  # the ramp moments replace every quadrature
@@ -961,7 +1039,7 @@ def test_product_pairings_agree_with_the_oracle(monkeypatch, name):
     assert shapes <= {(0, 0), (0, 1)} and ((0, 1) in shapes) == ("D(" in name)
     assert all(factors[0][0] == factors[1][0] for factors, _, _ in phi.body.terms)
     powers = (Fraction(-5, 2), -2, -1.3, Fraction(1, 2))
-    expected = [fp_pair_oracle(pf_power(lam), phi).finite_part for lam in powers]
+    expected = [fit.finite_part for fit in fp_pair_oracle([pf_power(lam) for lam in powers], phi)]
     calls = counting_integrate(monkeypatch)
     got = [float(pair(pf_power(lam), phi).value) for lam in powers]
     assert calls == []  # the square moment replaces every quadrature
