@@ -154,7 +154,7 @@ def suite_expansion(cfg: QuadratureConfig) -> List[CheckOutcome]:
 
 def suite_pairing(cfg: QuadratureConfig) -> List[CheckOutcome]:
     out = []
-    worst = Fraction(0)
+    worst = 0
     for phi in mixed_suite():
         a0 = phi.expansion.coefficient(0)
         expected = Fraction(a0.plus + a0.minus, 2)
@@ -224,7 +224,7 @@ def suite_paskusz(cfg: QuadratureConfig) -> List[CheckOutcome]:
 
     # multiplying the one-sided delta by the step again must not halve it
     g1d = ThickDelta(g_lambda(1), 0)
-    worst = Fraction(0)
+    worst = 0
     for phi in mixed_suite():
         once = pair(g1d, phi, cfg).value
         again = pair(MultiplierProduct(heaviside_multiplier(), g1d), phi, cfg).value

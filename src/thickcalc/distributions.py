@@ -15,23 +15,21 @@ from fractions import Fraction
 from typing import Optional, Tuple, Union
 
 from .errors import MisclassifiedPowerError, PointMismatchError
-from .sphere import FrozenRecord, SpherePair, SphereDistribution, as_fraction, g_lambda
+from .sphere import FrozenRecord, SpherePair, SphereDistribution, exact, g_lambda, ratio
 from .testfn import Multiplier, derivative as fn_derivative, heaviside_multiplier
 
 
 def _normalize_power(lam):
     """Exact integers go to the integer branch; everything else keeps its type.
 
-    A Fraction that happens to be integral *is* an exact integer, so it is
-    demoted to int.  Floats are never demoted: the caller who wants the
-    integer-case formulas must say so exactly.
+    An exact power is taken as ``exact`` gives it, so a Fraction that happens
+    to be integral *is* an exact integer.  Floats are never demoted: the
+    caller who wants the integer-case formulas must say so exactly.
     """
     if isinstance(lam, bool):
         raise TypeError("power must be a number")
-    if isinstance(lam, int):
-        return lam
-    if isinstance(lam, Fraction):
-        return int(lam) if lam.denominator == 1 else lam
+    if isinstance(lam, (int, Fraction)):
+        return exact(lam)
     if isinstance(lam, float):
         if not math.isfinite(lam):
             raise ValueError(f"power must be finite, got {lam!r}")
@@ -44,11 +42,11 @@ class PfDensity(FrozenRecord):
 
     __slots__ = ("pair", "power", "point")
 
-    def __init__(self, pair: SpherePair, power: Union[int, Fraction, float], point=Fraction(0)):
+    def __init__(self, pair: SpherePair, power: Union[int, Fraction, float], point=0):
         pair = pair if isinstance(pair, SpherePair) else SpherePair(*pair)
         object.__setattr__(self, "pair", pair)
         object.__setattr__(self, "power", _normalize_power(power))
-        object.__setattr__(self, "point", as_fraction(point))
+        object.__setattr__(self, "point", exact(point))
 
     @property
     def integral_power(self) -> bool:
@@ -60,14 +58,14 @@ class ThickDelta(FrozenRecord):
 
     __slots__ = ("weights", "degree", "point")
 
-    def __init__(self, weights: SphereDistribution, degree: int, point=Fraction(0)):
+    def __init__(self, weights: SphereDistribution, degree: int, point=0):
         if isinstance(weights, SpherePair):
             weights = SphereDistribution(weights)
         elif not isinstance(weights, SphereDistribution):
             weights = SphereDistribution(SpherePair(*weights))
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "point", as_fraction(point))
+        object.__setattr__(self, "point", exact(point))
 
 
 class Derivative(FrozenRecord):
@@ -101,7 +99,7 @@ class LinearCombination(FrozenRecord):
     __slots__ = ("terms",)
 
     def __init__(self, terms: Tuple[Tuple[Fraction, "ThickDistribution"], ...]):
-        terms = tuple((as_fraction(c), d) for c, d in terms)
+        terms = tuple((exact(c), d) for c, d in terms)
         points = {d.point for _, d in terms}
         if len(points) > 1:
             raise PointMismatchError("cannot combine distributions at different thick points")
@@ -109,7 +107,7 @@ class LinearCombination(FrozenRecord):
 
     @property
     def point(self):
-        return self.terms[0][1].point if self.terms else Fraction(0)
+        return self.terms[0][1].point if self.terms else 0
 
 
 class Translate(FrozenRecord):
@@ -119,11 +117,11 @@ class Translate(FrozenRecord):
 
     def __init__(self, inner: "ThickDistribution", shift):
         object.__setattr__(self, "inner", inner)
-        object.__setattr__(self, "shift", as_fraction(shift))
+        object.__setattr__(self, "shift", exact(shift))
 
     @property
     def point(self):
-        return self.inner.point - self.shift
+        return exact(self.inner.point - self.shift)
 
 
 class Dilate(FrozenRecord):
@@ -132,7 +130,7 @@ class Dilate(FrozenRecord):
     __slots__ = ("inner", "factor")
 
     def __init__(self, inner: "ThickDistribution", factor):
-        f = as_fraction(factor)
+        f = exact(factor)
         if f == 0:
             raise ValueError("dilation factor must be nonzero")
         object.__setattr__(self, "inner", inner)
@@ -140,7 +138,7 @@ class Dilate(FrozenRecord):
 
     @property
     def point(self):
-        return self.inner.point / self.factor
+        return ratio(self.inner.point, self.factor)
 
 
 #: The node types of a distribution tree.
@@ -176,7 +174,7 @@ def delta_star(point=0) -> ThickDelta:
 
 def g_lambda_delta(lam, degree: int = 0, point=0) -> ThickDelta:
     """Weighted delta of the given degree; lam interpolates the two sides."""
-    lam = as_fraction(lam)
+    lam = exact(lam)
     if not 0 <= lam <= 1:
         warnings.warn(
             f"side weight {lam} outside [0, 1]: pairing is still defined but no "
@@ -218,14 +216,14 @@ def density_derivative(f: PfDensity) -> ThickDistribution:
         )
     terms = []
     if lam != 0:
-        k = Fraction(repr(lam)) if isinstance(lam, float) else Fraction(lam)
+        k = exact(repr(lam)) if isinstance(lam, float) else lam
         power = float(k - 1) if isinstance(lam, float) else lam - 1
         terms.append(PfDensity(SpherePair(k * c.plus, -k * c.minus), power, f.point))
     if f.integral_power and lam <= 0:
         terms.append(ThickDelta(SpherePair(2 * c.plus, -2 * c.minus), -lam, f.point))
     if len(terms) == 1:
         return terms[0]
-    return LinearCombination(tuple((Fraction(1), t) for t in terms))
+    return LinearCombination(tuple((1, t) for t in terms))
 
 
 def delta_derivative(f: ThickDelta) -> ThickDelta:
@@ -288,9 +286,8 @@ def _simplify(f):
             dpsi = fn_derivative(inner.multiplier)
             terms = []
             if not dpsi.is_zero():
-                terms.append((Fraction(1),
-                              _simplify(MultiplierProduct(dpsi, inner.inner))))
-            terms.append((Fraction(1), _simplify(
+                terms.append((1, _simplify(MultiplierProduct(dpsi, inner.inner))))
+            terms.append((1, _simplify(
                 MultiplierProduct(inner.multiplier, _simplify(Derivative(inner.inner))))))
             return _simplify(LinearCombination(tuple(terms)))
         return Derivative(inner)
@@ -350,9 +347,9 @@ def _merge(first, c, d):
     c0, d0 = first
     if isinstance(d, ThickDelta):
         weights = d0.weights.weights * c0 + d.weights.weights * c
-        return Fraction(1), ThickDelta(weights, d.degree, d.point)
+        return 1, ThickDelta(weights, d.degree, d.point)
     if isinstance(d, PfDensity):
-        return Fraction(1), PfDensity(d0.pair * c0 + d.pair * c, d.power, d.point)
+        return 1, PfDensity(d0.pair * c0 + d.pair * c, d.power, d.point)
     return c0 + c, d0
 
 

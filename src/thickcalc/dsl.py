@@ -60,7 +60,7 @@ from .distributions import (
     simplify,
 )
 from .errors import DslError, PointMismatchError, ThickCalcError
-from .sphere import FrozenRecord, Record, SpherePair, parity_pair
+from .sphere import FrozenRecord, Record, SpherePair, exact, parity_pair, ratio
 from .testfn import (
     Multiplier,
     ThickTestFunction,
@@ -189,8 +189,7 @@ class Parser:
             den = int(self.next()[1])
             if den == 0:
                 raise DslError("zero denominator", pos)
-            q = Fraction(sign * value, den)
-            return int(q) if q.denominator == 1 else q
+            return ratio(sign * value, den)
         return sign * value
 
     def parse_int(self) -> int:
@@ -234,8 +233,7 @@ class Parser:
         if isinstance(a, ThickTestFunction) and isinstance(b, ThickTestFunction):
             return a + b if op[0] == "+" else a + b.scale(-1)
         if _is_dist(a) and _is_dist(b):
-            coefficient = Fraction(1) if op[0] == "+" else Fraction(-1)
-            return _build(op[2], _flatten_combination, ((Fraction(1), a), (coefficient, b)))
+            return _build(op[2], _flatten_combination, ((1, a), (1 if op[0] == "+" else -1, b)))
         raise DslError(f"cannot combine {_typename(a)} and {_typename(b)} with {op[0]!r}",
                        op[2])
 
@@ -244,7 +242,7 @@ class Parser:
             return a * b
         if isinstance(a, (int, Fraction, float)):
             if _is_dist(b):
-                return _flatten_combination(((_build(op[2], Fraction, a), b),))
+                return _flatten_combination(((_build(op[2], exact, a), b),))
             if isinstance(b, (ThickTestFunction, Multiplier)):
                 return _build(op[2], b.scale, a)
         if isinstance(b, (int, Fraction, float)):
@@ -505,7 +503,7 @@ def print_distribution(d) -> str:
         if w == SpherePair(1, 1) and d.degree == 0:
             return "dstar"
         if w.plus + w.minus == 2 and 0 <= w.plus <= 2:  # glambda(lam), 0 <= lam <= 1
-            return f"glambda({w.plus / 2})·delta[{d.degree}]"
+            return f"glambda({ratio(w.plus, 2)})·delta[{d.degree}]"
         return f"delta[{d.degree}](pair({w.plus},{w.minus}))"
     if isinstance(d, PfDensity):
         if d.pair == SpherePair(1, 1):

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import math
 import re
-from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Tuple
 
-from .sphere import FrozenRecord, SpherePair, ZERO_PAIR, as_fraction, parity_pair
+from .sphere import FrozenRecord, SpherePair, ZERO_PAIR, parity_pair
 
 
 class Expansion(FrozenRecord):
@@ -106,7 +105,7 @@ def differentiate(e: Expansion) -> Expansion:
 def from_taylor(coeffs: Iterable) -> Expansion:
     """One-variable Taylor data c_0..c_N to the two-sided form: even orders
     keep the constant, odd orders flip sign on the negative side."""
-    return Expansion(0, tuple(parity_pair(as_fraction(c), j) for j, c in enumerate(coeffs)))
+    return Expansion(0, tuple(parity_pair(c, j) for j, c in enumerate(coeffs)))
 
 
 def evaluate(e: Expansion, w: int, r: float) -> float:
@@ -147,6 +146,6 @@ def parse_expansion(text: str, exact: bool = True) -> Expansion:
         if m is None:
             raise ValueError(f"cannot parse expansion term {chunk!r}")
         j = int(m.group("order"))
-        terms[j] = SpherePair(Fraction(m.group("plus")), Fraction(m.group("minus")))
+        terms[j] = SpherePair(m.group("plus"), m.group("minus"))
     lo, hi = min(terms), max(terms)
     return Expansion(lo, tuple(terms.get(j, ZERO_PAIR) for j in range(lo, hi + 1)))

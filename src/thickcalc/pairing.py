@@ -62,7 +62,7 @@ from .distributions import (
     nested_derivative,
 )
 from .quadrature import integrate
-from .sphere import SPHERE_MEASURE, ZERO_PAIR, FrozenRecord, SpherePair
+from .sphere import SPHERE_MEASURE, ZERO_PAIR, FrozenRecord, SpherePair, ratio
 from .testfn import Body, ThickTestFunction, derivative, dilate, multiply_by, translate
 
 
@@ -88,6 +88,10 @@ Number = Union[Fraction, float]
 
 
 class PairingResult(FrozenRecord):
+    """A pairing's value with the stages of its finite-part formula.  An exact
+    value (a delta pairing: its weighted sum over ``SPHERE_MEASURE``) is a
+    Fraction, any other value a float."""
+
     __slots__ = ("value", "split_radius", "quad_error", "series_terms", "log_term")
 
     def __init__(self, value: Number, split_radius: Optional[float], quad_error: float,
@@ -173,12 +177,13 @@ def pair(f, phi: ThickTestFunction, cfg: QuadratureConfig = DEFAULT_CONFIG) -> P
         if isinstance(f, MultiplierProduct):
             return pair(f.inner, multiply_by(f.multiplier, phi), cfg)
         if isinstance(f, LinearCombination):
+            # from the exact zero, so that a sum of exact pairings stays exact
             return sum((pair(d, phi, cfg).scaled(c) for c, d in f.terms),
                        PairingResult(Fraction(0), None, 0.0))
         if isinstance(f, Translate):
             return pair(f.inner, translate(phi, f.shift), cfg)
         if isinstance(f, Dilate):
-            return pair(f.inner, dilate(phi, f.factor), cfg).scaled(1 / abs(f.factor))
+            return pair(f.inner, dilate(phi, f.factor), cfg).scaled(ratio(1, abs(f.factor)))
         raise TypeError(f"cannot pair object of type {type(f).__name__}")
     except OverflowError as exc:
         raise NonFiniteError(f"float overflow during evaluation: {exc}") from None
@@ -197,7 +202,7 @@ def _pair_density(f: PfDensity, phi: ThickTestFunction, cfg: QuadratureConfig) -
     orders = () if e.is_zero() else range(e.start, max(jmax, e.top) + 1)
 
     series = []
-    log_term: Number = Fraction(0)
+    log_term: Number = 0
     closed = []  # the closed-form parts of the near field and of the plain cutoff terms
     for j in orders:
         aj = e.coefficient(j)
@@ -210,7 +215,7 @@ def _pair_density(f: PfDensity, phi: ThickTestFunction, cfg: QuadratureConfig) -
                 "pass it as an exact int or Fraction"
             )
         elif f.integral_power and j == jmax:
-            log_term = cj * math.log(A) if cj != 0 else Fraction(0)
+            log_term = cj * math.log(A) if cj != 0 else 0
         elif cj != 0:
             series.append((j, cj * A ** (lam + j + 1) / (lam + j + 1)))
 

@@ -4,10 +4,17 @@ A function on the 0-sphere is just an ordered pair of values (the value on
 the positive side and the value on the negative side).  Everything here is
 exact rational arithmetic so that the expansion algebra built on top can be
 tested with straight equality.
+
+An exact scalar is an ``int`` when it is integral and a ``Fraction`` only
+otherwise (``exact``): most are small integers, whose arithmetic and hashing
+are fast as ints, and an int and the equal Fraction compare and hash alike.
+``/`` and a negative ``**`` make floats of ints, so exact quotients go through
+``ratio``.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from operator import attrgetter
 from typing import Union
@@ -15,17 +22,30 @@ from typing import Union
 Rational = Union[int, Fraction]
 
 
-def as_fraction(x) -> Fraction:
-    """Coerce to an exact Fraction.  Floats convert to their exact binary value."""
-    if isinstance(x, Fraction):
+def exact(x) -> Rational:
+    """The exact scalar of ``x``: an int when it is integral, else a Fraction.
+
+    Takes ints (bools become 0 and 1), Fractions, decimal strings and floats;
+    a float converts to its exact binary value, and a non-finite one is a
+    ValueError."""
+    if type(x) is int:
         return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     if isinstance(x, float):
-        return Fraction(x)
+        if not math.isfinite(x):
+            raise ValueError(f"number must be finite, got {x!r}")
+        return int(x) if x.is_integer() else Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        return exact(Fraction(x))
     raise TypeError(f"cannot interpret {x!r} as an exact scalar")
+
+
+def ratio(a, b) -> Rational:
+    """The exact quotient a / b of two exact scalars, as ``exact`` gives it."""
+    return exact(Fraction(a, b))
 
 
 class Record:
@@ -74,10 +94,10 @@ class SpherePair(FrozenRecord):
     __slots__ = ("plus", "minus")
 
     def __init__(self, plus, minus):
-        object.__setattr__(self, "plus", as_fraction(plus))
-        object.__setattr__(self, "minus", as_fraction(minus))
+        object.__setattr__(self, "plus", exact(plus))
+        object.__setattr__(self, "minus", exact(minus))
 
-    def at(self, w: int) -> Fraction:
+    def at(self, w: int) -> Rational:
         if w == 1:
             return self.plus
         if w == -1:
@@ -94,11 +114,11 @@ class SpherePair(FrozenRecord):
         return self.plus == -self.minus
 
     def even_part(self) -> "SpherePair":
-        h = Fraction(self.plus + self.minus, 2)
+        h = ratio(self.plus + self.minus, 2)
         return SpherePair(h, h)
 
     def odd_part(self) -> "SpherePair":
-        h = Fraction(self.plus - self.minus, 2)
+        h = ratio(self.plus - self.minus, 2)
         return SpherePair(h, -h)
 
     def __add__(self, other: "SpherePair") -> "SpherePair":
@@ -113,7 +133,8 @@ class SpherePair(FrozenRecord):
     def __mul__(self, other):
         if isinstance(other, SpherePair):
             return SpherePair(self.plus * other.plus, self.minus * other.minus)
-        return SpherePair(self.plus * as_fraction(other), self.minus * as_fraction(other))
+        other = exact(other)
+        return SpherePair(self.plus * other, self.minus * other)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -132,16 +153,17 @@ def parity_pair(value, order: int) -> SpherePair:
     Even orders give an even pair, odd orders flip the sign on the
     negative side.
     """
-    v = as_fraction(value)
+    v = exact(value)
     return SpherePair(v, v if order % 2 == 0 else -v)
 
 
-def integrate_sphere(f: SpherePair) -> Fraction:
+def integrate_sphere(f: SpherePair) -> Rational:
     """Counting-measure integral over the two points; total mass is 2."""
     return f.plus + f.minus
 
 
-#: Total measure of the 0-sphere under the counting-measure convention.
+#: Total measure of the 0-sphere under the counting-measure convention; a
+#: Fraction, so that a delta pairing (its weighted sum over this) is one.
 SPHERE_MEASURE = Fraction(2)
 
 
@@ -158,7 +180,7 @@ class SphereDistribution(FrozenRecord):
     def __init__(self, weights: SpherePair):
         object.__setattr__(self, "weights", weights)
 
-    def pair(self, a: SpherePair) -> Fraction:
+    def pair(self, a: SpherePair) -> Rational:
         return self.weights.plus * a.plus + self.weights.minus * a.minus
 
 
@@ -170,5 +192,5 @@ def g_one() -> SphereDistribution:
 def g_lambda(lam) -> SphereDistribution:
     """Weights (2*lam, 2*(1-lam)); paired through the 1/2 delta normalization
     this interpolates between the two one-sided evaluations."""
-    lam = as_fraction(lam)
+    lam = exact(lam)
     return SphereDistribution(SpherePair(2 * lam, 2 * (1 - lam)))

@@ -36,7 +36,7 @@ from typing import Tuple
 from .errors import PointMismatchError
 from . import expansion as xp
 from .expansion import ZERO_EXPANSION, Expansion
-from .sphere import ONE_PAIR, FrozenRecord, SpherePair, ZERO_PAIR, as_fraction, parity_pair
+from .sphere import ONE_PAIR, FrozenRecord, Rational, SpherePair, ZERO_PAIR, exact, parity_pair
 
 
 # -- smooth step profile -----------------------------------------------------
@@ -205,7 +205,7 @@ class Body:
         return _canonical(out)
 
     def scale(self, k) -> "Body":
-        k = as_fraction(k)
+        k = exact(k)
         if k == 0:
             return ZERO_BODY
         if k == 1:
@@ -217,7 +217,7 @@ class Body:
         term must look like a one-variable power c*x^j with j >= 0."""
         return all(j >= 0 and p == parity_pair(p.plus, j) for _, j, p in self.terms)
 
-    def dilate(self, c: Fraction) -> "Body":
+    def dilate(self, c: Rational) -> "Body":
         """The body of y -> self(y / c).  The k-th derivative of a cutoff picks
         up c^k, because the profile is scale-invariant."""
         out = {}
@@ -280,7 +280,7 @@ class ThickTestFunction(FrozenRecord):
 
     def __init__(self, body: Body, point, radius):
         object.__setattr__(self, "body", body)
-        object.__setattr__(self, "point", as_fraction(point))
+        object.__setattr__(self, "point", exact(point))
         # the support; kept as built, as a cancelling sum may shrink the body's
         object.__setattr__(self, "radius", float(radius))
 
@@ -335,7 +335,7 @@ class Multiplier(FrozenRecord):
 
     def __init__(self, body: Body, point):
         object.__setattr__(self, "body", body)
-        object.__setattr__(self, "point", as_fraction(point))
+        object.__setattr__(self, "point", exact(point))
 
     def _with(self, body, point):
         return Multiplier(body, point)
@@ -376,7 +376,7 @@ def from_polynomial(coeffs, radius, point=0) -> ThickTestFunction:
     """p(x - a) times the plateau cutoff."""
     if not 0 < radius < math.inf:
         raise ValueError("support radius must be positive and finite")
-    cs = [as_fraction(c) for c in coeffs]
+    cs = [exact(c) for c in coeffs]
     cutoff = ((float(radius), 0),)
     return ThickTestFunction(
         Body(tuple((cutoff, j, parity_pair(c, j)) for j, c in enumerate(cs) if c != 0)),
@@ -398,7 +398,7 @@ def monomial_multiplier(order: int, pair, point=0) -> Multiplier:
 
 
 def constant_multiplier(value=1, point=0) -> Multiplier:
-    v = as_fraction(value)
+    v = exact(value)
     return monomial_multiplier(0, SpherePair(v, v), point)
 
 
@@ -420,21 +420,21 @@ def multiply_by(psi: Multiplier, phi: ThickTestFunction) -> ThickTestFunction:
 
 def translate(f, shift):
     """f(x - shift): the graph moves right by shift, the thick point with it."""
-    return f._with(f.body, f.point + as_fraction(shift))
+    return f._with(f.body, f.point + exact(shift))
 
 
 def dilate(f: ThickTestFunction, c) -> ThickTestFunction:
     """f(x / c); the thick point moves to c*a and the support scales by |c|."""
-    c = as_fraction(c)
+    c = exact(c)
     if c == 0:
         raise ValueError("dilation factor must be nonzero")
     return ThickTestFunction(f.body.dilate(c), c * f.point, float(abs(c)) * f.radius)
 
 
-def _dilate_pair(p: SpherePair, j: int, c: Fraction) -> SpherePair:
+def _dilate_pair(p: SpherePair, j: int, c: Rational) -> SpherePair:
     """The coefficient of r^j after y -> y / c: scaled by |c|^(-j), sides
     swapped when c < 0."""
-    s = abs(c) ** (-j)
+    s = exact(Fraction(abs(c)) ** -j)  # an int power with j > 0 would be a float
     return SpherePair(p.plus * s, p.minus * s) if c > 0 else SpherePair(p.minus * s, p.plus * s)
 
 

@@ -254,6 +254,10 @@ PARSE_ERRORS = [
     ("eval " + "d*(" * 101 + "dstar" + ")" * 101 + ", bump(1)",
      "expression nested deeper than 100 levels", 308),
     ("eval dstar, " + "-" * 101 + "bump(1)", "expression nested deeper than 100 levels", 113),
+    ("eval dilate(dstar, 1e400), bump(1)", "number must be finite, got inf", 5),
+    ("eval translate(dstar, 1e400), bump(1)", "number must be finite, got inf", 5),
+    ("eval glambda(1e400)·delta[0], bump(1)", "number must be finite, got inf", 5),
+    ("eval delta[0](pair(1e400, 1)), bump(1)", "number must be finite, got inf", 14),
 ]
 
 

@@ -547,6 +547,25 @@ def test_reflection_swaps_sides():
     assert res.value == 1  # picks the minus side after reflection
 
 
+@pytest.mark.parametrize("text, exact", [
+    ("dilate(dstar, 2), bump(1)", "1/2"),
+    ("dilate(delta[1](pair(1,2)), 3), mono(1, pair(1,1), 2)", "1/6"),
+    ("dilate(glambda(1/2)·delta[2], -3), poly([1,2,3], 2)", "1/9"),
+])
+def test_integer_dilation_factor_keeps_the_value_exact(text, exact):
+    # 1/|c|, the point a/c and the coefficients |c|^-j stay rational for an
+    # integer factor c
+    [rec] = dsl.run(dsl.parse_query(f"eval {text}")).records
+    assert rec["value_exact"] == exact
+    assert rec["value"] == float(Fraction(exact))
+
+
+def test_dilated_point_is_exact():
+    point = Dilate(delta_star(), 3).point
+    assert point == 0 and not isinstance(point, float)
+    assert Dilate(delta_star(point=2), 3).point == Fraction(2, 3)
+
+
 # -- identities -----------------------------------------------------------------------
 
 

@@ -22,12 +22,11 @@ from thickcalc.pairing import FpFit, PairingResult, QuadratureConfig
 from thickcalc.sphere import FrozenRecord, Record, SphereDistribution, SpherePair
 from thickcalc.testfn import plateau_bump, power_multiplier
 
-ONE = "SpherePair(plus=Fraction(1, 1), minus=Fraction(1, 1))"
-DELTA = f"ThickDelta(weights=SphereDistribution(weights={ONE}), degree=0, point=Fraction(0, 1))"
+ONE = "SpherePair(plus=1, minus=1)"
+DELTA = f"ThickDelta(weights=SphereDistribution(weights={ONE}), degree=0, point=0)"
 BUMP = ("ThickTestFunction(body=Body(terms=((((1.0, 0),), 0, " + ONE + "),)), "
-        "point=Fraction(0, 1), radius=1.0)")
-X = ("Multiplier(body=Body(terms=(((), 1, SpherePair(plus=Fraction(1, 1), "
-     "minus=Fraction(-1, 1))),)), point=Fraction(0, 1))")
+        "point=0, radius=1.0)")
+X = "Multiplier(body=Body(terms=(((), 1, SpherePair(plus=1, minus=-1)),)), point=0)"
 
 
 def delta():
@@ -38,23 +37,23 @@ def delta():
 CASES = {
     "SpherePair": (lambda: SpherePair(1, 1), ONE),
     "SphereDistribution": (lambda: SphereDistribution(SpherePair(2, Fraction(1, 2))),
-                           "SphereDistribution(weights=SpherePair(plus=Fraction(2, 1), "
+                           "SphereDistribution(weights=SpherePair(plus=2, "
                            "minus=Fraction(1, 2)))"),
     "Expansion": (lambda: Expansion(-1, (SpherePair(0, 0), SpherePair(1, 1))),
                   f"Expansion(start=0, coeffs=({ONE},))"),
     "ThickTestFunction": (lambda: plateau_bump(1), BUMP),
     "Multiplier": (lambda: power_multiplier(1), X),
     "PfDensity": (lambda: PfDensity((1, 1), Fraction(-1, 2)),
-                  f"PfDensity(pair={ONE}, power=Fraction(-1, 2), point=Fraction(0, 1))"),
+                  f"PfDensity(pair={ONE}, power=Fraction(-1, 2), point=0)"),
     "ThickDelta": (delta, DELTA),
     "Derivative": (lambda: Derivative(delta()), f"Derivative(inner={DELTA})"),
     "MultiplierProduct": (lambda: MultiplierProduct(power_multiplier(1), delta()),
                           f"MultiplierProduct(multiplier={X}, inner={DELTA})"),
     "LinearCombination": (lambda: LinearCombination(((2, delta()),)),
-                          f"LinearCombination(terms=((Fraction(2, 1), {DELTA}),))"),
+                          f"LinearCombination(terms=((2, {DELTA}),))"),
     "Translate": (lambda: Translate(delta(), 1),
-                  f"Translate(inner={DELTA}, shift=Fraction(1, 1))"),
-    "Dilate": (lambda: Dilate(delta(), -2), f"Dilate(inner={DELTA}, factor=Fraction(-2, 1))"),
+                  f"Translate(inner={DELTA}, shift=1)"),
+    "Dilate": (lambda: Dilate(delta(), -2), f"Dilate(inner={DELTA}, factor=-2)"),
     "ClassicalDistributionView": (lambda: ClassicalDistributionView(delta()),
                                   f"ClassicalDistributionView(source={DELTA})"),
     "QuadratureConfig": (lambda: QuadratureConfig(1e-8, 100, 0.5),

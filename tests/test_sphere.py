@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from thickcalc.sphere import (
     SpherePair,
     SphereDistribution,
+    exact,
     g_lambda,
     g_one,
     integrate_sphere,
@@ -14,6 +16,11 @@ from thickcalc.sphere import (
 )
 
 rationals = st.fractions(max_denominator=50)
+#: Every kind of number an exact scalar is built from; integral values of each
+#: kind are drawn often.
+scalars = st.one_of(st.integers(), st.integers().map(Fraction), st.fractions(),
+                    st.floats(allow_nan=False, allow_infinity=False),
+                    st.integers(-2**53, 2**53).map(float))
 
 
 def pairs():
@@ -105,3 +112,43 @@ def test_side_accessor():
     assert p.at(-1) == -7
     with pytest.raises(ValueError):
         p.at(0)
+
+
+def _check_representation(p: SpherePair, old_plus: Fraction, old_minus: Fraction):
+    # each field is an int exactly when it is integral, else a Fraction, and
+    # equal, with an equal hash, to the value the old all-Fraction pair held
+    for field, old in ((p.plus, old_plus), (p.minus, old_minus)):
+        assert type(field) is (int if old.denominator == 1 else Fraction)
+        assert field == old and hash(field) == hash(old)
+    assert hash(p) == hash((old_plus, old_minus))
+
+
+@settings(max_examples=300, deadline=None)
+@given(scalars, scalars)
+def test_fields_are_ints_exactly_when_integral(a, b):
+    _check_representation(SpherePair(a, b), Fraction(a), Fraction(b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(scalars, scalars, scalars, scalars, scalars)
+def test_arithmetic_keeps_the_representation(a, b, c, d, k):
+    p, q = SpherePair(a, b), SpherePair(c, d)
+    fa, fb, fc, fd, fk = map(Fraction, (a, b, c, d, k))
+    _check_representation(p + q, fa + fc, fb + fd)
+    _check_representation(p - q, fa - fc, fb - fd)
+    _check_representation(p * q, fa * fc, fb * fd)
+    _check_representation(p * k, fa * fk, fb * fk)
+    _check_representation(-p, -fa, -fb)
+    _check_representation(p.even_part(), (fa + fb) / 2, (fa + fb) / 2)
+    _check_representation(p.odd_part(), (fa - fb) / 2, (fb - fa) / 2)
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_non_finite_number_is_not_exact(x):
+    with pytest.raises(ValueError, match=f"^number must be finite, got {x!r}$"):
+        SpherePair(x, 1)
+
+
+def test_bool_and_text_become_exact_numbers():
+    assert type(exact(True)) is int and exact(True) == 1
+    assert exact("6/4") == Fraction(3, 2) and type(exact("4/2")) is int
