@@ -7,14 +7,8 @@ pair against them through Hadamard finite-part formulas, with an independent
 finite-part-of-the-limit oracle for cross-checking.
 """
 
-from .sphere import (
-    SpherePair,
-    SphereDistribution,
-    g_lambda,
-    g_one,
-    integrate_sphere,
-)
-from .expansion import Expansion, add, differentiate, evaluate, from_taylor, multiply, render
+from .sphere import SpherePair, g_lambda, integrate_sphere
+from .expansion import Expansion, differentiate, evaluate, from_taylor, render
 from .testfn import (
     Multiplier,
     ThickTestFunction,

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional, Tuple, Union
 
 from .errors import MisclassifiedPowerError, PointMismatchError
-from .sphere import FrozenRecord, SpherePair, SphereDistribution, exact, g_lambda, ratio
+from .sphere import FrozenRecord, SpherePair, exact, g_lambda, ratio
 from .testfn import Multiplier, derivative as fn_derivative, heaviside_multiplier
 
 
@@ -54,15 +54,13 @@ class PfDensity(FrozenRecord):
 
 
 class ThickDelta(FrozenRecord):
-    """Extracts the degree-q expansion coefficient, weighted on the two sides."""
+    """Extracts the degree-q expansion coefficient, weighted on the two sides
+    by ``weights``, a SpherePair or a (plus, minus) tuple."""
 
     __slots__ = ("weights", "degree", "point")
 
-    def __init__(self, weights: SphereDistribution, degree: int, point=0):
-        if isinstance(weights, SpherePair):
-            weights = SphereDistribution(weights)
-        elif not isinstance(weights, SphereDistribution):
-            weights = SphereDistribution(SpherePair(*weights))
+    def __init__(self, weights: SpherePair, degree: int, point=0):
+        weights = weights if isinstance(weights, SpherePair) else SpherePair(*weights)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "point", exact(point))
@@ -169,7 +167,7 @@ def pf_sign_power(lam, point=0) -> PfDensity:
 
 def delta_star(point=0) -> ThickDelta:
     """The plain two-sided delta: averages the order-0 coefficient."""
-    return ThickDelta(SphereDistribution(SpherePair(1, 1)), 0, point)
+    return ThickDelta(SpherePair(1, 1), 0, point)
 
 
 def g_lambda_delta(lam, degree: int = 0, point=0) -> ThickDelta:
@@ -230,7 +228,7 @@ def delta_derivative(f: ThickDelta) -> ThickDelta:
     """d*delta_q[w] = delta_(q+1)[(-(q+1) w+, (q+1) w-)]: minus the pairing
     with phi', whose degree-q coefficient is ((q+1) a+, -(q+1) a-) at degree
     q + 1 (``expansion.differentiate``)."""
-    w, q = f.weights.weights, f.degree
+    w, q = f.weights, f.degree
     return ThickDelta(SpherePair(-(q + 1) * w.plus, (q + 1) * w.minus), q + 1, f.point)
 
 
@@ -271,28 +269,24 @@ def simplify(f: ThickDistribution) -> ThickDistribution:
     pairs, other equal terms their coefficients, and zero terms drop out);
     stacked translations merge.
     """
-    return _simplify(f)
-
-
-def _simplify(f):
     if isinstance(f, (PfDensity, ThickDelta)):
         return f
     if isinstance(f, Derivative):
-        inner = _simplify(f.inner)
+        inner = simplify(f.inner)
         moved = derivative_rule(inner)
         if moved is not None:
-            return _simplify(moved)
+            return simplify(moved)
         if isinstance(inner, MultiplierProduct):
             dpsi = fn_derivative(inner.multiplier)
             terms = []
             if not dpsi.is_zero():
-                terms.append((1, _simplify(MultiplierProduct(dpsi, inner.inner))))
-            terms.append((1, _simplify(
-                MultiplierProduct(inner.multiplier, _simplify(Derivative(inner.inner))))))
-            return _simplify(LinearCombination(tuple(terms)))
+                terms.append((1, simplify(MultiplierProduct(dpsi, inner.inner))))
+            terms.append((1, simplify(
+                MultiplierProduct(inner.multiplier, simplify(Derivative(inner.inner))))))
+            return simplify(LinearCombination(tuple(terms)))
         return Derivative(inner)
     if isinstance(f, MultiplierProduct):
-        inner = _simplify(f.inner)
+        inner = simplify(f.inner)
         psi = f.multiplier
         if psi.is_zero():
             return ZERO_DISTRIBUTION
@@ -304,7 +298,7 @@ def _simplify(f):
     if isinstance(f, LinearCombination):
         flat = []
         for c, d in f.terms:
-            d = _simplify(d)
+            d = simplify(d)
             if isinstance(d, LinearCombination):
                 flat.extend((c * c2, d2) for c2, d2 in d.terms)
             else:
@@ -318,14 +312,14 @@ def _simplify(f):
             return flat[0][1]
         return LinearCombination(tuple(flat))
     if isinstance(f, Translate):
-        inner = _simplify(f.inner)
+        inner = simplify(f.inner)
         if f.shift == 0:
             return inner
         if isinstance(inner, Translate):
-            return _simplify(Translate(inner.inner, f.shift + inner.shift))
+            return simplify(Translate(inner.inner, f.shift + inner.shift))
         return Translate(inner, f.shift)
     if isinstance(f, Dilate):
-        inner = _simplify(f.inner)
+        inner = simplify(f.inner)
         if f.factor == 1:
             return inner
         return Dilate(inner, f.factor)
@@ -346,15 +340,14 @@ def _merge(first, c, d):
     """The term (c0, d0) plus c * d, for d of the same key as d0."""
     c0, d0 = first
     if isinstance(d, ThickDelta):
-        weights = d0.weights.weights * c0 + d.weights.weights * c
-        return 1, ThickDelta(weights, d.degree, d.point)
+        return 1, ThickDelta(d0.weights * c0 + d.weights * c, d.degree, d.point)
     if isinstance(d, PfDensity):
         return 1, PfDensity(d0.pair * c0 + d.pair * c, d.power, d.point)
     return c0 + c, d0
 
 
 def _is_zero_leaf(d) -> bool:
-    return (isinstance(d, ThickDelta) and d.weights.weights.is_zero()) \
+    return (isinstance(d, ThickDelta) and d.weights.is_zero()) \
         or (isinstance(d, PfDensity) and d.pair.is_zero())
 
 

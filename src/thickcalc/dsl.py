@@ -499,7 +499,7 @@ def print_multiplier(m: Multiplier) -> str:
 
 def print_distribution(d) -> str:
     if isinstance(d, ThickDelta):
-        w = d.weights.weights
+        w = d.weights
         if w == SpherePair(1, 1) and d.degree == 0:
             return "dstar"
         if w.plus + w.minus == 2 and 0 <= w.plus <= 2:  # glambda(lam), 0 <= lam <= 1

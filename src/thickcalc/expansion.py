@@ -1,10 +1,13 @@
-"""Algebra of finite expansions sum_j a_j(w) r^j around the thick point.
+"""Finite expansions sum_j a_j(w) r^j around the thick point.
 
 An expansion stores a dense run of SpherePair coefficients starting at an
 integer order.  It is the local form of a test function: a body equals its
 expansion identically on a punctured neighbourhood of the point, where every
-cutoff is 1, and ``testfn.Body.expansion`` reads it off the body.  Every
-order beyond the stored ones is zero.
+cutoff is 1, and ``testfn.Body.expansion`` reads it off the body, so the
+expansion of a sum or a product is read off the sum or product of bodies
+and this module has no add or multiply.  Every order beyond the stored ones
+is zero.  Here are the record, its term-by-term derivative, its value and
+its text form.
 
 Canonical form strips zero pairs from both ends, so ``start`` is the true
 leading order and the zero expansion is the unique empty one.
@@ -68,32 +71,7 @@ class Expansion(FrozenRecord):
 ZERO_EXPANSION = Expansion(0, ())
 
 
-def expansion_of(start: int, pairs: Iterable) -> Expansion:
-    """Convenience constructor accepting raw (plus, minus) tuples."""
-    return Expansion(start, tuple(p if isinstance(p, SpherePair) else SpherePair(*p)
-                                  for p in pairs))
-
-
-# -- arithmetic ------------------------------------------------------------
-
-
-def add(e1: Expansion, e2: Expansion) -> Expansion:
-    if e1.is_zero():
-        return e2
-    if e2.is_zero():
-        return e1
-    lo, hi = min(e1.start, e2.start), max(e1.top, e2.top)
-    return Expansion(lo, tuple(e1.coefficient(j) + e2.coefficient(j) for j in range(lo, hi + 1)))
-
-
-def multiply(e1: Expansion, e2: Expansion) -> Expansion:
-    if e1.is_zero() or e2.is_zero():
-        return ZERO_EXPANSION
-    pairs = [ZERO_PAIR] * (len(e1.coeffs) + len(e2.coeffs) - 1)
-    for i, a in enumerate(e1.coeffs):
-        for k, b in enumerate(e2.coeffs):
-            pairs[i + k] = pairs[i + k] + a * b
-    return Expansion(e1.start + e2.start, tuple(pairs))
+# -- calculus and evaluation -------------------------------------------------
 
 
 def differentiate(e: Expansion) -> Expansion:

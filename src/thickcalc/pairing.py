@@ -62,7 +62,7 @@ from .distributions import (
     nested_derivative,
 )
 from .quadrature import integrate
-from .sphere import SPHERE_MEASURE, ZERO_PAIR, FrozenRecord, SpherePair, ratio
+from .sphere import SPHERE_MEASURE, ZERO_PAIR, FrozenRecord, SpherePair, integrate_sphere, ratio
 from .testfn import Body, ThickTestFunction, derivative, dilate, multiply_by, translate
 
 
@@ -160,7 +160,7 @@ def pair(f, phi: ThickTestFunction, cfg: QuadratureConfig = DEFAULT_CONFIG) -> P
             )
         if isinstance(f, ThickDelta):
             aq = phi.expansion.coefficient(f.degree)
-            value = f.weights.pair(aq) / SPHERE_MEASURE
+            value = integrate_sphere(f.weights * aq) / SPHERE_MEASURE
             return PairingResult(value, None, 0.0)
         if isinstance(f, PfDensity):
             return _pair_density(f, phi, cfg)
@@ -185,8 +185,8 @@ def pair(f, phi: ThickTestFunction, cfg: QuadratureConfig = DEFAULT_CONFIG) -> P
         if isinstance(f, Dilate):
             return pair(f.inner, dilate(phi, f.factor), cfg).scaled(ratio(1, abs(f.factor)))
         raise TypeError(f"cannot pair object of type {type(f).__name__}")
-    except OverflowError as exc:
-        raise NonFiniteError(f"float overflow during evaluation: {exc}") from None
+    except OverflowError:
+        raise NonFiniteError("float overflow during evaluation") from None
 
 
 def _pair_density(f: PfDensity, phi: ThickTestFunction, cfg: QuadratureConfig) -> PairingResult:

@@ -1,9 +1,11 @@
 """Exact arithmetic on the two-point sphere {+1, -1}.
 
 A function on the 0-sphere is just an ordered pair of values (the value on
-the positive side and the value on the negative side).  Everything here is
-exact rational arithmetic so that the expansion algebra built on top can be
-tested with straight equality.
+the positive side and the value on the negative side).  So is a
+distribution g on it, such as the weights of a thick delta: a pair of side
+weights, acting on a pair a by the counting-measure integral of the product,
+``integrate_sphere(g * a)``.  Everything here is exact rational arithmetic so
+that the algebra built on top can be tested with straight equality.
 
 An exact scalar is an ``int`` when it is integral and a ``Fraction`` only
 otherwise (``exact``): most are small integers, whose arithmetic and hashing
@@ -167,30 +169,8 @@ def integrate_sphere(f: SpherePair) -> Rational:
 SPHERE_MEASURE = Fraction(2)
 
 
-class SphereDistribution(FrozenRecord):
-    """A linear functional on sphere pairs, stored as its two pairing weights.
-
-    ``pair(a) = weights.plus * a.plus + weights.minus * a.minus``.  The
-    weights are stored directly; convention factors (like the factor 2 in
-    ``g_lambda``) are baked into the constructors below.
-    """
-
-    __slots__ = ("weights",)
-
-    def __init__(self, weights: SpherePair):
-        object.__setattr__(self, "weights", weights)
-
-    def pair(self, a: SpherePair) -> Rational:
-        return self.weights.plus * a.plus + self.weights.minus * a.minus
-
-
-def g_one() -> SphereDistribution:
-    """The constant density 1: pairing reduces to integrate_sphere."""
-    return SphereDistribution(SpherePair(1, 1))
-
-
-def g_lambda(lam) -> SphereDistribution:
+def g_lambda(lam) -> SpherePair:
     """Weights (2*lam, 2*(1-lam)); paired through the 1/2 delta normalization
     this interpolates between the two one-sided evaluations."""
     lam = exact(lam)
-    return SphereDistribution(SpherePair(2 * lam, 2 * (1 - lam)))
+    return SpherePair(2 * lam, 2 * (1 - lam))

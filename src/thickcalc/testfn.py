@@ -464,20 +464,3 @@ def seminorm(phi: ThickTestFunction, q: int, s: int, k_radius: float) -> float:
         current = derivative(current)
     return worst
 
-
-def strength_defect(phi: ThickTestFunction, p: int, through_order: int, r: float) -> float:
-    """max over both sides of r^(-M) |d^p phi(a + w r) - truncation through M|.
-
-    Going to zero along r -> 0 is what makes the expansion an asymptotic one;
-    staying zero after differentiating p times is what makes it strong.
-    """
-    current = phi
-    for _ in range(p):
-        current = derivative(current)
-    e = current.expansion.truncate(through_order)
-    out = 0.0
-    for w in (1, -1):
-        got = current.body.value(w * r)
-        ref = xp.evaluate(e, w, r)
-        out = max(out, abs(got - ref) * r ** (-through_order))
-    return out

@@ -3,6 +3,7 @@ import math
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -211,6 +212,35 @@ def test_line_format_shows_exact_value():
     assert "quad_error = 0.0" in out.stdout
 
 
+@pytest.mark.parametrize("dist, fn, value_exact", [
+    ("dstar", "bump(1)", "1"),
+    ("glambda(1/3)·delta[0]", "mono(0, pair(3,1), 2)", "5/3"),
+    ("delta[1](pair(2,-3))", "mono(1, pair(1,1), 2)", "-1/2"),
+    ("dilate(glambda(1/2)·delta[2], -3)", "poly([1,2,3], 2)", "1/9"),
+    ("d*(delta[0](pair(1,2)))", "mono(1, pair(1,1), 2)", "1/2"),
+    ("2 * dstar - glambda(1)·delta[0]", "mono(0, pair(3,1), 2)", "1"),
+    ("H(x) * glambda(1/4)·delta[0]", "mono(0, pair(3,1), 2)", "3/4"),
+    ("d*(Pf(H(x)))", "mono(0, pair(3,1), 2)", "3"),
+])
+def test_delta_pairing_json_record(dist, fn, value_exact):
+    out = run_cli("eval", "-e", f"{dist}, {fn}", "--json")
+    assert out.returncode == 0
+    assert json.loads(out.stdout) == {
+        "expr": dist, "log_term": 0.0, "quad_error": 0.0, "query": "eval",
+        "series_terms": [], "source": f"eval {dist}, {fn}", "split_radius": None,
+        "value": float(Fraction(value_exact)), "value_exact": value_exact,
+    }
+
+
+def test_derive_merges_delta_weights_json_record():
+    expr = "d*(glambda(1/3)·delta[1]) + 2 * delta[2](pair(1,-1))"
+    out = run_cli("derive", "-e", expr, "--json")
+    assert out.returncode == 0
+    assert json.loads(out.stdout) == {"expr": expr, "query": "derive",
+                                      "result": "delta[3](pair(-2,2))",
+                                      "source": f"derive {expr}"}
+
+
 def test_check_json_deterministic():
     first = run_cli("check", "pairing", "--json")
     second = run_cli("check", "pairing", "--json")
@@ -310,6 +340,14 @@ def test_non_finite_or_too_deep_input_is_a_typed_error(command, expr, status):
     assert out.returncode == status
     assert "Traceback" not in out.stderr
     assert ("parse error" in out.stderr) if status == 2 else ("error:" in out.stdout)
+
+
+@pytest.mark.parametrize("expr", ["Pf(abs(x)^-1/2), poly([1.0e308, 1.0e308], 1)",
+                                  "1.0e300 * dstar, poly([1.0e300], 1)"])
+def test_float_overflow_has_one_message(expr):
+    out = run_cli("eval", "-e", expr, "--json")
+    assert out.returncode == 3
+    assert json.loads(out.stdout)["error"] == "float overflow during evaluation"
 
 
 def test_pairing_error_is_held_to_the_tolerance():

@@ -26,7 +26,7 @@ from thickcalc.distributions import (
 )
 from thickcalc.errors import MisclassifiedPowerError, PointMismatchError
 from thickcalc.pairing import pair
-from thickcalc.sphere import SpherePair, SphereDistribution, g_lambda
+from thickcalc.sphere import SpherePair, g_lambda
 from thickcalc.testfn import (
     derivative,
     from_polynomial,
@@ -42,13 +42,13 @@ from thickcalc.testfn import (
 
 def test_delta_star_weights():
     d = delta_star()
-    assert d.weights.weights == SpherePair(1, 1)
+    assert d.weights == SpherePair(1, 1)
     assert d.degree == 0
 
 
 def test_g_lambda_weights_convention():
     d = g_lambda_delta(Fraction(1, 4), 2)
-    assert d.weights.weights == SpherePair(Fraction(1, 2), Fraction(3, 2))
+    assert d.weights == SpherePair(Fraction(1, 2), Fraction(3, 2))
 
 
 def test_g_lambda_warns_outside_unit_interval():
@@ -199,7 +199,7 @@ def test_projected_step_derivative_is_classical_delta():
 
 
 def test_projected_odd_delta_annihilates_ordinary_functions():
-    odd = ThickDelta(SphereDistribution(SpherePair(1, -1)), 0)
+    odd = ThickDelta(SpherePair(1, -1), 0)
     view = project(odd)
     for phi in (plateau_bump(1.0), from_polynomial([2, 1, 1], 2.0),
                 from_polynomial([-7], 1.0)):

@@ -32,7 +32,7 @@ from thickcalc.dsl import (
     tokenize,
 )
 from thickcalc.errors import DslError
-from thickcalc.sphere import SpherePair, SphereDistribution
+from thickcalc.sphere import SpherePair
 from thickcalc.testfn import (
     Multiplier,
     ThickTestFunction,
@@ -100,7 +100,7 @@ def test_parse_glambda_with_and_without_degree():
 
 def test_parse_general_delta():
     got = parse_value("delta[1](pair(2,-3))")
-    assert got == ThickDelta(SphereDistribution(SpherePair(2, -3)), 1)
+    assert got == ThickDelta(SpherePair(2, -3), 1)
 
 
 def test_parse_translate_dilate():
@@ -277,7 +277,7 @@ GOLDEN = [
     delta_star(),
     g_lambda_delta(1),
     g_lambda_delta(Fraction(1, 4), 2),
-    ThickDelta(SphereDistribution(SpherePair(2, -3)), 1),
+    ThickDelta(SpherePair(2, -3), 1),
     pf_heaviside(),
     pf_power(Fraction(-5, 2)),
     pf_power(-2),

