@@ -1,7 +1,9 @@
 """Named verification suites behind the CLI ``check`` command.
 
 Each suite exercises one family of identities at a pinned tolerance and
-reports observed-versus-expected per item.  The suites double as the
+returns one outcome record per item: the dict that ``check --json`` prints,
+``{"name", "passed", "observed", "expected", "tolerance"}``, built by
+``_outcome``; ``outcome_line`` renders one as text.  The suites double as the
 acceptance gate: ``check all`` must come back green.
 """
 
@@ -22,9 +24,10 @@ from .distributions import (
     project,
     simplify,
 )
+from .errors import ThickCalcError
 from .expansion import differentiate, from_taylor
 from .pairing import DEFAULT_CONFIG, QuadratureConfig, fp_limit, fp_pair_oracle, pair
-from .sphere import FrozenRecord, g_lambda
+from .sphere import g_lambda
 from .testfn import (
     derivative,
     from_polynomial,
@@ -35,34 +38,22 @@ from .testfn import (
 )
 
 
-class CheckOutcome(FrozenRecord):
-    __slots__ = ("suite", "name", "passed", "observed", "expected", "tolerance")
-
-    def __init__(self, suite: str, name: str, passed: bool, observed: float,
-                 expected: float, tolerance: float):
-        object.__setattr__(self, "suite", suite)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "observed", observed)
-        object.__setattr__(self, "expected", expected)
-        object.__setattr__(self, "tolerance", tolerance)
-
-    def line(self) -> str:
-        return outcome_line(f"{self.suite}.{self.name}", self.passed, self.observed,
-                            self.expected, self.tolerance)
-
-
 def outcome_line(name, passed, observed, expected, tolerance) -> str:
     """The PASS/FAIL line of one outcome; takes the fields of its record."""
     return (f"{'PASS' if passed else 'FAIL'} {name}: observed={observed!r} "
             f"expected={expected!r} tol={tolerance:g}")
 
 
-def _outcome(suite, name, observed, expected, tol) -> CheckOutcome:
+def _outcome(name, observed, expected, tol) -> dict:
     observed = float(observed)
     expected = float(expected)
-    return CheckOutcome(suite, name, abs(observed - expected) <= tol,
-                        observed, expected, tol)
+    return {"name": name, "passed": abs(observed - expected) <= tol,
+            "observed": observed, "expected": expected, "tolerance": tol}
+
+
+def _worst(name, gaps, tol) -> dict:
+    """The outcome that the largest of ``gaps`` is 0 to within ``tol``."""
+    return _outcome(name, max(gaps, default=0), 0, tol)
 
 
 # -- shared test-function suites ---------------------------------------------------
@@ -123,8 +114,7 @@ def wide_suite():
 # -- suites -------------------------------------------------------------------------
 
 
-def suite_expansion(cfg: QuadratureConfig) -> List[CheckOutcome]:
-    out = []
+def suite_expansion(cfg: QuadratureConfig) -> List[dict]:
     rng = random.Random(1729)
     parity_failures = 0
     chain_failures = 0
@@ -141,133 +131,107 @@ def suite_expansion(cfg: QuadratureConfig) -> List[CheckOutcome]:
         der = [k * c for k, c in enumerate(coeffs)][1:]
         if differentiate(e) != from_taylor(der):
             chain_failures += 1
-    out.append(_outcome("expansion", "taylor-parity-50-random", parity_failures, 0, 0))
-    out.append(_outcome("expansion", "derivative-commutes-50-random", chain_failures, 0, 0))
+    return [
+        _outcome("expansion.taylor-parity-50-random", parity_failures, 0, 0),
+        _outcome("expansion.derivative-commutes-50-random", chain_failures, 0, 0),
+        _outcome("expansion.seminorm-even-monomial-zero",
+                 seminorm(thick_monomial(2, (1, 1), 1.0), 3, 0, 0.25), 0.0, 0.0),
+        _outcome("expansion.seminorm-cubic-one",
+                 seminorm(from_polynomial([0, 0, 0, 1], 2.0), 3, 0, 0.5), 1.0, 1e-10),
+    ]
 
-    out.append(_outcome("expansion", "seminorm-even-monomial-zero",
-                        seminorm(thick_monomial(2, (1, 1), 1.0), 3, 0, 0.25), 0.0, 0.0))
-    out.append(_outcome("expansion", "seminorm-cubic-one",
-                        seminorm(from_polynomial([0, 0, 0, 1], 2.0), 3, 0, 0.5),
-                        1.0, 1e-10))
-    return out
 
-
-def suite_pairing(cfg: QuadratureConfig) -> List[CheckOutcome]:
-    out = []
-    worst = 0
+def suite_pairing(cfg: QuadratureConfig) -> List[dict]:
+    gaps = []
     for phi in mixed_suite():
         a0 = phi.expansion.coefficient(0)
-        expected = Fraction(a0.plus + a0.minus, 2)
-        got = pair(delta_star(), phi, cfg).value
-        worst = max(worst, abs(got - expected))
-    out.append(_outcome("pairing", "delta-exact-rational", worst, 0, 0))
+        gaps.append(abs(pair(delta_star(), phi, cfg).value - Fraction(a0.plus + a0.minus, 2)))
+    out = [_worst("pairing.delta-exact-rational", gaps, 0)]
 
-    worst = 0.0
-    for phi in ordinary_suite():
-        got = float(pair(delta_star(), phi, cfg).value)
-        worst = max(worst, abs(got - phi.evaluate(phi.point)))
-    out.append(_outcome("pairing", "delta-ordinary-point-value", worst, 0, 1e-12))
+    out.append(_worst("pairing.delta-ordinary-point-value",
+                      (abs(float(pair(delta_star(), phi, cfg).value) - phi.evaluate(phi.point))
+                       for phi in ordinary_suite()), 1e-12))
 
-    worst = 0.0
-    for phi in order_span_suite():
-        expected = float(phi.expansion.coefficient(0).plus)
-        got = float(pair(Derivative(pf_heaviside()), phi, cfg).value)
-        worst = max(worst, abs(got - expected))
-    out.append(_outcome("pairing", "step-derivative-order-zero", worst, 0, 1e-8))
+    out.append(_worst("pairing.step-derivative-order-zero",
+                      (abs(float(pair(Derivative(pf_heaviside()), phi, cfg).value)
+                           - float(phi.expansion.coefficient(0).plus))
+                       for phi in order_span_suite()), 1e-8))
 
     phis = [plateau_bump(2.0), from_polynomial([1, 2, 1], 2.0),
             thick_monomial(-1, (1, 2), 2.0), thick_monomial(0, (3, 1), 2.0)]
     powers = [Fraction(-5, 2), -2, -1, Fraction(-1, 2), 0, Fraction(3, 2)]
-    worst = 0.0
-    cases = 0
+    gaps = []
     for phi in phis:
         # one oracle call for the six powers, so each body sample is taken once
         fits = fp_pair_oracle([pf_power(lam) for lam in powers], phi, cfg)
-        for lam, fit in zip(powers, fits):
-            engine = float(pair(pf_power(lam), phi, cfg).value)
-            worst = max(worst, abs(engine - fit.finite_part))
-            cases += 1
-    out.append(_outcome("pairing", f"oracle-agreement-{cases}-cases", worst, 0, 1e-5))
+        gaps += [abs(float(pair(pf_power(lam), phi, cfg).value) - fit.finite_part)
+                 for lam, fit in zip(powers, fits)]
+    out.append(_worst(f"pairing.oracle-agreement-{len(gaps)}-cases", gaps, 1e-5))
 
-    worst = 0.0
-    for alpha in (Fraction(-1, 2), Fraction(-3, 2), Fraction(-5, 2)):
-        fa = float(alpha)
+    gaps = []
+    for fa in (-0.5, -1.5, -2.5):
         samples = [(0.5 ** k, (1.0 - (0.5 ** k) ** (fa + 1)) / (fa + 1))
                    for k in range(1, 21)]
-        worst = max(worst, abs(fp_limit(samples).finite_part - 1.0 / (fa + 1)))
+        gaps.append(abs(fp_limit(samples).finite_part - 1.0 / (fa + 1)))
     log_samples = [(0.5 ** k, math.log(2.0) - math.log(0.5 ** k)) for k in range(1, 21)]
-    worst = max(worst, abs(fp_limit(log_samples).finite_part - math.log(2.0)))
-    out.append(_outcome("pairing", "finite-part-power-ladder", worst, 0, 1e-6))
+    gaps.append(abs(fp_limit(log_samples).finite_part - math.log(2.0)))
+    out.append(_worst("pairing.finite-part-power-ladder", gaps, 1e-6))
     return out
 
 
-def suite_paskusz(cfg: QuadratureConfig) -> List[CheckOutcome]:
-    out = []
-    lhs = simplify(Derivative(MultiplierProduct(heaviside_multiplier(), pf_heaviside())))
+def suite_paskusz(cfg: QuadratureConfig) -> List[dict]:
+    step_times_pf = Derivative(MultiplierProduct(heaviside_multiplier(), pf_heaviside()))
+    lhs = simplify(step_times_pf)
     rhs = simplify(Derivative(pf_heaviside()))
     same = lhs == rhs == ThickDelta(g_lambda(1), 0)
-    out.append(_outcome("paskusz", "normal-forms-identical", 0 if same else 1, 0, 0))
+    out = [_outcome("paskusz.normal-forms-identical", 0 if same else 1, 0, 0)]
 
-    worst = 0.0
-    for phi in wide_suite():
-        a = float(pair(lhs, phi, cfg).value)
-        b = float(pair(Derivative(MultiplierProduct(heaviside_multiplier(),
-                                                    pf_heaviside())), phi, cfg).value)
-        worst = max(worst, abs(a - b))
-    out.append(_outcome("paskusz", "pairings-agree", worst, 0, 1e-10))
+    out.append(_worst("paskusz.pairings-agree",
+                      (abs(float(pair(lhs, phi, cfg).value)
+                           - float(pair(step_times_pf, phi, cfg).value))
+                       for phi in wide_suite()), 1e-10))
 
-    worst = 0.0
-    for phi in ordinary_suite():
-        got = float(pair(project(lhs), phi, cfg).value)
-        worst = max(worst, abs(got - phi.evaluate(phi.point)))
-    out.append(_outcome("paskusz", "projected-is-point-evaluation", worst, 0, 1e-10))
+    out.append(_worst("paskusz.projected-is-point-evaluation",
+                      (abs(float(pair(project(lhs), phi, cfg).value) - phi.evaluate(phi.point))
+                       for phi in ordinary_suite()), 1e-10))
 
     # multiplying the one-sided delta by the step again must not halve it
     g1d = ThickDelta(g_lambda(1), 0)
-    worst = 0
+    gaps = []
     for phi in mixed_suite():
         once = pair(g1d, phi, cfg).value
         again = pair(MultiplierProduct(heaviside_multiplier(), g1d), phi, cfg).value
-        worst = max(worst, abs(once - again))
-        worst = max(worst, abs(once - phi.expansion.coefficient(0).plus))
-    out.append(_outcome("paskusz", "step-idempotent-no-halving", worst, 0, 1e-10))
+        gaps += [abs(once - again), abs(once - phi.expansion.coefficient(0).plus)]
+    out.append(_worst("paskusz.step-idempotent-no-halving", gaps, 1e-10))
     return out
 
 
-def suite_projection(cfg: QuadratureConfig) -> List[CheckOutcome]:
-    out = []
-    worst = 0.0
-    for f in (delta_star(), pf_heaviside(), pf_power(-2)):
-        for phi in ordinary_suite():
-            lhs = float(pair(project(Derivative(f)), phi, cfg).value)
-            rhs = float(pair(project(f), derivative(phi), cfg).value)
-            worst = max(worst, abs(lhs + rhs))
-    out.append(_outcome("projection", "derivative-commutes", worst, 0, 1e-8))
-
-    worst = 0.0
-    for phi in ordinary_suite():
-        got = float(pair(project(delta_star()), phi, cfg).value)
-        worst = max(worst, abs(got - phi.evaluate(phi.point)))
-    out.append(_outcome("projection", "delta-projects-to-delta", worst, 0, 1e-12))
-    return out
+def suite_projection(cfg: QuadratureConfig) -> List[dict]:
+    return [
+        _worst("projection.derivative-commutes",
+               (abs(float(pair(project(Derivative(f)), phi, cfg).value)
+                    + float(pair(project(f), derivative(phi), cfg).value))
+                for f in (delta_star(), pf_heaviside(), pf_power(-2))
+                for phi in ordinary_suite()), 1e-8),
+        _worst("projection.delta-projects-to-delta",
+               (abs(float(pair(project(delta_star()), phi, cfg).value) - phi.evaluate(phi.point))
+                for phi in ordinary_suite()), 1e-12),
+    ]
 
 
-def suite_a_independence(cfg: QuadratureConfig) -> List[CheckOutcome]:
-    out = []
-    worst = 0.0
+def suite_a_independence(cfg: QuadratureConfig) -> List[dict]:
+    spreads = []
     for lam in (Fraction(-5, 2), -2, -1, Fraction(3, 2)):
         for phi in wide_suite():
             values = [float(pair(pf_power(lam), phi,
                                  QuadratureConfig(cfg.abs_tol, cfg.max_subdivisions,
                                                   A)).value)
                       for A in (0.3, 0.5, 1.0)]
-            spread = max(values) - min(values)
-            worst = max(worst, spread)
-    out.append(_outcome("a-independence", "split-radius-invariance", worst, 0, 1e-7))
-    return out
+            spreads.append(max(values) - min(values))
+    return [_worst("a-independence.split-radius-invariance", spreads, 1e-7)]
 
 
-SUITES: Dict[str, Callable[[QuadratureConfig], List[CheckOutcome]]] = {
+SUITES: Dict[str, Callable[[QuadratureConfig], List[dict]]] = {
     "expansion": suite_expansion,
     "pairing": suite_pairing,
     "paskusz": suite_paskusz,
@@ -276,7 +240,7 @@ SUITES: Dict[str, Callable[[QuadratureConfig], List[CheckOutcome]]] = {
 }
 
 
-def run_suite(name: str, cfg: QuadratureConfig = DEFAULT_CONFIG) -> List[CheckOutcome]:
+def run_suite(name: str, cfg: QuadratureConfig = DEFAULT_CONFIG) -> List[dict]:
     if name == "all":
         out = []
         for key in SUITES:
@@ -284,5 +248,5 @@ def run_suite(name: str, cfg: QuadratureConfig = DEFAULT_CONFIG) -> List[CheckOu
         return out
     if name not in SUITES:
         known = ", ".join(list(SUITES) + ["all"])
-        raise KeyError(f"unknown check suite {name!r}; expected one of: {known}")
+        raise ThickCalcError(f"unknown check suite {name!r}; expected one of: {known}")
     return SUITES[name](cfg)

@@ -617,18 +617,12 @@ def run(program: Program, cfg=None) -> Report:
             elif q.command == "expand":
                 rec["result"] = expansion.render(q.testfn.expansion.truncate(q.max_order))
             elif q.command == "check":
-                outcomes = checks.run_suite(q.suite, cfg)
+                rec["outcomes"] = checks.run_suite(q.suite, cfg)
                 rec["suite"] = q.suite
-                rec["passed"] = all(o.passed for o in outcomes)
-                rec["outcomes"] = [
-                    {"name": f"{o.suite}.{o.name}", "passed": o.passed,
-                     "observed": o.observed, "expected": o.expected,
-                     "tolerance": o.tolerance}
-                    for o in outcomes
-                ]
+                rec["passed"] = all(o["passed"] for o in rec["outcomes"])
                 if not rec["passed"]:
                     report.check_failed = True
-        except (ThickCalcError, KeyError) as exc:
+        except ThickCalcError as exc:
             rec["error"] = str(exc)
             report.had_error = True
         report.records.append(rec)

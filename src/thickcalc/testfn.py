@@ -99,14 +99,13 @@ def smoothstep_deriv(t: float, n: int) -> float:
 # -- bodies -------------------------------------------------------------------
 
 
-def plateau_value(radius: float, n: int, y: float) -> float:
+def plateau_value(radius: float, n: int, r: float) -> float:
     """n-th derivative of the cutoff that is 1 on |y| <= radius/2 and 0 on
-    |y| >= radius, at the local coordinate y."""
-    t = 2.0 - 2.0 * abs(y) / radius
+    |y| >= radius, at the local coordinate y = r > 0."""
+    t = 2.0 - 2.0 * r / radius
     if n == 0:
         return smoothstep_deriv(t, 0)
-    slope = -2.0 / radius if y > 0 else 2.0 / radius
-    return smoothstep_deriv(t, n) * slope ** n
+    return smoothstep_deriv(t, n) * (-2.0 / radius) ** n
 
 
 #: Plateau factors of a term: sorted (radius, derivative order) pairs, repeats

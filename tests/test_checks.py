@@ -1,6 +1,7 @@
 import pytest
 
-from thickcalc.checks import SUITES, run_suite
+from thickcalc.checks import SUITES, outcome_line, run_suite
+from thickcalc.errors import ThickCalcError
 
 
 def test_suite_registry_names():
@@ -9,7 +10,7 @@ def test_suite_registry_names():
 
 
 def test_unknown_suite_rejected():
-    with pytest.raises(KeyError):
+    with pytest.raises(ThickCalcError):
         run_suite("nonesuch")
 
 
@@ -18,9 +19,9 @@ def test_each_suite_passes(name):
     outcomes = run_suite(name)
     assert outcomes
     for o in outcomes:
-        assert o.passed, o.line()
+        assert o["passed"], outcome_line(**o)
 
 
 def test_outcome_lines_render():
-    line = run_suite("expansion")[0].line()
+    line = outcome_line(**run_suite("expansion")[0])
     assert line.startswith("PASS expansion.")

@@ -251,6 +251,48 @@ def test_check_json_deterministic():
     assert all(o["passed"] for o in rec["outcomes"])
 
 
+#: the outcomes of ``check all`` in order: name, raw JSON tokens of expected
+#: and tolerance (an integral tolerance prints as ``0``, a float one as ``0.0``)
+CHECK_ALL_OUTCOMES = [
+    ("expansion.taylor-parity-50-random", "0.0", "0"),
+    ("expansion.derivative-commutes-50-random", "0.0", "0"),
+    ("expansion.seminorm-even-monomial-zero", "0.0", "0.0"),
+    ("expansion.seminorm-cubic-one", "1.0", "1e-10"),
+    ("pairing.delta-exact-rational", "0.0", "0"),
+    ("pairing.delta-ordinary-point-value", "0.0", "1e-12"),
+    ("pairing.step-derivative-order-zero", "0.0", "1e-08"),
+    ("pairing.oracle-agreement-24-cases", "0.0", "1e-05"),
+    ("pairing.finite-part-power-ladder", "0.0", "1e-06"),
+    ("paskusz.normal-forms-identical", "0.0", "0"),
+    ("paskusz.pairings-agree", "0.0", "1e-10"),
+    ("paskusz.projected-is-point-evaluation", "0.0", "1e-10"),
+    ("paskusz.step-idempotent-no-halving", "0.0", "1e-10"),
+    ("projection.derivative-commutes", "0.0", "1e-08"),
+    ("projection.delta-projects-to-delta", "0.0", "1e-12"),
+    ("a-independence.split-radius-invariance", "0.0", "1e-07"),
+]
+
+
+def test_check_all_json_pins_each_outcome():
+    out = run_cli("check", "all", "--json")
+    assert out.returncode == 0
+    # numbers stay the tokens they were printed as, so 0 and 0.0 differ
+    rec = json.loads(out.stdout, parse_float=str, parse_int=str)
+    assert [(o["name"], o["expected"], o["tolerance"]) for o in rec["outcomes"]] \
+        == CHECK_ALL_OUTCOMES
+    assert all(o["passed"] is True for o in rec["outcomes"])
+    assert rec["passed"] is True
+
+
+def test_unknown_check_suite_message_is_not_quoted():
+    out = run_cli("check", "nosuch", "--json")
+    assert out.returncode == 3
+    assert json.loads(out.stdout) == {
+        "error": "unknown check suite 'nosuch'; expected one of: expansion, pairing, "
+                 "paskusz, projection, a-independence, all",
+        "query": "check", "source": "check nosuch"}
+
+
 @pytest.mark.parametrize("expr, position", [
     ("dstar, bump(0)", 12),
     ("dstar, mono(0, pair(1,1), 0)", 12),
@@ -415,9 +457,9 @@ def test_stored_support_and_zero_body(command, expr, lines):
 
 
 def test_check_prints_the_outcome_lines():
-    from thickcalc.checks import run_suite
+    from thickcalc.checks import outcome_line, run_suite
     out = run_cli("check", "expansion")
     assert out.returncode == 0
     lines = out.stdout.splitlines()
-    assert lines[:-1] == [o.line() for o in run_suite("expansion")]
+    assert lines[:-1] == [outcome_line(**o) for o in run_suite("expansion")]
     assert lines[-1] == "check expansion: ok"

@@ -267,7 +267,7 @@ def _check_all_fits(monkeypatch):
     monkeypatch.setattr(pairing, "fp_limit", recording_fp_limit)
     monkeypatch.setattr(checks, "fp_limit", recording_fp_limit)
     monkeypatch.setattr(pairing, "_condition_bound", recording_bound)
-    assert all(o.passed for o in run_suite("all"))
+    assert all(o["passed"] for o in run_suite("all"))
     assert len(fits) == len(gates) == 28
     return [fit + gate for fit, gate in zip(fits, gates)]
 
@@ -423,7 +423,7 @@ def test_pairing_suite_samples_each_oracle_node_once(monkeypatch):
         calls.append(args)
         return integrate(lambda r: evals.append(r) or f(r), *args)
     monkeypatch.setattr(pairing, "integrate", counted)
-    assert all(o.passed for o in checks.suite_pairing(pairing.DEFAULT_CONFIG))
+    assert all(o["passed"] for o in checks.suite_pairing(pairing.DEFAULT_CONFIG))
     assert len(nodes) == len(ORACLE_SUITE_PHIS)  # one call for the six powers
     assert all(len(set(call)) == len(call) for call in nodes)
     # 1,560 body samples where one call per density took 8,640; the
@@ -703,7 +703,7 @@ def test_mixed_near_field_of_an_overlapping_product_agrees_with_oracle(monkeypat
 def test_split_radius_spread_is_at_rounding_level():
     # four powers x wide_suite() x A in {0.3, 0.5, 1.0}; the suite gate itself is 1e-7
     [outcome] = run_suite("a-independence")
-    assert outcome.observed <= 1e-12
+    assert outcome["observed"] <= 1e-12
 
 
 def test_result_algebra_keeps_exact_values_exact():

@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from thickcalc.checks import CheckOutcome
 from thickcalc.distributions import (
     ClassicalDistributionView,
     Derivative,
@@ -61,9 +60,6 @@ CASES = {
                       "series_terms=((-1, 0.25),), log_term=2.0)"),
     "FpFit": (lambda: FpFit(1.5, 1e-14, {(Fraction(0), 0): 1.5}),
               "FpFit(finite_part=1.5, residual=1e-14, coefficients={(Fraction(0, 1), 0): 1.5})"),
-    "CheckOutcome": (lambda: CheckOutcome("pairing", "delta", True, 1.0, 1.0, 1e-12),
-                     "CheckOutcome(suite='pairing', name='delta', passed=True, observed=1.0, "
-                     "expected=1.0, tolerance=1e-12)"),
     "Query": (lambda: Query("expand", "expand bump(1), 2", testfn=plateau_bump(1), max_order=2),
               f"Query(command='expand', source='expand bump(1), 2', dist=None, testfn={BUMP}, "
               "derivatives=0, max_order=2, suite=None)"),
