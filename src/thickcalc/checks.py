@@ -52,8 +52,9 @@ def _outcome(name, observed, expected, tol) -> dict:
 
 
 def _worst(name, gaps, tol) -> dict:
-    """The outcome that the largest of ``gaps`` is 0 to within ``tol``."""
-    return _outcome(name, max(gaps, default=0), 0, tol)
+    """The outcome that the largest of ``gaps`` is 0 to within ``tol``; a NaN
+    gap, wherever it stands, is the largest."""
+    return _outcome(name, max(gaps, default=0, key=lambda g: (g != g, g)), 0, tol)
 
 
 # -- shared test-function suites ---------------------------------------------------

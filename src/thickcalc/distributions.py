@@ -94,10 +94,21 @@ class MultiplierProduct(FrozenRecord):
 
 
 class LinearCombination(FrozenRecord):
+    """The sum of coefficient * distribution over ``terms``, flat and zero-free
+    by construction: a nested combination's terms are spliced in, times its
+    coefficient, and zero terms drop out; the rest share one thick point."""
+
     __slots__ = ("terms",)
 
     def __init__(self, terms: Tuple[Tuple[Fraction, "ThickDistribution"], ...]):
-        terms = tuple((exact(c), d) for c, d in terms)
+        flat = []
+        for c, d in terms:
+            c = exact(c)
+            if isinstance(d, LinearCombination):
+                flat.extend((exact(c * c2), d2) for c2, d2 in d.terms)
+            else:
+                flat.append((c, d))
+        terms = tuple((c, d) for c, d in flat if c != 0)
         points = {d.point for _, d in terms}
         if len(points) > 1:
             raise PointMismatchError("cannot combine distributions at different thick points")
@@ -264,9 +275,9 @@ def simplify(f: ThickDistribution) -> ThickDistribution:
     one-sided delta; a degree-q delta gives a degree-(q+1) delta); a
     derivative distributes over a multiplier product by the product rule
     (the multiplier differentiated in the ordinary sense, away from the
-    thick point); nested linear combinations flatten and merge like terms
-    (deltas of one degree add their weights, densities of one power their
-    pairs, other equal terms their coefficients, and zero terms drop out);
+    thick point); a linear combination merges like terms (deltas of one
+    degree add their weights, densities of one power their pairs, other equal
+    terms their coefficients, and zero terms drop out);
     stacked translations merge.
     """
     if isinstance(f, (PfDensity, ThickDelta)):
@@ -296,21 +307,14 @@ def simplify(f: ThickDistribution) -> ThickDistribution:
             return inner
         return MultiplierProduct(psi, inner)
     if isinstance(f, LinearCombination):
-        flat = []
-        for c, d in f.terms:
-            d = simplify(d)
-            if isinstance(d, LinearCombination):
-                flat.extend((c * c2, d2) for c2, d2 in d.terms)
-            else:
-                flat.append((c, d))
         merged = {}  # like-term key -> (coefficient, term)
-        for c, d in flat:
+        for c, d in LinearCombination(tuple((c, simplify(d)) for c, d in f.terms)).terms:
             key = _like_key(d)
             merged[key] = _merge(merged[key], c, d) if key in merged else (c, d)
-        flat = [(c, d) for c, d in merged.values() if c != 0 and not _is_zero_leaf(d)]
-        if len(flat) == 1 and flat[0][0] == 1:
-            return flat[0][1]
-        return LinearCombination(tuple(flat))
+        f = LinearCombination(tuple((c, d) for c, d in merged.values() if not _is_zero_leaf(d)))
+        if len(f.terms) == 1 and f.terms[0][0] == 1:
+            return f.terms[0][1]
+        return f
     if isinstance(f, Translate):
         inner = simplify(f.inner)
         if f.shift == 0:

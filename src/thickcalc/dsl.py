@@ -145,7 +145,6 @@ class Parser:
 
     def __init__(self, bindings=None):
         self.bindings = dict(bindings or {})
-        self.start("")
 
     def start(self, text: str):
         """Read the tokens of ``text`` from the first one on."""
@@ -233,7 +232,7 @@ class Parser:
         if isinstance(a, ThickTestFunction) and isinstance(b, ThickTestFunction):
             return a + b if op[0] == "+" else a + b.scale(-1)
         if _is_dist(a) and _is_dist(b):
-            return _build(op[2], _flatten_combination, ((1, a), (1 if op[0] == "+" else -1, b)))
+            return _build(op[2], LinearCombination, ((1, a), (1 if op[0] == "+" else -1, b)))
         raise DslError(f"cannot combine {_typename(a)} and {_typename(b)} with {op[0]!r}",
                        op[2])
 
@@ -242,7 +241,7 @@ class Parser:
             return a * b
         if isinstance(a, (int, Fraction, float)):
             if _is_dist(b):
-                return _flatten_combination(((_build(op[2], exact, a), b),))
+                return LinearCombination(((_build(op[2], exact, a), b),))
             if isinstance(b, (ThickTestFunction, Multiplier)):
                 return _build(op[2], b.scale, a)
         if isinstance(b, (int, Fraction, float)):
@@ -471,18 +470,6 @@ def _typename(v) -> str:
     return "a number"
 
 
-def _flatten_combination(terms) -> LinearCombination:
-    """One flat combination; zero terms drop out, so `0 * dstar` is the zero
-    distribution the printer writes."""
-    flat = []
-    for coefficient, dist in terms:
-        if isinstance(dist, LinearCombination):
-            flat.extend((coefficient * c2, d2) for c2, d2 in dist.terms)
-        else:
-            flat.append((coefficient, dist))
-    return LinearCombination(tuple((c, d) for c, d in flat if c != 0))
-
-
 # -- printer ---------------------------------------------------------------------
 
 
@@ -527,8 +514,7 @@ def print_distribution(d) -> str:
             # a one-term combination written bare would read back as its term
             scaled = abs(coefficient) != 1 or (len(d.terms) == 1 and coefficient == 1)
             # and a leading number or '-' would scale a product's multiplier
-            if isinstance(term, LinearCombination) or (
-                    isinstance(term, MultiplierProduct) and (scaled or coefficient < 0)):
+            if isinstance(term, MultiplierProduct) and (scaled or coefficient < 0):
                 text = f"({text})"
             if scaled:
                 text = f"{abs(coefficient)} * {text}"

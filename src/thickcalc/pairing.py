@@ -61,8 +61,8 @@ from .distributions import (
     derivative_rule,
     nested_derivative,
 )
-from .quadrature import integrate
-from .sphere import SPHERE_MEASURE, ZERO_PAIR, FrozenRecord, SpherePair, integrate_sphere, ratio
+from .quadrature import fsum, integrate
+from .sphere import SPHERE_MEASURE, FrozenRecord, SpherePair, integrate_sphere, ratio
 from .testfn import Body, ThickTestFunction, derivative, dilate, multiply_by, translate
 
 
@@ -135,11 +135,11 @@ def _radial(radial, radius: float, pair: SpherePair, flam: float, subtract=()):
         acc = 0.0
         if cp:
             if sub_p:
-                vp -= math.fsum([c * r ** j for c, j in sub_p])
+                vp -= fsum([c * r ** j for c, j in sub_p])
             acc += cp * vp
         if cm:
             if sub_m:
-                vm -= math.fsum([c * r ** j for c, j in sub_m])
+                vm -= fsum([c * r ** j for c, j in sub_m])
             acc += cm * vm
         return r ** flam * acc
     return integrand
@@ -199,7 +199,12 @@ def _pair_density(f: PfDensity, phi: ThickTestFunction, cfg: QuadratureConfig) -
     # E is the edge of the inner plateau, where the function equals its
     # expansion; orders above jmax integrate over [0, E] in closed form.
     E = min(A, phi.exact_radius)
-    orders = () if e.is_zero() else range(e.start, max(jmax, e.top) + 1)
+    orders = () if e.is_zero() else range(e.start, e.top + 1)
+    # the orders above e.top have no coefficient, so of those through jmax
+    # only the one where a float power can behave as an integer is visited
+    near = round(-flam) - 1
+    if orders and not f.integral_power and e.top < near <= jmax:
+        orders = (*orders, near)
 
     series = []
     log_term: Number = 0
@@ -228,7 +233,6 @@ def _pair_density(f: PfDensity, phi: ThickTestFunction, cfg: QuadratureConfig) -
     # do the same with the square moment.  The other products of cutoffs form
     # the rest, integrated with the rest of the expansion subtracted.
     rest, quad_error = [], 0.0
-    subtract = {j: c for j, c in e.terms() if j <= jmax}
     for term in phi.body.terms:
         factors, j, p = term
         mu = flam + j
@@ -250,8 +254,6 @@ def _pair_density(f: PfDensity, phi: ThickTestFunction, cfg: QuadratureConfig) -
         scale = rho ** (mu + 1)
         closed.append(c * (_power_integral(mu, A if j <= jmax else E, rho / 2) + scale * m))
         quad_error += abs(c) * scale * _moment_error(mu, tail)
-        if j <= jmax:
-            subtract[j] = subtract.get(j, ZERO_PAIR) - p
     body = phi.body if len(rest) == len(phi.body.terms) else Body(tuple(rest))
 
     far_value = 0.0
@@ -259,15 +261,17 @@ def _pair_density(f: PfDensity, phi: ThickTestFunction, cfg: QuadratureConfig) -
         far_value, err = integrate(_radial(body.radial, R, f.pair, flam), A, R,
                                    cfg.abs_tol, cfg.max_subdivisions)
         quad_error += err
-    near_value = math.fsum(closed)
-    if E < A and (body.terms or any(not c.is_zero() for c in subtract.values())):
-        # the expansion-subtracted remainder between the plateau edge and A
-        v, err = integrate(_radial(body.radial, R, f.pair, flam, subtract.items()), E, A,
+    near_value = fsum(closed)
+    if E < A and body.terms:
+        # the remainder between the plateau edge and A, net of the rest's own
+        # expansion through jmax (a tuple: _radial reads it twice)
+        subtract = tuple(body.expansion.truncate(jmax).terms())
+        v, err = integrate(_radial(body.radial, R, f.pair, flam, subtract), E, A,
                            cfg.abs_tol, cfg.max_subdivisions)
         near_value += v
         quad_error += err
 
-    value = far_value + near_value + math.fsum(float(v) for _, v in series) + float(log_term)
+    value = far_value + near_value + fsum(float(v) for _, v in series) + float(log_term)
     # each integral met its tolerance, but the stages can cancel: hold the
     # sum to the rule integrate applies to its own result
     if quad_error > max(cfg.abs_tol, abs(value) * 1e-13):
@@ -434,10 +438,16 @@ def _power_integral(mu: float, a: float, b: float) -> float:
         return -_power_integral(mu, b, a)
     p = mu + 1
     if p == 0:
-        return math.log(b / a)
+        return _log_quotient(b, a)
     if p > 0:
-        return -(b ** p) * math.expm1(p * math.log(a / b)) / p
-    return a ** p * math.expm1(p * math.log(b / a)) / p
+        return -(b ** p) * math.expm1(p * _log_quotient(a, b)) / p
+    return a ** p * math.expm1(p * _log_quotient(b, a)) / p
+
+
+def _log_quotient(x: float, y: float) -> float:
+    """log(x / y) for x, y > 0, also where x / y leaves the float range."""
+    q = x / y
+    return math.log(q) if 0 < q < math.inf else math.log(x) - math.log(y)
 
 
 # -- finite part of a limit ----------------------------------------------------

@@ -24,7 +24,7 @@ import math
 import sys
 from operator import mul
 
-from .errors import QuadratureError
+from .errors import NonFiniteError, QuadratureError
 
 #: Kronrod nodes on [0, 1), the centre last; the odd entries (0-based) are the
 #: Gauss nodes.
@@ -60,8 +60,18 @@ _WG = (
 _ROUNDOFF = 50 * sys.float_info.epsilon
 
 
+def fsum(values) -> float:
+    """``math.fsum`` of some floats, except that a sum that holds both +inf
+    and -inf is nan (as with ``sum``) where ``math.fsum`` raises ValueError."""
+    try:
+        return math.fsum(values)
+    except ValueError:
+        return math.nan
+
+
 def _panel(f, a: float, b: float):
-    """(K15 value, |K15 - G7| estimate, roundoff floor) of f on [a, b]."""
+    """(K15 value, |K15 - G7| estimate, roundoff floor) of f on [a, b]; a
+    Kronrod sum that is not finite is a NonFiniteError."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     fc = f(mid)
@@ -72,7 +82,9 @@ def _panel(f, a: float, b: float):
         absums.append(abs(lo) + abs(hi))
     sums.append(fc)
     absums.append(abs(fc))
-    kronrod = half * math.fsum(map(mul, _WK, sums))
+    kronrod = half * fsum(map(mul, _WK, sums))
+    if not math.isfinite(kronrod):
+        raise NonFiniteError(f"integrand is not finite on [{a:g}, {b:g}]")
     gauss = half * math.fsum(map(mul, _WG, sums[1::2]))
     floor = _ROUNDOFF * half * math.fsum(map(mul, _WK, absums))
     return kronrod, abs(kronrod - gauss), floor
@@ -86,7 +98,8 @@ def integrate(f, a: float, b: float, abs_tol: float = 1e-10,
     roundoff floors of the panels.  Raises QuadratureError when the estimate
     cannot be brought under tolerance within max_panels panels, when the
     worst panel's estimate is already at its roundoff floor, or when the
-    summed floors alone exceed the tolerance.  The subdivision order is a
+    summed floors alone exceed the tolerance, and NonFiniteError when a
+    panel's Kronrod sum is not finite.  The subdivision order is a
     pure function of the inputs, so repeated runs produce bit-identical
     results.
     """

@@ -33,9 +33,10 @@ from functools import cached_property
 from itertools import groupby
 from typing import Tuple
 
-from .errors import PointMismatchError
+from .errors import NonFiniteError, PointMismatchError
 from . import expansion as xp
 from .expansion import ZERO_EXPANSION, Expansion
+from .quadrature import fsum
 from .sphere import ONE_PAIR, FrozenRecord, Rational, SpherePair, ZERO_PAIR, exact, parity_pair
 
 
@@ -153,7 +154,7 @@ class Body:
                 plus.append(a)
             if cm:
                 minus.append(b)
-        return math.fsum(plus), math.fsum(minus)
+        return fsum(plus), fsum(minus)
 
     def value(self, y: float) -> float:
         return self.radial(abs(y))[0 if y > 0 else 1]
@@ -218,10 +219,14 @@ class Body:
 
     def dilate(self, c: Rational) -> "Body":
         """The body of y -> self(y / c).  The k-th derivative of a cutoff picks
-        up c^k, because the profile is scale-invariant."""
+        up c^k, because the profile is scale-invariant.  A cutoff radius that
+        leaves the positive floats is a NonFiniteError."""
         out = {}
         for factors, j, p in self.terms:
             scaled = tuple(sorted((float(abs(c)) * radius, n) for radius, n in factors))
+            if not all(0 < radius < math.inf for radius, _ in scaled):
+                raise NonFiniteError(f"dilation by {float(c):g} takes a cutoff radius "
+                                     "out of the float range")
             _accumulate(out, scaled, j, _dilate_pair(p, j, c) * c ** sum(n for _, n in factors))
         return _canonical(out)
 
@@ -231,7 +236,7 @@ def _powers(coeffs, r: float) -> float:
     # term on the inner plateau cancels bit-exactly against it
     if len(coeffs) == 1:
         return coeffs[0][1] * r ** coeffs[0][0]
-    return math.fsum([c * r ** j for j, c in coeffs])
+    return fsum([c * r ** j for j, c in coeffs])
 
 
 def _accumulate(out: dict, factors: Factors, j: int, p: SpherePair) -> None:

@@ -1,6 +1,8 @@
+import math
+
 import pytest
 
-from thickcalc.checks import SUITES, outcome_line, run_suite
+from thickcalc.checks import SUITES, _worst, outcome_line, run_suite
 from thickcalc.errors import ThickCalcError
 
 
@@ -25,3 +27,16 @@ def test_each_suite_passes(name):
 def test_outcome_lines_render():
     line = outcome_line(**run_suite("expansion")[0])
     assert line.startswith("PASS expansion.")
+
+
+@pytest.mark.parametrize("gaps", [[math.nan, 0.0, 1e-15], [0.0, math.nan, 1e-15],
+                                  [0.0, 1e-15, math.nan]])
+def test_a_nan_gap_fails_in_any_position(gaps):
+    outcome = _worst("x", gaps, 1e-12)
+    assert not outcome["passed"]
+    assert math.isnan(outcome["observed"])
+
+
+def test_worst_gap_is_the_largest():
+    assert _worst("x", [1e-15, 3e-13, 2e-13], 1e-12)["observed"] == 3e-13
+    assert _worst("x", [], 0)["passed"]

@@ -392,6 +392,20 @@ def test_float_overflow_has_one_message(expr):
     assert json.loads(out.stdout)["error"] == "float overflow during evaluation"
 
 
+@pytest.mark.parametrize("expr, panel", [
+    # one panel holds both +inf and -inf
+    ("-3/2 * Pf(abs(x)^-25), D(x^2 * bump(1/2)) * 1e300 * D(mono(-1,pair(1e-3,2.5),1))",
+     "[0.25, 0.5]"),
+    # the samples are NaN
+    ("Pf(abs(x)^-25), 1e300 * D(mono(-1,pair(1,2),1))", "[0.5, 0.515625]"),
+])
+def test_non_finite_integrand_is_an_evaluation_error(expr, panel):
+    out = run_cli("eval", "-e", expr, "--json")
+    assert out.returncode == 3
+    assert "Traceback" not in out.stderr
+    assert json.loads(out.stdout)["error"] == f"integrand is not finite on {panel}"
+
+
 def test_pairing_error_is_held_to_the_tolerance():
     expr = "Pf(abs(x)^-30), poly([1,1],1)"  # error estimate about 1e-6
     out = run_cli("eval", "-e", expr)

@@ -24,6 +24,7 @@ from thickcalc.distributions import (
     project,
     simplify,
 )
+from thickcalc.dsl import Parser, print_distribution
 from thickcalc.errors import MisclassifiedPowerError, PointMismatchError
 from thickcalc.pairing import pair
 from thickcalc.sphere import SpherePair, g_lambda
@@ -92,6 +93,45 @@ def test_combination_point_consistency():
         LinearCombination(((1, delta_star()), (1, delta_star(point=1))))
     with pytest.raises(PointMismatchError):
         MultiplierProduct(heaviside_multiplier(point=1), delta_star())
+
+
+def test_nested_combination_splices_its_scaled_terms():
+    inner = LinearCombination(((2, delta_star()), (Fraction(-1, 3), pf_heaviside())))
+    outer = LinearCombination(((Fraction(3, 2), inner), (5, pf_power(-2))))
+    assert outer.terms == ((3, delta_star()), (Fraction(-1, 2), pf_heaviside()),
+                           (5, pf_power(-2)))
+    assert type(outer.terms[0][0]) is int  # 3/2 * 2 is kept as the int 3
+
+
+def test_zero_coefficient_drops_its_term():
+    f = LinearCombination(((0, delta_star()), (2, pf_heaviside()), (Fraction(0), pf_power(-1))))
+    assert f.terms == ((2, pf_heaviside()),)
+    nested = LinearCombination(((0, LinearCombination(((1, delta_star()),))),))
+    assert nested == ZERO_DISTRIBUTION
+
+
+def test_empty_combination_takes_no_point():
+    f = LinearCombination(((1, LinearCombination(())), (1, delta_star(point=1))))
+    assert f.terms == ((1, delta_star(point=1)),)
+    assert f.point == 1
+
+
+def test_combination_of_two_points_still_raises():
+    at_zero = LinearCombination(((1, delta_star()),))
+    with pytest.raises(PointMismatchError):
+        LinearCombination(((1, at_zero), (2, delta_star(point=1))))
+    with pytest.raises(PointMismatchError):
+        LinearCombination(((1, pf_heaviside()), (0, delta_star(point=1)), (1, pf_power(-1, 1))))
+
+
+def test_nested_combination_prints_as_text_that_parses_back():
+    inner = LinearCombination(((2, MultiplierProduct(power_multiplier(2), delta_star())),
+                               (-1, pf_heaviside())))
+    f = LinearCombination(((Fraction(-1, 2), inner), (1, Derivative(inner))))
+    parser = Parser()
+    parser.start(print_distribution(f))
+    assert parser.parse_value() == f
+    assert parser.at(None)
 
 
 # -- simplify ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import random
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -29,6 +30,7 @@ from thickcalc.dsl import (
     parse_program,
     parse_query,
     print_distribution,
+    run,
     tokenize,
 )
 from thickcalc.errors import DslError
@@ -648,3 +650,77 @@ def test_tokenize_errors_match_the_reference(text):
         assert str(got.value) == str(exc) and got.value.position == exc.position
     else:
         assert [tuple(t) for t in tokenize(text)] == expected
+
+
+def test_a_statement_is_tokenized_once(monkeypatch):
+    texts = []
+    monkeypatch.setattr(dsl, "tokenize", lambda text: texts.append(text) or tokenize(text))
+    parse_query("derive d*(dstar)")
+    assert texts == ["derive d*(dstar)"]
+
+
+# -- random whole statements ---------------------------------------------------------
+
+_STATEMENT_NUMBERS = ("0", "1", "2", "-3", "1/2", "3/2", "-5/3", "2.5", "1e-3", "1e150",
+                      "1e300", "-1e300", "1e-300")
+_STATEMENT_RADII = ("1", "2", "1/2", "3/2", "2.5", "1e-3", "1e150", "1e300", "1e-300")
+
+
+def _random_statement(rng: random.Random) -> str:
+    """An eval, derive, project or expand statement over D, products, sums,
+    H(x), x^n, dilate and numbers up to 1e300."""
+    def number():
+        return rng.choice(_STATEMENT_NUMBERS) if rng.random() < 0.7 else str(rng.randint(-30, 5))
+
+    def radius():
+        return rng.choice(_STATEMENT_RADII) if rng.random() < 0.9 else number()
+
+    def pair():
+        return f"pair({number()},{number()})"
+
+    def fn(depth):
+        leaves = (lambda: f"bump({radius()})",
+                  lambda: f"mono({rng.randint(-3, 3)},{pair()},{radius()})",
+                  lambda: f"poly([{number()},{number()}],{radius()})")
+        inner = (lambda: f"D({fn(depth - 1)})",
+                 lambda: f"{fn(depth - 1)} * {fn(depth - 1)}",
+                 lambda: f"{fn(depth - 1)} {rng.choice('+-')} {fn(depth - 1)}",
+                 lambda: f"{number()} * {fn(depth - 1)}",
+                 lambda: f"H(x) * {fn(depth - 1)}",
+                 lambda: f"x^{rng.randint(-1, 3)} * {fn(depth - 1)}")
+        return rng.choice(leaves + inner if depth else leaves)()
+
+    def dist(depth):
+        leaves = (lambda: f"Pf(abs(x)^{number()})",
+                  lambda: f"Pf({pair()} * r^{number()})",
+                  lambda: rng.choice(("Pf(H(x))", "dstar")),
+                  lambda: f"delta[{rng.randint(0, 3)}]({pair()})")
+        inner = (lambda: f"d*({dist(depth - 1)})",
+                 lambda: f"{dist(depth - 1)} {rng.choice('+-')} {dist(depth - 1)}",
+                 lambda: f"{number()} * {dist(depth - 1)}",
+                 lambda: f"H(x) * {dist(depth - 1)}",
+                 lambda: f"x^{rng.randint(-1, 3)} * {dist(depth - 1)}",
+                 lambda: f"dilate({dist(depth - 1)}, {number()})")
+        return rng.choice(leaves + inner if depth else leaves)()
+
+    command = rng.choice(("eval", "derive", "project", "expand"))
+    if command == "derive":
+        return f"derive {dist(3)}"
+    if command == "expand":
+        return f"expand {fn(3)}, {rng.randint(-1, 6)}"
+    return f"{command} {dist(2)}, {fn(2)}"
+
+
+@pytest.mark.filterwarnings("ignore:side weight")
+def test_random_statements_end_in_a_record_or_a_dsl_error():
+    rng = random.Random(20261019)
+    for _ in range(3000):
+        text = _random_statement(rng)
+        try:
+            program = parse_query(text)
+        except DslError:
+            continue
+        try:
+            run(program)  # an "error" record is a typed end too
+        except Exception as exc:
+            pytest.fail(f"{text!r} raised {type(exc).__name__}: {exc}")

@@ -726,6 +726,47 @@ def test_non_finite_and_overflowing_pairings_are_typed():
         pair(pf_power(Fraction(-1, 2)), from_polynomial([1e308, 1e308], 1))
 
 
+def test_a_power_far_below_the_expansion_walks_no_empty_order():
+    # jmax is about 1e300 and 1e9; the orders above the expansion hold no
+    # coefficient and are not visited one by one
+    start = time.perf_counter()
+    with pytest.raises(NonFiniteError):
+        pair(pf_power(-1e300), plateau_bump(1.5))
+    assert pair(pf_power(-10 ** 9), plateau_bump(3)).value == pytest.approx(-2 / (10 ** 9 - 1))
+    assert time.perf_counter() - start < 1
+    # a float power that behaves as an integer is still refused beyond the expansion
+    with pytest.raises(MisclassifiedPowerError, match="integer -10 at order 9"):
+        pair(pf_power(-10.0), plateau_bump(2.0))
+
+
+def test_power_integral_whose_end_ratio_leaves_the_float_range():
+    a, b = 5e-301, 5e299  # a / b underflows to 0 and b / a overflows
+    assert pairing._power_integral(0.0, a, b) == pytest.approx(b)
+    assert pairing._power_integral(-1.0, a, b) == pytest.approx(math.log(b) - math.log(a))
+    assert pairing._power_integral(-1.5, a, b) == pytest.approx(2 / math.sqrt(a))
+    # the far bump's plain cutoff integrates from the near bump's plateau edge
+    phi = plateau_bump(1e300) + plateau_bump(1e-300)
+    assert pair(pf_heaviside(), phi).value == pytest.approx(7.5e299)
+
+
+@pytest.mark.parametrize("statement, message", [
+    # the closed-form near field holds +inf and -inf
+    ("project Pf(H(x)), D(poly([2,1e300],1e150) - bump(1e-300))",
+     "pairing value nan has error estimate inf"),
+    # so does a body value, inside the integrand
+    ("project H(x) * -1e300 * Pf(abs(x)^-29), D(x^2 * bump(1e150))",
+     "integrand is not finite on [1, 1e+150]"),
+    ("eval dilate(Pf(abs(x)^-1/2), 1e-300), bump(1e-300)",
+     "dilation by 1e-300 takes a cutoff radius out of the float range"),
+    # the support radius stays in range, the smaller cutoff radius does not
+    ("eval dilate(Pf(abs(x)^-1/2), 1e-300), bump(1) + bump(1e-300)",
+     "dilation by 1e-300 takes a cutoff radius out of the float range"),
+])
+def test_infinite_sums_and_radii_end_in_an_error_record(statement, message):
+    record, = dsl.run(dsl.parse_query(statement)).records
+    assert message in record["error"]
+
+
 # -- derivative transfer ---------------------------------------------------------------
 
 TRANSFER_POWERS = [-3, Fraction(-5, 2), -2, -1, Fraction(-1, 2), 0, 1]
