@@ -558,21 +558,19 @@ class Program(Record):
 
 
 class Report(Record):
-    """Per-query records plus the flags the exit status is derived from."""
+    """The per-query records of a run, which the exit status is read off."""
 
-    __slots__ = ("records", "had_error", "check_failed")
+    __slots__ = ("records",)
 
-    def __init__(self, records: List[dict], had_error: bool = False,
-                 check_failed: bool = False):
+    def __init__(self, records: List[dict]):
         self.records = records
-        self.had_error = had_error
-        self.check_failed = check_failed
 
     @property
     def exit_status(self) -> int:
-        if self.had_error:
+        """3 when a record holds an error, else 1 when a check failed, else 0."""
+        if any("error" in rec for rec in self.records):
             return 3
-        if self.check_failed:
+        if any(rec.get("passed") is False for rec in self.records):
             return 1
         return 0
 
@@ -606,11 +604,8 @@ def run(program: Program, cfg=None) -> Report:
                 rec["outcomes"] = checks.run_suite(q.suite, cfg)
                 rec["suite"] = q.suite
                 rec["passed"] = all(o["passed"] for o in rec["outcomes"])
-                if not rec["passed"]:
-                    report.check_failed = True
         except ThickCalcError as exc:
             rec["error"] = str(exc)
-            report.had_error = True
         report.records.append(rec)
     return report
 

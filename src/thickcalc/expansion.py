@@ -15,10 +15,10 @@ leading order and the zero expansion is the unique empty one.
 
 from __future__ import annotations
 
-import math
 import re
 from typing import Iterable, Iterator, Optional, Tuple
 
+from .quadrature import fsum
 from .sphere import FrozenRecord, SpherePair, ZERO_PAIR, parity_pair
 
 
@@ -64,9 +64,6 @@ class Expansion(FrozenRecord):
         kept = self.coeffs[:max(0, max_order - self.start + 1)]
         return self if len(kept) == len(self.coeffs) else Expansion(self.start, kept)
 
-    def __str__(self):
-        return render(self)
-
 
 ZERO_EXPANSION = Expansion(0, ())
 
@@ -86,12 +83,20 @@ def from_taylor(coeffs: Iterable) -> Expansion:
     return Expansion(0, tuple(parity_pair(c, j) for j, c in enumerate(coeffs)))
 
 
+def partial_sum(coeffs, r: float) -> float:
+    """The sum of c * r**j over the float pairs (j, c).  The body and the near
+    field both sum here, so a body term on the inner plateau cancels
+    bit-exactly against the expansion term subtracted from it."""
+    if len(coeffs) == 1:
+        return coeffs[0][1] * r ** coeffs[0][0]
+    return fsum([c * r ** j for j, c in coeffs])
+
+
 def evaluate(e: Expansion, w: int, r: float) -> float:
     """Float value of the sum at the sphere point w, radius r > 0."""
     if r <= 0:
         raise ValueError("radius must be positive")
-    # termwise with r**j so that it cancels bit-exactly against monomial terms
-    return math.fsum(float(c.at(w)) * r ** j for j, c in e.terms())
+    return partial_sum([(j, float(c.at(w))) for j, c in e.terms()], r)
 
 
 # -- textual form ----------------------------------------------------------

@@ -61,6 +61,7 @@ from .distributions import (
     derivative_rule,
     nested_derivative,
 )
+from .expansion import partial_sum
 from .quadrature import fsum, integrate
 from .sphere import SPHERE_MEASURE, FrozenRecord, SpherePair, integrate_sphere, ratio
 from .testfn import Body, ThickTestFunction, derivative, dilate, multiply_by, translate
@@ -106,9 +107,6 @@ class PairingResult(FrozenRecord):
         object.__setattr__(self, "series_terms", series_terms)
         object.__setattr__(self, "log_term", log_term)
 
-    def __float__(self):
-        return float(self.value)
-
     def scaled(self, k) -> "PairingResult":
         """k times this pairing, every stage scaled alike."""
         return PairingResult(k * self.value, self.split_radius, abs(float(k)) * self.quad_error,
@@ -127,19 +125,19 @@ def _radial(radial, radius: float, pair: SpherePair, flam: float, subtract=()):
     body through ``radial`` (``Body.radial`` or a memo of it); the body is
     zero from ``radius`` on."""
     cp, cm = float(pair.plus), float(pair.minus)
-    sub_p = [(float(a.plus), j) for j, a in subtract]
-    sub_m = [(float(a.minus), j) for j, a in subtract]
+    sub_p = [(j, float(a.plus)) for j, a in subtract]
+    sub_m = [(j, float(a.minus)) for j, a in subtract]
 
     def integrand(r):
         vp, vm = radial(r) if r < radius else (0.0, 0.0)
         acc = 0.0
         if cp:
             if sub_p:
-                vp -= fsum([c * r ** j for c, j in sub_p])
+                vp -= partial_sum(sub_p, r)
             acc += cp * vp
         if cm:
             if sub_m:
-                vm -= fsum([c * r ** j for c, j in sub_m])
+                vm -= partial_sum(sub_m, r)
             acc += cm * vm
         return r ** flam * acc
     return integrand
@@ -272,14 +270,15 @@ def _pair_density(f: PfDensity, phi: ThickTestFunction, cfg: QuadratureConfig) -
         quad_error += err
 
     value = far_value + near_value + fsum(float(v) for _, v in series) + float(log_term)
-    # each integral met its tolerance, but the stages can cancel: hold the
-    # sum to the rule integrate applies to its own result
+    # a non-finite value is refused first; then, as the stages can cancel,
+    # the sum is held to the rule integrate applies to its own result
+    result = PairingResult(value, A, quad_error, tuple(series), log_term)
     if quad_error > max(cfg.abs_tol, abs(value) * 1e-13):
         raise QuadratureError(
             f"tolerance {cfg.abs_tol:g} not reached: pairing value {value:.6g} "
             f"has error estimate {quad_error:g}"
         )
-    return PairingResult(value, A, quad_error, tuple(series), log_term)
+    return result
 
 
 # -- closed-form ramp moments ------------------------------------------------------
@@ -468,13 +467,6 @@ class FpFit(FrozenRecord):
         object.__setattr__(self, "finite_part", finite_part)
         object.__setattr__(self, "residual", residual)
         object.__setattr__(self, "coefficients", coefficients)
-
-    def __float__(self):
-        return self.finite_part
-
-    @property
-    def log_coefficient(self) -> float:
-        return self.coefficients.get((Fraction(0), 1), 0.0)
 
 
 #: Ceiling for the condition bound of the scaled design matrix.

@@ -115,14 +115,6 @@ class SpherePair(FrozenRecord):
     def is_odd(self) -> bool:
         return self.plus == -self.minus
 
-    def even_part(self) -> "SpherePair":
-        h = ratio(self.plus + self.minus, 2)
-        return SpherePair(h, h)
-
-    def odd_part(self) -> "SpherePair":
-        h = ratio(self.plus - self.minus, 2)
-        return SpherePair(h, -h)
-
     def __add__(self, other: "SpherePair") -> "SpherePair":
         return SpherePair(self.plus + other.plus, self.minus + other.minus)
 
@@ -140,9 +132,6 @@ class SpherePair(FrozenRecord):
 
     def __rmul__(self, other):
         return self.__mul__(other)
-
-    def __str__(self):
-        return f"({self.plus}|{self.minus})"
 
 
 ZERO_PAIR = SpherePair(0, 0)

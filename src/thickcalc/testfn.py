@@ -35,7 +35,7 @@ from typing import Tuple
 
 from .errors import NonFiniteError, PointMismatchError
 from . import expansion as xp
-from .expansion import ZERO_EXPANSION, Expansion
+from .expansion import ZERO_EXPANSION, Expansion, partial_sum
 from .quadrature import fsum
 from .sphere import ONE_PAIR, FrozenRecord, Rational, SpherePair, ZERO_PAIR, exact, parity_pair
 
@@ -45,14 +45,6 @@ from .sphere import ONE_PAIR, FrozenRecord, Rational, SpherePair, ZERO_PAIR, exa
 # S(t) = g(t) / (g(t) + g(1-t)) with g(t) = exp(-1/t): 0 for t <= 0, 1 for
 # t >= 1, strictly increasing in between.  Derivatives are computed with
 # truncated Taylor (jet) arithmetic, so they are exact up to rounding.
-
-
-def _jet_var(t: float, n: int):
-    jet = [0.0] * (n + 1)
-    jet[0] = t
-    if n >= 1:
-        jet[1] = 1.0
-    return jet
 
 
 def _jet_mul(a, b):
@@ -88,11 +80,13 @@ def smoothstep_deriv(t: float, n: int) -> float:
         # the jet path's own arithmetic at n = 0, so the bits are the same
         g1 = math.exp(-(1.0 / t))
         return g1 * (1.0 / (g1 + math.exp(-(1.0 / (1.0 - t)))))
-    tj = _jet_var(t, n)
-    uj = _jet_var(1.0 - t, n)
-    uj[1] = -1.0
-    g1 = _jet_exp([-c for c in _jet_recip(tj)])
-    g2 = _jet_exp([-c for c in _jet_recip(uj)])
+    # the jets of -1/t and -1/(1-t) are geometric, with ratios -1/t and
+    # 1/(1-t); _jet_recip of t or 1-t gives the same values
+    a, b = [-(1.0 / t)], [-(1.0 / (1.0 - t))]
+    for _ in range(n):
+        a.append(a[0] * a[-1])
+        b.append(-b[0] * b[-1])
+    g1, g2 = _jet_exp(a), _jet_exp(b)
     s = _jet_mul(g1, _jet_recip([x + y for x, y in zip(g1, g2)]))
     return s[n] * math.factorial(n)
 
@@ -103,10 +97,7 @@ def smoothstep_deriv(t: float, n: int) -> float:
 def plateau_value(radius: float, n: int, r: float) -> float:
     """n-th derivative of the cutoff that is 1 on |y| <= radius/2 and 0 on
     |y| >= radius, at the local coordinate y = r > 0."""
-    t = 2.0 - 2.0 * r / radius
-    if n == 0:
-        return smoothstep_deriv(t, 0)
-    return smoothstep_deriv(t, n) * (-2.0 / radius) ** n
+    return smoothstep_deriv(2.0 - 2.0 * r / radius, n) * (-2.0 / radius) ** n
 
 
 #: Plateau factors of a term: sorted (radius, derivative order) pairs, repeats
@@ -141,7 +132,7 @@ class Body:
         times the one at r."""
         plus, minus = [], []
         for factors, cp, cm in self._groups:
-            a, b = _powers(cp, r), _powers(cm, r)
+            a, b = partial_sum(cp, r), partial_sum(cm, r)
             for radius, n in factors:
                 if a == 0.0 and b == 0.0:
                     break
@@ -231,14 +222,6 @@ class Body:
         return _canonical(out)
 
 
-def _powers(coeffs, r: float) -> float:
-    # c * r**j first, as pairing._radial subtracts the expansion, so that a
-    # term on the inner plateau cancels bit-exactly against it
-    if len(coeffs) == 1:
-        return coeffs[0][1] * r ** coeffs[0][0]
-    return fsum([c * r ** j for j, c in coeffs])
-
-
 def _accumulate(out: dict, factors: Factors, j: int, p: SpherePair) -> None:
     # a cutoff of radius rho is 1, and its derivatives 0, wherever a factor
     # of radius at most rho/2 is nonzero: there the plain one drops out and a
@@ -319,8 +302,6 @@ class ThickTestFunction(FrozenRecord):
         return self._with(self.body.scale(k), self.point)
 
     def __mul__(self, other):
-        if isinstance(other, Multiplier):
-            return multiply_by(other, self)
         if isinstance(other, ThickTestFunction):
             if self.point != other.point:
                 raise PointMismatchError("cannot multiply functions at different thick points")

@@ -2,6 +2,7 @@ import importlib.util
 import math
 import random
 import re
+import signal
 from fractions import Fraction
 from pathlib import Path
 
@@ -488,8 +489,12 @@ def test_run_keeps_going_after_an_error():
 
 def test_run_flags_check_failure_status():
     from thickcalc.dsl import Report
-    assert Report(records=[], check_failed=True).exit_status == 1
-    assert Report(records=[], had_error=True, check_failed=True).exit_status == 3
+    passed = {"query": "check", "passed": True}
+    failed = {"query": "check", "passed": False}
+    error = {"query": "eval", "error": "boom"}
+    assert Report(records=[passed, failed]).exit_status == 1
+    assert Report(records=[failed, error]).exit_status == 3
+    assert Report(records=[passed]).exit_status == 0
     assert Report(records=[]).exit_status == 0
 
 
@@ -711,16 +716,40 @@ def _random_statement(rng: random.Random) -> str:
     return f"{command} {dist(2)}, {fn(2)}"
 
 
+class _OverBudget(BaseException):
+    """Raised by the timer; no ``except Exception`` on the run path catches it."""
+
+
+def _over_budget(signum, frame):
+    raise _OverBudget
+
+
+#: Wall-clock seconds one random statement may take; the slowest takes about 20 ms.
+STATEMENT_BUDGET = 2.0
+
+
 @pytest.mark.filterwarnings("ignore:side weight")
 def test_random_statements_end_in_a_record_or_a_dsl_error():
+    timed = hasattr(signal, "setitimer")
+    if timed:
+        previous = signal.signal(signal.SIGALRM, _over_budget)
     rng = random.Random(20261019)
-    for _ in range(3000):
-        text = _random_statement(rng)
-        try:
-            program = parse_query(text)
-        except DslError:
-            continue
-        try:
-            run(program)  # an "error" record is a typed end too
-        except Exception as exc:
-            pytest.fail(f"{text!r} raised {type(exc).__name__}: {exc}")
+    try:
+        for _ in range(3000):
+            text = _random_statement(rng)
+            if timed:
+                signal.setitimer(signal.ITIMER_REAL, STATEMENT_BUDGET)
+            try:
+                try:
+                    program = parse_query(text)
+                except DslError:
+                    continue
+                run(program)  # an "error" record is a typed end too
+            except _OverBudget:
+                pytest.fail(f"{text!r} took more than {STATEMENT_BUDGET:g} s")
+            except Exception as exc:
+                pytest.fail(f"{text!r} raised {type(exc).__name__}: {exc}")
+    finally:
+        if timed:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)

@@ -66,8 +66,8 @@ CASES = {
     "Program": (lambda: Program({}, [Query("check", "check all", suite="all")]),
                 "Program(bindings={}, queries=[Query(command='check', source='check all', "
                 "dist=None, testfn=None, derivatives=0, max_order=None, suite='all')])"),
-    "Report": (lambda: Report([{"query": "check"}], check_failed=True),
-               "Report(records=[{'query': 'check'}], had_error=False, check_failed=True)"),
+    "Report": (lambda: Report([{"query": "check", "passed": False}]),
+               "Report(records=[{'query': 'check', 'passed': False}])"),
 }
 MUTABLE = ("Program", "Report")
 FROZEN = [name for name in CASES if name not in MUTABLE]
