@@ -25,8 +25,8 @@ power dispatch is intent-driven) or decimals such as ``0.5``, ``2.5e-3`` and
 ``d*( ... )`` is the derivative operator.  ``let`` refuses the names that are
 always built-ins (``bump``, ``Pf``, ``dstar``, ``delta``, ...).
 
-``Parser`` reads one statement at a time from its plain ``(kind, text, pos)``
-tokens, which end in an end token, by index; ``Parser.parse_value`` reads all
+``Parser`` reads the token texts of one statement (``tokenize``) by index and
+finds a token's position only for an error; ``Parser.parse_value`` reads all
 three binding levels: ``+``/``-``, ``*``/``·`` and a unary ``-`` factor.
 
 The printer writes the canonical text of a tree, which parses back to an equal
@@ -80,30 +80,26 @@ Value = Union[Number, "ThickTestFunction", "Multiplier", object]
 
 # -- lexer ---------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"""
-    (?P<ws>\s+)
-  | (?P<decimal>\d+(?:\.\d+(?:[eE][+-]?\d+)?|[eE][+-]?\d+))
-  | (?P<int>\d+)
-  | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<sym>[()\[\],+\-*^=/·])
-  | (?P<bad>.)
-""", re.VERBOSE | re.DOTALL)
+#: One token: a name, a symbol or a number.  Its kind is read off its text: a
+#: name is an identifier, a symbol is itself, a number of decimal digits only
+#: (``\d`` is any Unicode decimal digit, as ``str.isdecimal`` reads it) is an
+#: int, and any other number, with a fraction or an exponent, is a decimal.
+_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[()\[\],+\-*^=/·]"
+                    r"|\d+(?:\.\d+(?:[eE][+-]?\d+)?|[eE][+-]?\d+)?")
+
+#: The tokens and whitespace from the start of a text up to its first bad character.
+_GOOD_RUN = re.compile(rf"(?:\s*(?:{_TOKEN.pattern}))*\s*")
 
 
-def tokenize(text: str) -> List[tuple]:
-    """The tokens of ``text`` as ``(kind, text, pos)``; the kind is ``int``,
-    ``decimal``, ``name`` or the symbol itself."""
-    out = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "ws":
-            continue
-        if kind == "sym":
-            kind = m.group()
-        elif kind == "bad":
-            raise DslError(f"unexpected character {m.group()!r}", m.start())
-        out.append((kind, m.group(), m.start()))
-    return out
+def tokenize(text: str) -> List[str]:
+    """The token texts of ``text``; a character that starts no token and is
+    not whitespace is a DslError at its position."""
+    tokens = _TOKEN.findall(text)
+    # findall skips such a character, and no token holds one
+    if len("".join(tokens)) != len("".join(text.split())):
+        bad = _GOOD_RUN.match(text).end()
+        raise DslError(f"unexpected character {text[bad]!r}", bad)
+    return tokens
 
 
 # -- parser --------------------------------------------------------------------
@@ -139,68 +135,85 @@ _BINDING = {"+": 0, "-": 0, "*": 1, "·": 1}
 class Parser:
     """Reads statements into values and queries, one statement at a time.
 
-    The tokens of the statement being read end in an end token
-    ``(None, "end of input", len(text))``, so a look ahead never runs off the
-    list; ``bindings`` holds the ``let`` names from one statement to the next."""
+    The token texts of the statement being read end in ``""``, the end of
+    input, so a look ahead never runs off the list.  A rule reads them by
+    index (``i`` is the next one); a token's position in the text is found
+    only for an error.  ``bindings`` holds the ``let`` names from one
+    statement to the next."""
 
     def __init__(self, bindings=None):
         self.bindings = dict(bindings or {})
 
     def start(self, text: str):
         """Read the tokens of ``text`` from the first one on."""
+        self.text = text
         self.tokens = tokenize(text)
-        self.tokens.append((None, "end of input", len(text)))
+        self.tokens.append("")
         self.i = 0
         self.depth = -1  # nesting level of the factor being parsed; 0 is outermost
 
-    def at(self, kind: Optional[str], ahead: int = 0, word: Optional[str] = None) -> bool:
-        """Whether the token ``ahead`` of the next one is of ``kind`` (and reads
-        ``word``, if given); ``at(None)`` is the end of the statement."""
-        t = self.tokens[self.i + ahead]
-        return t[0] == kind and (word is None or t[1] == word)
+    def position(self, i: int) -> int:
+        """Where token ``i`` starts in the text; the end of input is at its length."""
+        return ([m.start() for m in _TOKEN.finditer(self.text)] + [len(self.text)])[i]
 
-    def next(self) -> tuple:
-        t = self.tokens[self.i]
-        self.i += 1
-        return t
+    def error(self, message: str, i: int) -> DslError:
+        return DslError(message, self.position(i))
 
-    def expect(self, kind: str, word: Optional[str] = None) -> tuple:
-        """The next token, which must be of ``kind`` (and read ``word``, if given)."""
-        t = self.tokens[self.i]
-        if t[0] != kind or (word is not None and t[1] != word):
-            raise DslError(f"expected {word or kind!r}, got {t[1]!r}", t[2])
-        self.i += 1
-        return t
+    def expected(self, what: str) -> DslError:
+        """The error for a next token that is not ``what``."""
+        got = repr(self.tokens[self.i]) if self.tokens[self.i] else "'end of input'"
+        return self.error(f"expected {what!r}, got {got}", self.i)
+
+    def expect(self, *words: str):
+        """Step past the next tokens, which must read ``words``."""
+        for word in words:
+            if self.tokens[self.i] != word:
+                raise self.expected(word)
+            self.i += 1
+
+    def expect_end(self):
+        """Check that every token has been read."""
+        if self.tokens[self.i]:
+            raise self.error(f"unexpected trailing input {self.tokens[self.i]!r}", self.i)
 
     # numbers ------------------------------------------------------------
 
     def parse_number(self) -> Number:
+        tokens, i = self.tokens, self.i
         sign = 1
-        while self.at("-") or self.at("+"):
-            if self.next()[0] == "-":
+        while tokens[i] == "-" or tokens[i] == "+":
+            if tokens[i] == "-":
                 sign = -sign
-        if self.at("decimal"):
-            return sign * float(self.next()[1])
-        _, text, pos = self.expect("int")
-        value = int(text)
-        if self.at("/") and self.at("int", 1):
-            self.i += 1
-            den = int(self.next()[1])
-            if den == 0:
-                raise DslError("zero denominator", pos)
-            return ratio(sign * value, den)
-        return sign * value
+            i += 1
+        self.i = i + 1
+        text = tokens[i]
+        if text.isdecimal():
+            if tokens[i + 1] == "/" and tokens[i + 2].isdecimal():
+                self.i = i + 3
+                den = int(tokens[i + 2])
+                if den == 0:
+                    raise self.error("zero denominator", i)
+                return ratio(sign * int(text), den)
+            return sign * int(text)
+        if text[:1].isdecimal():
+            return sign * float(text)
+        self.i = i
+        raise self.expected("int")
 
     def parse_int(self) -> int:
         sign = 1
-        while self.at("-"):
+        while self.tokens[self.i] == "-":
             self.i += 1
             sign = -sign
-        return sign * int(self.expect("int")[1])
+        text = self.tokens[self.i]
+        if not text.isdecimal():
+            raise self.expected("int")
+        self.i += 1
+        return sign * int(text)
 
     def parse_pair(self) -> SpherePair:
-        if not self.at("name", word="pair"):
-            raise DslError("expected pair(a, b)", self.tokens[self.i][2])
+        if self.tokens[self.i] != "pair":
+            raise self.error("expected pair(a, b)", self.i)
         return self._call("pair")
 
     # expressions ----------------------------------------------------------
@@ -211,94 +224,94 @@ class Parser:
         unary ``-`` or a primary."""
         self.depth += 1  # every nesting level, by '(', an argument or a unary '-', passes here
         if self.depth > MAX_NESTING:
-            raise DslError(f"expression nested deeper than {MAX_NESTING} levels",
-                           self.tokens[self.i][2])
-        if self.at("-"):
-            op = self.next()
+            raise self.error(f"expression nested deeper than {MAX_NESTING} levels", self.i)
+        if self.tokens[self.i] == "-":
+            op = self.i
+            self.i += 1
             left = self._combine_mul(-1, self.parse_value(2), op)
         else:
             left = self._primary()
         self.depth -= 1
-        while (binding := _BINDING.get(self.tokens[self.i][0], -1)) >= level:
-            op = self.next()
+        while (binding := _BINDING.get(self.tokens[self.i], -1)) >= level:
+            op = self.i
+            self.i += 1
             right = self.parse_value(binding + 1)
             combine = self._combine_add if binding == 0 else self._combine_mul
             left = combine(left, right, op)
         return left
 
-    def _combine_add(self, a: Value, b: Value, op: tuple) -> Value:
+    def _combine_add(self, a: Value, b: Value, op: int) -> Value:
+        plus = self.tokens[op] == "+"
         if isinstance(a, (int, Fraction, float)) and isinstance(b, (int, Fraction, float)):
-            return a + b if op[0] == "+" else a - b
+            return a + b if plus else a - b
         if isinstance(a, ThickTestFunction) and isinstance(b, ThickTestFunction):
-            return a + b if op[0] == "+" else a + b.scale(-1)
+            return a + b if plus else a + b.scale(-1)
         if _is_dist(a) and _is_dist(b):
-            return _build(op[2], LinearCombination, ((1, a), (1 if op[0] == "+" else -1, b)))
-        raise DslError(f"cannot combine {_typename(a)} and {_typename(b)} with {op[0]!r}",
-                       op[2])
+            return self._build(op, LinearCombination, ((1, a), (1 if plus else -1, b)))
+        raise self.error(f"cannot combine {_typename(a)} and {_typename(b)} with "
+                         f"{self.tokens[op]!r}", op)
 
-    def _combine_mul(self, a: Value, b: Value, op: tuple) -> Value:
+    def _combine_mul(self, a: Value, b: Value, op: int) -> Value:
         if isinstance(a, (int, Fraction, float)) and isinstance(b, (int, Fraction, float)):
             return a * b
         if isinstance(a, (int, Fraction, float)):
             if _is_dist(b):
-                return LinearCombination(((_build(op[2], exact, a), b),))
+                return LinearCombination(((self._build(op, exact, a), b),))
             if isinstance(b, (ThickTestFunction, Multiplier)):
-                return _build(op[2], b.scale, a)
+                return self._build(op, b.scale, a)
         if isinstance(b, (int, Fraction, float)):
             return self._combine_mul(b, a, op)
         if isinstance(a, Multiplier) and _is_dist(b):
-            return _build(op[2], MultiplierProduct, a, b)
+            return self._build(op, MultiplierProduct, a, b)
         if isinstance(a, Multiplier) and isinstance(b, ThickTestFunction):
             return multiply_by(a, b)
         if isinstance(a, ThickTestFunction) and isinstance(b, Multiplier):
             return multiply_by(b, a)
         if isinstance(a, ThickTestFunction) and isinstance(b, ThickTestFunction):
             return a * b
-        raise DslError(f"cannot multiply {_typename(a)} by {_typename(b)}", op[2])
+        raise self.error(f"cannot multiply {_typename(a)} by {_typename(b)}", op)
 
     def _primary(self) -> Value:
-        kind, word, pos = self.tokens[self.i]
-        if kind is None:
-            raise DslError("unexpected end of expression", pos)
-        if kind in ("int", "decimal"):
+        tokens, i = self.tokens, self.i
+        word = tokens[i]
+        if word == "d" and tokens[i + 1] == "*" and tokens[i + 2] == "(":
+            word = "d*"
+        if word in _CALLS and word != "pair":  # pair(a, b) is an argument, not a value
+            value = self._call(word)
+            if word == "glambda" and tokens[self.i] in ("·", "*") \
+                    and tokens[self.i + 1] == "delta":
+                self.i += 1
+                value = ThickDelta(value.weights, self._degree())
+            return value
+        if word[:1].isdecimal():
             return self.parse_number()
-        if kind == "(":
+        if word == "(":
             self.i += 1
             v = self.parse_value()
             self.expect(")")
             return v
-        if kind != "name":
-            raise DslError(f"unexpected token {word!r}", pos)
-        if word == "d" and self.at("*", 1) and self.at("(", 2):
-            word = "d*"
-        if word in _CALLS and word != "pair":  # pair(a, b) is an argument, not a value
-            value = self._call(word)
-            if word == "glambda" and (self.at("·") or self.at("*")) \
-                    and self.at("name", 1, "delta"):
-                self.i += 1
-                value = ThickDelta(value.weights, self._degree())
-            return value
+        if not word:
+            raise self.error("unexpected end of expression", i)
+        if not word.isidentifier():
+            raise self.error(f"unexpected token {word!r}", i)
         if word == "Pf":
-            self.i += 1
-            self.expect("(")
+            self.expect("Pf", "(")
             pair, power = SpherePair(1, 0), 0
-            if self.at("name", word="H"):
-                self._read_of_x("H")
+            if tokens[self.i] == "H":
+                self.expect("H", "(", "x", ")")
             else:
-                if self.at("name", word="abs"):
-                    self._read_of_x("abs")
+                if tokens[self.i] == "abs":
+                    self.expect("abs", "(", "x", ")")
                     pair = SpherePair(1, 1)
-                elif self.at("name", word="pair"):
+                elif tokens[self.i] == "pair":
                     pair = self.parse_pair()
-                    self.expect("*")
-                    self.expect("name", "r")
+                    self.expect("*", "r")
                 else:
-                    raise DslError("Pf( ) takes abs(x)^a, H(x) or pair(p,q) * r^a",
-                                   self.tokens[self.i][2])
+                    raise self.error("Pf( ) takes abs(x)^a, H(x) or pair(p,q) * r^a", self.i)
                 self.expect("^")
                 power = self.parse_number()
             self.expect(")")
-            return _build(pos, PfDensity, pair, power)
+            return self._build(i, PfDensity, pair, power)
         if word == "dstar":
             self.i += 1
             return delta_star()
@@ -308,23 +321,22 @@ class Parser:
             weights = self.parse_pair()
             self.expect(")")
             return ThickDelta(weights, degree)
-        if word == "H" and self.at("(", 1):
-            self._read_of_x("H")
+        if word == "H" and tokens[i + 1] == "(":
+            self.expect("H", "(", "x", ")")
             return heaviside_multiplier()
-        if word == "x" and self.at("^", 1):
+        if word == "x" and tokens[i + 1] == "^":
             self.i += 2
             return power_multiplier(self.parse_int())
         if word in self.bindings:
             self.i += 1
             return self.bindings[word]
-        raise DslError(f"unbound name {word!r}", pos)
+        raise self.error(f"unbound name {word!r}", i)
 
     def _call(self, name: str):
         """Read ``name(arg, ...)`` for a name in ``_CALLS`` and build its value;
         an argument the constructor rejects is reported at the name."""
-        pos = self.next()[2]
-        if name == "d*":
-            self.i += 1
+        tokens, start = self.tokens, self.i
+        self.i += 2 if name == "d*" else 1
         kinds, constructor = _CALLS[name]
         self.expect("(")
         args = []
@@ -340,35 +352,34 @@ class Parser:
             elif kind == "list":
                 self.expect("[")
                 arg = []
-                while not self.at("]"):
+                while tokens[self.i] != "]":
                     if arg:
                         self.expect(",")
                     arg.append(self.parse_number())
                 self.i += 1
             else:
-                start = self.tokens[self.i][2]
+                first = self.i
                 arg = self.parse_value()
                 if not (_is_dist(arg) if kind == "distribution"
                         else isinstance(arg, (ThickTestFunction, Multiplier))):
-                    raise DslError(f"expected a {kind} argument, got {_typename(arg)}", start)
+                    raise self.error(f"expected a {kind} argument, got {_typename(arg)}", first)
             args.append(arg)
         self.expect(")")
-        return _build(pos, constructor, *args)
+        return self._build(start, constructor, *args)
 
     def _degree(self) -> int:
         """Read ``delta[q]``."""
-        self.expect("name", "delta")
-        self.expect("[")
+        self.expect("delta", "[")
         degree = self.parse_int()
         self.expect("]")
         return degree
 
-    def _read_of_x(self, name: str):
-        """Read ``name(x)``."""
-        self.expect("name", name)
-        self.expect("(")
-        self.expect("name", "x")
-        self.expect(")")
+    def _build(self, i: int, constructor, *args):
+        """Call a constructor, reporting the arguments it rejects at token ``i``."""
+        try:
+            return constructor(*args)
+        except (ValueError, OverflowError, PointMismatchError) as exc:
+            raise self.error(str(exc), i) from None
 
     # statements -----------------------------------------------------------
 
@@ -378,46 +389,48 @@ class Parser:
         the stripped line."""
         self.start(line)
         source = line.strip()
-        kind, head, pos = self.next()
-        if kind != "name" or head not in _COMMANDS:
-            raise DslError(f"expected a statement keyword, got {head!r}", pos)
+        head = self.tokens[0]
+        if head not in _COMMANDS:
+            raise self.error(f"expected a statement keyword, got {head!r}", 0)
+        self.i = 1
         if head == "let":
-            _, name, name_pos = self.expect("name")
+            name = self.tokens[1]
+            if not name.isidentifier():
+                raise self.expected("name")
             if name in _BUILTIN_NAMES:
-                raise DslError(f"cannot bind {name!r}: it is a built-in name", name_pos)
+                raise self.error(f"cannot bind {name!r}: it is a built-in name", 1)
+            self.i = 2
             self.expect("=")
             value = self.parse_value()
-            self._expect_end()
+            self.expect_end()
             self.bindings[name] = value
             return None
         if head == "check":
-            pieces = []
-            while not self.at(None):
-                kind, word, where = self.next()
-                if kind not in ("name", "-"):
-                    raise DslError("check takes a suite name", where)
-                pieces.append(word)
+            pieces = self.tokens[1:-1]
+            for i, word in enumerate(pieces, 1):
+                if not (word.isidentifier() or word == "-"):
+                    raise self.error("check takes a suite name", i)
             return Query("check", source, suite="".join(pieces) or "all")
         first = self.parse_value()
         if head == "derive":
-            self._expect_end()
+            self.expect_end()
             if not _is_dist(first):
-                raise DslError("derive takes a distribution", pos)
+                raise self.error("derive takes a distribution", 0)
             return Query("derive", source, dist=first)
         self.expect(",")
         if head == "expand":
             order = self.parse_int()
-            self._expect_end()
+            self.expect_end()
             if not isinstance(first, (ThickTestFunction, Multiplier)):
-                raise DslError("expand takes a test function", pos)
+                raise self.error("expand takes a test function", 0)
             return Query("expand", source, testfn=first, max_order=order)
         # eval | project
         fn, k = self._derivative_chain() if head == "eval" else (self.parse_value(), 0)
-        self._expect_end()
+        self.expect_end()
         if not _is_dist(first):
-            raise DslError(f"{head} takes a distribution first", pos)
+            raise self.error(f"{head} takes a distribution first", 0)
         if not isinstance(fn, ThickTestFunction):
-            raise DslError(f"{head} takes a test function second", pos)
+            raise self.error(f"{head} takes a test function second", 0)
         return Query(head, source, dist=first, testfn=fn, derivatives=k)
 
     def _derivative_chain(self):
@@ -428,32 +441,18 @@ class Parser:
         is the one the plain parse raises."""
         start = self.i
         k = 0
-        while k < MAX_NESTING and self.at("name", word="D") and self.at("(", 1):
+        while k < MAX_NESTING and self.tokens[self.i] == "D" and self.tokens[self.i + 1] == "(":
             self.i += 2
             k += 1
         if k:
             self.depth += k
             psi = self.parse_value()
             self.depth -= k
-            if isinstance(psi, ThickTestFunction) and self.i + k == len(self.tokens) - 1 \
-                    and all(self.at(")", j) for j in range(k)):
+            if isinstance(psi, ThickTestFunction) and self.tokens[self.i:] == [")"] * k + [""]:
                 self.i += k
                 return psi, k
             self.i = start
         return self.parse_value(), 0
-
-    def _expect_end(self):
-        kind, text, pos = self.tokens[self.i]
-        if kind is not None:
-            raise DslError(f"unexpected trailing input {text!r}", pos)
-
-
-def _build(pos: int, constructor, *args):
-    """Call a constructor, reporting the arguments it rejects at ``pos``."""
-    try:
-        return constructor(*args)
-    except (ValueError, OverflowError, PointMismatchError) as exc:
-        raise DslError(str(exc), pos) from None
 
 
 def _is_dist(v) -> bool:

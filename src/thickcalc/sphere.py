@@ -96,8 +96,9 @@ class SpherePair(FrozenRecord):
     __slots__ = ("plus", "minus")
 
     def __init__(self, plus, minus):
-        object.__setattr__(self, "plus", exact(plus))
-        object.__setattr__(self, "minus", exact(minus))
+        # exact returns an int as it is
+        object.__setattr__(self, "plus", plus if type(plus) is int else exact(plus))
+        object.__setattr__(self, "minus", minus if type(minus) is int else exact(minus))
 
     def at(self, w: int) -> Rational:
         if w == 1:

@@ -86,7 +86,10 @@ def smoothstep_deriv(t: float, n: int) -> float:
     for _ in range(n):
         a.append(a[0] * a[-1])
         b.append(-b[0] * b[-1])
-    g1, g2 = _jet_exp(a), _jet_exp(b)
+    g1 = _jet_exp(a)
+    if g1[0] == 0.0:  # exp(-1/t) underflowed, so S^(n) is 0; the jet would read inf * 0
+        return 0.0
+    g2 = _jet_exp(b)
     s = _jet_mul(g1, _jet_recip([x + y for x, y in zip(g1, g2)]))
     return s[n] * math.factorial(n)
 

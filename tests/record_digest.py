@@ -1,8 +1,8 @@
-"""Digests of the records that two fixed statement sets give.
+"""Digests of the records that three fixed statement sets give.
 
 Run it as ``python tests/record_digest.py`` (with ``src`` on the path). It
 prints one line for each set: the number of statements and the sha1 of
-their records, each record list dumped as JSON with sorted keys. The lines
+their records, each record dumped as JSON with sorted keys. The lines
 must not depend on the Python version. Not a test module: pytest does not
 collect it.
 
@@ -14,14 +14,22 @@ collect it.
   ``NEAR_RADII``. These statements reach the expansion-subtracted quadrature
   between the plateau edge and the split radius, which no pool statement
   reaches.
+- The parse set is every distinct nonempty proper prefix of each pool
+  statement, then every distinct one-character deletion of each
+  ``symbolic`` statement not already listed, each parsed with
+  ``parse_query``. Its record is the ``DslError``'s message, position and
+  line, or the number of queries of a statement that parses, so it pins
+  where and how the parser refuses a malformed statement.
 """
 
 import hashlib
 import itertools
 import json
 import pathlib
+import warnings
 
 from thickcalc.dsl import parse_query, run
+from thickcalc.errors import DslError
 from thickcalc.pairing import QuadratureConfig
 
 REFS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "refs"
@@ -42,20 +50,40 @@ NEAR_FUNCTIONS = (
 )
 
 
-def digest(statements):
-    """(count, sha1 hex) of the records of ``(text, cfg)`` statements."""
+def digest(records):
+    """(count, sha1 hex) of ``records``."""
     h = hashlib.sha1()
     count = 0
-    for text, cfg in statements:
-        h.update(json.dumps(run(parse_query(text), cfg).records, sort_keys=True).encode())
+    for record in records:
+        h.update(json.dumps(record, sort_keys=True).encode())
         count += 1
     return count, h.hexdigest()
 
 
+def run_records(statements):
+    """The record list of each ``(text, cfg)`` statement."""
+    for text, cfg in statements:
+        yield run(parse_query(text), cfg).records
+
+
+def parse_records(texts):
+    """``[message, position, line]`` of the error each text is refused with,
+    or the number of queries of a text that parses."""
+    for text in texts:
+        try:
+            yield len(parse_query(text).queries)
+        except DslError as exc:
+            yield [str(exc), exc.position, exc.line]
+
+
+def pool_texts(name):
+    return [item["text"] for item in json.loads((REFS / f"{name}.json").read_text())["items"]]
+
+
 def pool_statements():
     for name in POOL_WORKLOADS:
-        for item in json.loads((REFS / f"{name}.json").read_text())["items"]:
-            yield item["text"], None
+        for text in pool_texts(name):
+            yield text, None
 
 
 def near_field_statements():
@@ -65,7 +93,16 @@ def near_field_statements():
             yield f"eval {d}, {f}", cfg
 
 
+def parse_texts():
+    texts = [text[:k] for name in POOL_WORKLOADS for text in pool_texts(name)
+             for k in range(1, len(text))]
+    texts += [text[:k] + text[k + 1:] for text in pool_texts("symbolic")
+              for k in range(len(text))]
+    return dict.fromkeys(texts)  # distinct, in first-seen order
+
+
 if __name__ == "__main__":
-    for statements in (pool_statements(), near_field_statements()):
-        count, sha1 = digest(statements)
-        print(count, sha1)
+    warnings.filterwarnings("ignore", "side weight")  # glambda(q) outside [0, 1] parses
+    for records in (run_records(pool_statements()), run_records(near_field_statements()),
+                    parse_records(parse_texts())):
+        print(*digest(records))

@@ -131,7 +131,7 @@ def test_nested_combination_prints_as_text_that_parses_back():
     parser = Parser()
     parser.start(print_distribution(f))
     assert parser.parse_value() == f
-    assert parser.at(None)
+    parser.expect_end()
 
 
 # -- simplify ----------------------------------------------------------------------

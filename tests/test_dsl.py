@@ -54,7 +54,7 @@ def parse_value(text: str, bindings=None):
     parser = Parser(bindings)
     parser.start(text)
     value = parser.parse_value()
-    assert parser.at(None), f"trailing tokens in {text!r}"
+    parser.expect_end()
     return value
 
 
@@ -635,16 +635,37 @@ def _symbolic_pool():
     return [text for text, _ in module.symbolic_pool()]
 
 
+def _kind(token):
+    """The kind read off a token's text, as the parser reads it."""
+    if token.isidentifier():
+        return "name"
+    if token[:1].isdecimal():
+        return "int" if token.isdecimal() else "decimal"
+    return token
+
+
+def _read_tokens(text):
+    """``(kind, text, position)`` of each token of ``text``, as the parser reads them."""
+    parser = Parser()
+    parser.start(text)
+    assert parser.tokens[-1] == "" and parser.position(len(parser.tokens) - 1) == len(text)
+    return [(_kind(t), t, parser.position(i)) for i, t in enumerate(parser.tokens[:-1])]
+
+
 def test_tokenize_matches_the_reference_on_the_symbolic_pool():
     pool = _symbolic_pool()
     assert len(pool) > 1000
     for text in pool:
-        assert [tuple(t) for t in tokenize(text)] == _reference_tokenize(text)
+        assert tokenize(text) == [t for _, t, _ in _reference_tokenize(text)]
+        assert _read_tokens(text) == _reference_tokenize(text)
 
 
 @pytest.mark.parametrize("text", [
     "dstar @ bump(1)", "eval dstar, bump(1)\x00", "Pf(abs(x)^-1.)", "let x = 2 ; 3",
     "  \t d*(Pf(H(x)))  ", "λ", "1.5e", "bump(1) # comment", "",
+    # \d is any Unicode decimal digit, '²' is a digit to str.isdigit but no \d,
+    # and a no-break space is whitespace
+    "x²", "let a = ٣", "١٢.٣", "a\xa0b", "1..2", "1.e5", "_a1", "\tbump(1)\t", "dstar \t ",
 ])
 def test_tokenize_errors_match_the_reference(text):
     try:
@@ -654,7 +675,24 @@ def test_tokenize_errors_match_the_reference(text):
             tokenize(text)
         assert str(got.value) == str(exc) and got.value.position == exc.position
     else:
-        assert [tuple(t) for t in tokenize(text)] == expected
+        assert _read_tokens(text) == expected
+
+
+@pytest.mark.filterwarnings("ignore:side weight")
+def test_a_position_is_found_only_for_an_error(monkeypatch):
+    lookups = []
+    position = dsl.Parser.position
+    monkeypatch.setattr(dsl.Parser, "position",
+                        lambda parser, i: lookups.append(i) or position(parser, i))
+    for text in _symbolic_pool():
+        run(parse_query(text))
+    assert lookups == []
+    for text, message, _ in PARSE_ERRORS:
+        del lookups[:]
+        with pytest.raises(DslError):
+            parse_program(text)
+        # the tokenizer finds a bad character's position itself
+        assert len(lookups) == (0 if message.startswith("unexpected character") else 1), text
 
 
 def test_a_statement_is_tokenized_once(monkeypatch):

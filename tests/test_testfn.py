@@ -48,6 +48,12 @@ def test_smoothstep_endpoints():
     assert smoothstep_deriv(1.5, 3) == 0.0
 
 
+def test_smoothstep_derivative_is_zero_where_exp_of_minus_one_over_t_underflows():
+    # (1/t)^(n+1) overflows there, and the jet of exp(-1/t) would multiply it by 0
+    assert smoothstep_deriv(1e-40, 7) == 0.0
+    assert smoothstep_deriv(1e-200, 1) == 0.0
+
+
 def test_smoothstep_monotone_and_symmetric():
     ts = [i / 20 for i in range(1, 20)]
     vals = [smoothstep_deriv(t, 0) for t in ts]
