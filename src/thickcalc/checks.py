@@ -90,14 +90,14 @@ def order_span_suite():
     ]
 
 
-def ordinary_suite(radius=2.0):
+def ordinary_suite():
     """Five functions smooth across the point."""
     return [
-        plateau_bump(radius),
-        from_polynomial([1, 2], radius),
-        from_polynomial([0, 0, 3], radius),
-        from_polynomial([1, -1, 0, 2], radius),
-        from_polynomial([Fraction(1, 3), 0, 0, 0, 1], radius),
+        plateau_bump(2.0),
+        from_polynomial([1, 2], 2.0),
+        from_polynomial([0, 0, 3], 2.0),
+        from_polynomial([1, -1, 0, 2], 2.0),
+        from_polynomial([Fraction(1, 3), 0, 0, 0, 1], 2.0),
     ]
 
 

@@ -133,14 +133,12 @@ def main(argv=None) -> int:
     # is a one-line note, not Python's warning with its source line
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
+        if args.command == "check" and not args.expr:
+            # a check argument that is not a program file names a suite
+            args.source = args.source or "all"
+            args.expr = None if os.path.isfile(args.source) else args.source
         try:
-            if args.command == "check" and not args.expr:
-                name = args.source or "all"
-                if os.path.isfile(name):
-                    program = parse_program(Path(name).read_text(encoding="utf-8"))
-                else:
-                    program = parse_query(f"check {name}")
-            elif args.expr is not None:
+            if args.expr is not None:
                 program = parse_query(f"{args.command} {args.expr}")
             elif args.source is not None:
                 program = parse_program(Path(args.source).read_text(encoding="utf-8"))
@@ -155,7 +153,7 @@ def main(argv=None) -> int:
             print(f"thickcalc: {exc}", file=sys.stderr)
             return 2
         except UnicodeDecodeError:  # from reading the program file of eval or check
-            print(f"thickcalc: {args.source or 'all'}: not UTF-8 text", file=sys.stderr)
+            print(f"thickcalc: {args.source}: not UTF-8 text", file=sys.stderr)
             return 2
     for w in caught:
         print(f"note: {w.message}", file=sys.stderr)

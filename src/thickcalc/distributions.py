@@ -200,10 +200,6 @@ def is_heaviside_pf(f) -> bool:
 _HEAVISIDE_BODY = heaviside_multiplier().body
 
 
-def _is_heaviside_multiplier(psi: Multiplier) -> bool:
-    return psi.body == _HEAVISIDE_BODY
-
-
 def density_derivative(f: PfDensity) -> ThickDistribution:
     """d*f, integrated by parts in the finite-part sense (Estrada & Kanwal,
     *A Distributional Approach to Asymptotics*, 2002):
@@ -244,23 +240,19 @@ def delta_derivative(f: ThickDelta) -> ThickDelta:
 
 
 def derivative_rule(g: ThickDistribution) -> Optional[ThickDistribution]:
-    """d*g moved onto g: ``density_derivative`` for a density,
-    ``delta_derivative`` for a delta, d* of each term for a combination; None
-    for any other node, whose d* has no rule of its own."""
+    """d*g moved onto g: ``density_derivative`` for a density, ``delta_derivative``
+    for a delta, d* of each term for a combination, and for ``Derivative(h)`` the
+    ``Derivative`` of d*h moved onto h; None where no rule reaches a leaf."""
     if isinstance(g, PfDensity):
         return density_derivative(g)
     if isinstance(g, ThickDelta):
         return delta_derivative(g)
     if isinstance(g, LinearCombination):
         return LinearCombination(tuple((c, Derivative(d)) for c, d in g.terms))
+    if isinstance(g, Derivative):
+        moved = derivative_rule(g.inner)
+        return None if moved is None else Derivative(moved)
     return None
-
-
-def nested_derivative(f: ThickDistribution, k: int) -> ThickDistribution:
-    """d*^k f, as k nested Derivative nodes."""
-    for _ in range(k):
-        f = Derivative(f)
-    return f
 
 
 # -- simplify -----------------------------------------------------------------
@@ -303,7 +295,7 @@ def simplify(f: ThickDistribution) -> ThickDistribution:
             return ZERO_DISTRIBUTION
         if psi.is_one():
             return inner
-        if _is_heaviside_multiplier(psi) and is_heaviside_pf(inner):
+        if psi.body == _HEAVISIDE_BODY and is_heaviside_pf(inner):
             return inner
         return MultiplierProduct(psi, inner)
     if isinstance(f, LinearCombination):
@@ -367,10 +359,6 @@ class ClassicalDistributionView(FrozenRecord):
 
     def __init__(self, source: ThickDistribution):
         object.__setattr__(self, "source", source)
-
-    @property
-    def point(self):
-        return self.source.point
 
 
 def project(f: ThickDistribution) -> ClassicalDistributionView:

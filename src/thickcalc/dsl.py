@@ -19,11 +19,11 @@ Expression grammar (precedence: constructors > ``*``/``·`` > ``+``/``-``):
             | testfn * testfn | D(testfn) | testfn +- testfn
     mult   := H(x) | x^j | mult(pair(a,b), j) | number * mult | D(mult) | bound name
 
-Numbers are integers, rationals ``p/q`` (kept exact, so the integer-versus-not
-power dispatch is intent-driven) or decimals such as ``0.5``, ``2.5e-3`` and
-``1e-05`` (always treated as non-integer).  The name ``d`` is reserved:
-``d*( ... )`` is the derivative operator.  ``let`` refuses the names that are
-always built-ins (``bump``, ``Pf``, ``dstar``, ``delta``, ...).
+Numbers are integers of at most 4,300 digits, rationals ``p/q`` of them (kept
+exact, so the integer-versus-not power dispatch is intent-driven) or decimals
+such as ``0.5``, ``2.5e-3`` and ``1e-05`` (always treated as non-integer).  The
+name ``d`` is reserved: ``d*( ... )`` is the derivative operator.  ``let``
+refuses the names that are always built-ins (``bump``, ``Pf``, ``dstar``, ...).
 
 ``Parser`` reads the token texts of one statement (``tokenize``) by index and
 finds a token's position only for an error; ``Parser.parse_value`` reads all
@@ -43,6 +43,7 @@ on the distribution and ``psi`` is never differentiated.
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 from fractions import Fraction
 from typing import List, Optional, Union
 
@@ -106,6 +107,10 @@ def tokenize(text: str) -> List[str]:
 
 #: Deepest nesting the parser accepts; it recurses at most three frames a level.
 MAX_NESTING = 100
+
+#: Most digits an integer literal may have: Python's default ``int()`` limit,
+#: which holds here whatever limit the interpreter is set to.
+MAX_INT_DIGITS = 4300
 
 #: Every ``name(arg, ...)`` form: the kinds of its arguments (a ``function`` is
 #: a test function or a multiplier) and the constructor that ``Parser._call``
@@ -178,38 +183,36 @@ class Parser:
 
     # numbers ------------------------------------------------------------
 
-    def parse_number(self) -> Number:
+    def parse_number(self, integer: bool = False) -> Number:
+        """A number after its signs; with ``integer``, an int after its ``-`` signs."""
         tokens, i = self.tokens, self.i
         sign = 1
-        while tokens[i] == "-" or tokens[i] == "+":
+        while tokens[i] == "-" or (tokens[i] == "+" and not integer):
             if tokens[i] == "-":
                 sign = -sign
             i += 1
         self.i = i + 1
         text = tokens[i]
         if text.isdecimal():
-            if tokens[i + 1] == "/" and tokens[i + 2].isdecimal():
+            value = sign * (int(text) if len(text) <= 640 else self._long_int(i))
+            if not integer and tokens[i + 1] == "/" and tokens[i + 2].isdecimal():
                 self.i = i + 3
-                den = int(tokens[i + 2])
+                den = self._long_int(i + 2) if len(tokens[i + 2]) > 640 else int(tokens[i + 2])
                 if den == 0:
                     raise self.error("zero denominator", i)
-                return ratio(sign * int(text), den)
-            return sign * int(text)
-        if text[:1].isdecimal():
+                return ratio(value, den)
+            return value
+        if text[:1].isdecimal() and not integer:
             return sign * float(text)
         self.i = i
         raise self.expected("int")
 
-    def parse_int(self) -> int:
-        sign = 1
-        while self.tokens[self.i] == "-":
-            self.i += 1
-            sign = -sign
-        text = self.tokens[self.i]
-        if not text.isdecimal():
-            raise self.expected("int")
-        self.i += 1
-        return sign * int(text)
+    def _long_int(self, i: int) -> int:
+        """The int of token ``i``'s digits, more than 640 of them, where ``int()``
+        obeys ``sys.set_int_max_str_digits`` and ``Decimal`` does not."""
+        if len(self.tokens[i]) > MAX_INT_DIGITS:
+            raise self.error(f"integer literal longer than {MAX_INT_DIGITS} digits", i)
+        return int(Decimal(self.tokens[i]))
 
     def parse_pair(self) -> SpherePair:
         if self.tokens[self.i] != "pair":
@@ -326,7 +329,7 @@ class Parser:
             return heaviside_multiplier()
         if word == "x" and tokens[i + 1] == "^":
             self.i += 2
-            return power_multiplier(self.parse_int())
+            return power_multiplier(self.parse_number(integer=True))
         if word in self.bindings:
             self.i += 1
             return self.bindings[word]
@@ -343,10 +346,8 @@ class Parser:
         for kind in kinds:
             if args:
                 self.expect(",")
-            if kind == "number":
-                arg = self.parse_number()
-            elif kind == "integer":
-                arg = self.parse_int()
+            if kind in ("number", "integer"):
+                arg = self.parse_number(kind == "integer")
             elif kind == "pair":
                 arg = self.parse_pair()
             elif kind == "list":
@@ -370,7 +371,7 @@ class Parser:
     def _degree(self) -> int:
         """Read ``delta[q]``."""
         self.expect("delta", "[")
-        degree = self.parse_int()
+        degree = self.parse_number(integer=True)
         self.expect("]")
         return degree
 
@@ -419,7 +420,7 @@ class Parser:
             return Query("derive", source, dist=first)
         self.expect(",")
         if head == "expand":
-            order = self.parse_int()
+            order = self.parse_number(integer=True)
             self.expect_end()
             if not isinstance(first, (ThickTestFunction, Multiplier)):
                 raise self.error("expand takes a test function", 0)
@@ -584,7 +585,8 @@ def run(program: Program, cfg=None) -> Report:
         try:
             if q.command in ("eval", "project"):
                 target = distributions.project(q.dist) if q.command == "project" else q.dist
-                target = distributions.nested_derivative(target, q.derivatives)
+                for _ in range(q.derivatives):
+                    target = Derivative(target)
                 res = pairing.pair(target, q.testfn, cfg).scaled((-1) ** q.derivatives)
                 rec["expr"] = print_distribution(q.dist)
                 rec["value"] = float(res.value)

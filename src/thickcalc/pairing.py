@@ -59,7 +59,6 @@ from .distributions import (
     ThickDelta,
     Translate,
     derivative_rule,
-    nested_derivative,
 )
 from .expansion import partial_sum
 from .quadrature import fsum, integrate
@@ -163,14 +162,11 @@ def pair(f, phi: ThickTestFunction, cfg: QuadratureConfig = DEFAULT_CONFIG) -> P
         if isinstance(f, PfDensity):
             return _pair_density(f, phi, cfg)
         if isinstance(f, Derivative):
-            # d*^k g takes g's derivative rule when it has one; anything else
-            # is paired by the definition <d*g, phi> = -<g, phi'>
-            k, g = 1, f.inner
-            while isinstance(g, Derivative):
-                k, g = k + 1, g.inner
-            moved = derivative_rule(g)
+            # d*g takes g's derivative rule when it has one; anything else is
+            # paired by the definition <d*g, phi> = -<g, phi'>
+            moved = derivative_rule(f.inner)
             if moved is not None:
-                return pair(nested_derivative(moved, k - 1), phi, cfg)
+                return pair(moved, phi, cfg)
             return pair(f.inner, derivative(phi), cfg).scaled(-1)
         if isinstance(f, MultiplierProduct):
             return pair(f.inner, multiply_by(f.multiplier, phi), cfg)
@@ -240,14 +236,13 @@ def _pair_density(f: PfDensity, phi: ThickTestFunction, cfg: QuadratureConfig) -
             rest.append(term)
             continue
         rho, n, moment, weight = shape
+        # the n-th derivative at -r is (-1)^n times the one at r
+        c = weight * float(f.pair.plus * p.plus + (-1) ** n * (f.pair.minus * p.minus))
         if n:
-            # the n-th derivative at -r is (-1)^n times the one at r
-            c = weight * float(f.pair.plus * p.plus + (-1) ** n * (f.pair.minus * p.minus))
             g, err = ramp_derivative_moment(mu, n, rho, moment)
             closed.append(c * g)
             quad_error += abs(c) * err
             continue
-        c = float(f.pair.plus * p.plus + f.pair.minus * p.minus)
         m, tail = moment(mu)
         scale = rho ** (mu + 1)
         closed.append(c * (_power_integral(mu, A if j <= jmax else E, rho / 2) + scale * m))
@@ -595,7 +590,7 @@ def fp_pair_oracle(f, phi: ThickTestFunction, cfg: QuadratureConfig = DEFAULT_CO
     ``f`` is one ``PfDensity``, which gives one ``FpFit``, or a list or
     tuple of them, which gives their fits as a list, in order.  The densities
     of one call share the body samples: each node r is evaluated once, into a
-    dict that lives as long as the call.  Each fit is otherwise computed alone
+    cache that lives as long as the call.  Each fit is otherwise computed alone
     (its own integrand, grid, quadrature and fit), so it is bit-identical to
     the fit of a one-density call.
     """
@@ -605,14 +600,7 @@ def fp_pair_oracle(f, phi: ThickTestFunction, cfg: QuadratureConfig = DEFAULT_CO
             raise TypeError("the finite-part oracle applies to density nodes only")
         if g.point != phi.point:
             raise PointMismatchError("oracle: thick points differ")
-    samples = {}
-
-    def radial(r):
-        value = samples.get(r)
-        if value is None:
-            value = samples[r] = phi.body.radial(r)
-        return value
-
+    radial = lru_cache(maxsize=None)(phi.body.radial)
     R = phi.radius
     eps0 = min(phi.exact_radius, R) * 0.9
     fits = []

@@ -206,11 +206,6 @@ class Body:
             return self
         return Body(tuple((f, j, p * k) for f, j, p in self.terms))
 
-    def is_smooth(self) -> bool:
-        """True when the body extends smoothly across the thick point: every
-        term must look like a one-variable power c*x^j with j >= 0."""
-        return all(j >= 0 and p == parity_pair(p.plus, j) for _, j, p in self.terms)
-
     def dilate(self, c: Rational) -> "Body":
         """The body of y -> self(y / c).  The k-th derivative of a cutoff picks
         up c^k, because the profile is scale-invariant.  A cutoff radius that
@@ -292,8 +287,9 @@ class ThickTestFunction(FrozenRecord):
 
     @property
     def is_ordinary(self) -> bool:
-        """Smooth across the thick point by construction."""
-        return self.body.is_smooth()
+        """Smooth across the thick point by construction: every body term looks
+        like a one-variable power c*x^j with j >= 0."""
+        return all(j >= 0 and p == parity_pair(p.plus, j) for _, j, p in self.body.terms)
 
     def __add__(self, other: "ThickTestFunction") -> "ThickTestFunction":
         if self.point != other.point:
@@ -352,23 +348,23 @@ def plateau_bump(radius, point=0) -> ThickTestFunction:
 
 def thick_monomial(order: int, pair, radius, point=0) -> ThickTestFunction:
     """pair(w) * r^order times the plateau cutoff; order may be negative."""
-    if not 0 < radius < math.inf:
-        raise ValueError("support radius must be positive and finite")
-    pair = pair if isinstance(pair, SpherePair) else SpherePair(*pair)
-    cutoff = ((float(radius), 0),)
-    return ThickTestFunction(Body(((cutoff, order, pair),)) if not pair.is_zero() else ZERO_BODY,
-                             point, radius)
+    return _cut_off(((order, pair if isinstance(pair, SpherePair) else SpherePair(*pair)),),
+                    radius, point)
 
 
 def from_polynomial(coeffs, radius, point=0) -> ThickTestFunction:
     """p(x - a) times the plateau cutoff."""
+    return _cut_off(((j, parity_pair(c, j)) for j, c in enumerate(coeffs)), radius, point)
+
+
+def _cut_off(terms, radius, point) -> ThickTestFunction:
+    """The sum of pair(w) * r^j over the (j, pair) of ``terms``, times the
+    plateau cutoff of ``radius``; the radius is checked before ``terms`` is read."""
     if not 0 < radius < math.inf:
         raise ValueError("support radius must be positive and finite")
-    cs = [exact(c) for c in coeffs]
     cutoff = ((float(radius), 0),)
-    return ThickTestFunction(
-        Body(tuple((cutoff, j, parity_pair(c, j)) for j, c in enumerate(cs) if c != 0)),
-        point, radius)
+    return ThickTestFunction(Body(tuple((cutoff, j, p) for j, p in terms if not p.is_zero())),
+                             point, radius)
 
 
 def heaviside_multiplier(point=0) -> Multiplier:

@@ -376,6 +376,11 @@ def test_setting_without_a_float_value_is_bad_configuration(flag, value, tmp_pat
     ("eval", "Pf(abs(x)^-1/2), D(D(D(D(D(D(bump(1))))))) * bump(3/2)", 3),
     # the far field and the series cancel to a value with no correct digit
     ("eval", "Pf(abs(x)^-400), bump(1)", 3),
+    # an integer literal of more than 4,300 digits
+    pytest.param("eval", "Pf(abs(x)^" + "1" * 5000 + "), bump(1)", 2, id="numerator-5000-digits"),
+    pytest.param("eval", "Pf(abs(x)^-1/" + "1" * 5000 + "), bump(1)", 2,
+                 id="denominator-5000-digits"),
+    pytest.param("expand", "bump(1), " + "1" * 5000, 2, id="int-argument-5000-digits"),
 ])
 def test_non_finite_or_too_deep_input_is_a_typed_error(command, expr, status):
     out = run_cli(command, "-e", expr)
@@ -477,3 +482,11 @@ def test_check_prints_the_outcome_lines():
     lines = out.stdout.splitlines()
     assert lines[:-1] == [outcome_line(**o) for o in run_suite("expansion")]
     assert lines[-1] == "check expansion: ok"
+
+
+def test_check_argument_that_is_not_a_file_names_a_suite():
+    by_name = run_cli("check", "expansion", "--json")
+    by_expr = run_cli("check", "-e", "expansion", "--json")
+    assert by_name.returncode == by_expr.returncode == 0
+    assert by_name.stdout == by_expr.stdout
+    assert json.loads(by_name.stdout)["source"] == "check expansion"

@@ -16,6 +16,7 @@ from thickcalc.distributions import (
     delta_derivative,
     delta_star,
     density_derivative,
+    derivative_rule,
     g_lambda_delta,
     is_heaviside_pf,
     pf_heaviside,
@@ -344,3 +345,41 @@ def test_float_power_reaching_an_integer_raises_at_that_step():
         simplify(Derivative(Derivative(pf_power(1.0))))
     with pytest.raises(MisclassifiedPowerError):
         pair(Derivative(Derivative(pf_power(1.0))), plateau_bump(1.0))
+
+
+def test_derivative_rule_moves_through_nested_derivatives():
+    inner = Derivative(pf_power(-1))
+    assert derivative_rule(Derivative(inner)) == Derivative(derivative_rule(inner))
+    # d* of d*Pf is d* of the moved Pf
+    assert derivative_rule(inner) == Derivative(density_derivative(pf_power(-1)))
+
+
+@pytest.mark.parametrize("node", [
+    MultiplierProduct(heaviside_multiplier(), pf_heaviside()),
+    Translate(delta_star(), 1),
+])
+def test_derivative_rule_stays_none_over_a_node_without_a_rule(node):
+    assert derivative_rule(node) is None
+    assert derivative_rule(Derivative(node)) is None
+    assert derivative_rule(Derivative(Derivative(node))) is None
+
+
+def test_nested_derivative_pairs_as_its_moved_tree():
+    phi = from_polynomial([1, 2, 3], 2.0)
+    f = pf_power(Fraction(-1, 2))
+    moved = derivative_rule(Derivative(Derivative(f)))
+    assert moved == Derivative(Derivative(density_derivative(f)))
+    assert pair(Derivative(Derivative(Derivative(f))), phi) == pair(moved, phi)
+
+
+def test_simplify_refuses_a_non_node():
+    with pytest.raises(TypeError, match="not a distribution node"):
+        simplify(plateau_bump(1.0))
+
+
+@pytest.mark.parametrize("power, error", [
+    (True, TypeError), (float("inf"), ValueError), (-float("inf"), ValueError), ("1", TypeError),
+])
+def test_density_power_must_be_a_finite_number(power, error):
+    with pytest.raises(error):
+        PfDensity(SpherePair(1, 1), power)

@@ -3,6 +3,7 @@ import math
 import random
 import re
 import signal
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -261,6 +262,18 @@ PARSE_ERRORS = [
     ("eval translate(dstar, 1e400), bump(1)", "number must be finite, got inf", 5),
     ("eval glambda(1e400)·delta[0], bump(1)", "number must be finite, got inf", 5),
     ("eval delta[0](pair(1e400, 1)), bump(1)", "number must be finite, got inf", 14),
+    ("eval dstar + 2, bump(1)", "cannot combine a distribution and a number with '+'", 11),
+    ("eval dstar, mono(1.5, pair(1,1), 1)", "expected 'int', got '1.5'", 17),
+    ("expand bump(1), +2", "expected 'int', got '+'", 16),
+    ("eval delta[3/2](pair(1,1)), bump(1)", "expected ']', got '/'", 12),
+    # an integer literal has at most 4,300 digits: a numerator, a denominator
+    # (after a numerator of exactly 4,300, which parses) and an int argument
+    ("eval Pf(abs(x)^" + "1" * 4301 + "), bump(1)", "integer literal longer than 4300 digits", 15),
+    ("eval Pf(abs(x)^" + "1" * 4300 + "/" + "1" * 4301 + "), bump(1)",
+     "integer literal longer than 4300 digits", 4316),
+    ("expand bump(1), " + "1" * 4301, "integer literal longer than 4300 digits", 16),
+    ("eval dstar, mono(" + "1" * 4301 + ", pair(1,1), 1)",
+     "integer literal longer than 4300 digits", 17),
 ]
 
 
@@ -271,6 +284,32 @@ def test_parse_error_message_and_position(text, message, position):
         parse_program(text)
     assert str(err.value) == f"{message} (at position {position})"
     assert err.value.position == position
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int() digit limit")
+@pytest.mark.parametrize("limit", [640, 0])
+def test_integer_literal_limit_ignores_the_interpreter_limit(limit):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        queries = [parse_query(f"expand bump(1), {'9' * n}").queries[0] for n in (640, 641, 4300)]
+        power = parse_value(f"Pf(abs(x)^-{'9' * 4300}/{'9' * 4300})").power
+        with pytest.raises(DslError, match="integer literal longer than 4300 digits"):
+            parse_query(f"expand bump(1), {'9' * 4301}")
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert [q.max_order for q in queries] == [10 ** n - 1 for n in (640, 641, 4300)]
+    assert power == -1
+
+
+def test_a_number_added_to_a_number_stays_exact():
+    record, = run(parse_query("eval (1/2 + 1/2) * dstar, bump(1)")).records
+    assert record["value"] == 1.0 and record["value_exact"] == "1"
+
+
+def test_printer_refuses_a_non_node():
+    with pytest.raises(DslError, match="cannot print ThickTestFunction"):
+        print_distribution(plateau_bump(1))
 
 
 # -- round trips ---------------------------------------------------------------------

@@ -284,3 +284,7 @@ def test_render_parse_round_trip():
 def test_parse_rejects_garbage():
     with pytest.raises(ValueError):
         parse_expansion("(1|2)r^3")
+
+
+def test_zero_expansion_has_no_top_order():
+    assert ZERO_EXPANSION.top is None

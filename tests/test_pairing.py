@@ -1175,3 +1175,18 @@ def test_deep_derivative_statements_make_no_quadrature(monkeypatch, dist):
         assert "error" not in report.records[0]
         fn = f"D({fn})"
     assert calls == []
+
+
+def test_config_needs_a_subdivision():
+    with pytest.raises(ValueError, match="max_subdivisions"):
+        QuadratureConfig(max_subdivisions=0)
+
+
+def test_pairing_result_refuses_a_negative_error_estimate():
+    with pytest.raises(ValueError, match="cannot be negative"):
+        PairingResult(1.0, None, -1e-12)
+
+
+def test_pair_refuses_a_non_node():
+    with pytest.raises(TypeError, match="cannot pair object of type ThickTestFunction"):
+        pair(plateau_bump(1.0), plateau_bump(1.0))

@@ -512,3 +512,28 @@ def test_constructors_reject_a_non_finite_radius(radius):
         thick_monomial(1, (1, 1), radius)
     with pytest.raises(ValueError):
         from_polynomial([1, 2], radius)
+
+
+def test_product_of_functions_at_two_points_is_refused():
+    with pytest.raises(PointMismatchError):
+        plateau_bump(1.0) * plateau_bump(1.0, point=1)
+
+
+def test_function_times_a_number_is_not_defined():
+    with pytest.raises(TypeError):
+        plateau_bump(1.0) * 3
+
+
+def test_seminorm_needs_a_positive_radius():
+    with pytest.raises(ValueError, match="k_radius"):
+        seminorm(plateau_bump(1.0), q=1, s=0, k_radius=0)
+
+
+def test_cutoff_constructors_check_the_radius_first():
+    for build in (lambda r: thick_monomial(0, (1, 0), r), lambda r: from_polynomial([1], r)):
+        for radius in (0, -1, math.inf, math.nan):
+            with pytest.raises(ValueError, match="support radius"):
+                build(radius)
+    with pytest.raises(ValueError, match="support radius"):
+        from_polynomial([math.inf], 0)
+    assert thick_monomial(3, (0, 0), 1.0).body == from_polynomial([0, 0], 1.0).body == Body()
