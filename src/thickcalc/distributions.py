@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional, Tuple, Union
 
 from .errors import MisclassifiedPowerError, PointMismatchError
-from .sphere import FrozenRecord, SpherePair, exact, g_lambda, ratio
+from .sphere import ZERO_PAIR, FrozenRecord, SpherePair, exact, g_lambda, ratio
 from .testfn import Multiplier, derivative as fn_derivative, heaviside_multiplier
 
 
@@ -237,6 +237,18 @@ def delta_derivative(f: ThickDelta) -> ThickDelta:
     q + 1 (``expansion.differentiate``)."""
     w, q = f.weights, f.degree
     return ThickDelta(SpherePair(-(q + 1) * w.plus, (q + 1) * w.minus), q + 1, f.point)
+
+
+def multiplier_rule(g: ThickDistribution) -> Optional[ThickDelta]:
+    """psi·delta_q[w] moved onto the delta: delta_(q-j)[w·p] for psi = p(w) r^j
+    (the degree-q coefficient of psi·phi is p times phi's degree-(q - j) one),
+    a zero-weight delta for psi = 0, and None for any other node."""
+    if not (isinstance(g, MultiplierProduct) and isinstance(g.inner, ThickDelta)):
+        return None
+    delta = g.inner
+    # one term with no plateau factor; the zero multiplier has none
+    (_, j, p), = g.multiplier.body.terms or (((), 0, ZERO_PAIR),)
+    return ThickDelta(delta.weights * p, delta.degree - j, delta.point)
 
 
 def derivative_rule(g: ThickDistribution) -> Optional[ThickDistribution]:

@@ -61,7 +61,8 @@ from .distributions import (
     simplify,
 )
 from .errors import DslError, PointMismatchError, ThickCalcError
-from .sphere import FrozenRecord, Record, SpherePair, exact, parity_pair, ratio
+from .sphere import (MAX_INT_DIGITS, FrozenRecord, Record, SpherePair, exact, number_text,
+                     parity_pair, ratio)
 from .testfn import (
     Multiplier,
     ThickTestFunction,
@@ -107,10 +108,6 @@ def tokenize(text: str) -> List[str]:
 
 #: Deepest nesting the parser accepts; it recurses at most three frames a level.
 MAX_NESTING = 100
-
-#: Most digits an integer literal may have: Python's default ``int()`` limit,
-#: which holds here whatever limit the interpreter is set to.
-MAX_INT_DIGITS = 4300
 
 #: Every ``name(arg, ...)`` form: the kinds of its arguments (a ``function`` is
 #: a test function or a multiplier) and the constructor that ``Parser._call``
@@ -480,8 +477,12 @@ def print_multiplier(m: Multiplier) -> str:
     if order == 0 and pair == SpherePair(1, 0):
         return "H(x)"
     if pair == parity_pair(1, order):
-        return f"x^{order}"
-    return f"mult(pair({pair.plus},{pair.minus}), {order})"
+        return f"x^{number_text(order)}"
+    return f"mult({_pair_text(pair)}, {number_text(order)})"
+
+
+def _pair_text(p: SpherePair) -> str:
+    return f"pair({number_text(p.plus)},{number_text(p.minus)})"
 
 
 def print_distribution(d) -> str:
@@ -489,15 +490,17 @@ def print_distribution(d) -> str:
         w = d.weights
         if w == SpherePair(1, 1) and d.degree == 0:
             return "dstar"
+        degree = number_text(d.degree)
         if w.plus + w.minus == 2 and 0 <= w.plus <= 2:  # glambda(lam), 0 <= lam <= 1
-            return f"glambda({ratio(w.plus, 2)})·delta[{d.degree}]"
-        return f"delta[{d.degree}](pair({w.plus},{w.minus}))"
+            return f"glambda({number_text(ratio(w.plus, 2))})·delta[{degree}]"
+        return f"delta[{degree}]({_pair_text(w)})"
     if isinstance(d, PfDensity):
+        power = number_text(d.power)
         if d.pair == SpherePair(1, 1):
-            return f"Pf(abs(x)^{d.power})"
+            return f"Pf(abs(x)^{power})"
         if d.pair == SpherePair(1, 0) and d.power == 0:
             return "Pf(H(x))"
-        return f"Pf(pair({d.pair.plus},{d.pair.minus}) * r^{d.power})"
+        return f"Pf({_pair_text(d.pair)} * r^{power})"
     if isinstance(d, Derivative):
         return f"d*({print_distribution(d.inner)})"
     if isinstance(d, MultiplierProduct):
@@ -517,16 +520,16 @@ def print_distribution(d) -> str:
             if isinstance(term, MultiplierProduct) and (scaled or coefficient < 0):
                 text = f"({text})"
             if scaled:
-                text = f"{abs(coefficient)} * {text}"
+                text = f"{number_text(abs(coefficient))} * {text}"
             if not out:
                 out = f"-{text}" if coefficient < 0 else text
             else:
                 out += f" {'-' if coefficient < 0 else '+'} {text}"
         return out
     if isinstance(d, Translate):
-        return f"translate({print_distribution(d.inner)}, {d.shift})"
+        return f"translate({print_distribution(d.inner)}, {number_text(d.shift)})"
     if isinstance(d, Dilate):
-        return f"dilate({print_distribution(d.inner)}, {d.factor})"
+        return f"dilate({print_distribution(d.inner)}, {number_text(d.factor)})"
     raise DslError(f"cannot print {type(d).__name__}")
 
 
@@ -587,11 +590,12 @@ def run(program: Program, cfg=None) -> Report:
                 target = distributions.project(q.dist) if q.command == "project" else q.dist
                 for _ in range(q.derivatives):
                     target = Derivative(target)
-                res = pairing.pair(target, q.testfn, cfg).scaled((-1) ** q.derivatives)
+                res = pairing.pair(target, q.testfn, cfg)
+                res = res.scaled(-1) if q.derivatives % 2 else res
                 rec["expr"] = print_distribution(q.dist)
                 rec["value"] = float(res.value)
                 if isinstance(res.value, Fraction):
-                    rec["value_exact"] = str(res.value)
+                    rec["value_exact"] = number_text(res.value)
                 rec["split_radius"] = res.split_radius
                 rec["quad_error"] = res.quad_error
                 rec["series_terms"] = [[j, float(v)] for j, v in res.series_terms]

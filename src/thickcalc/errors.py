@@ -14,7 +14,7 @@ class QuadratureError(ThickCalcError):
 
 
 class NonFiniteError(ThickCalcError):
-    """An evaluation overflowed or produced a value that is not finite."""
+    """A float or exact number overflowed, or a value is not finite."""
 
 
 class MisclassifiedPowerError(ThickCalcError):

@@ -19,7 +19,7 @@ import re
 from typing import Iterable, Iterator, Optional, Tuple
 
 from .quadrature import fsum
-from .sphere import FrozenRecord, SpherePair, ZERO_PAIR, parity_pair
+from .sphere import FrozenRecord, SpherePair, ZERO_PAIR, number_text, parity_pair
 
 
 class Expansion(FrozenRecord):
@@ -105,7 +105,8 @@ def evaluate(e: Expansion, w: int, r: float) -> float:
 def render(e: Expansion) -> str:
     """Terms ``(p|q)·r^j`` joined by `` + ``, zero pairs inside the stored
     run included; no term prints as 0."""
-    return " + ".join(f"({c.plus}|{c.minus})·r^{j}" for j, c in e.terms()) or "0"
+    return " + ".join(f"({number_text(c.plus)}|{number_text(c.minus)})·r^{number_text(j)}"
+                      for j, c in e.terms()) or "0"
 
 
 _TERM_RE = re.compile(

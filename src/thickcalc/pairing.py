@@ -1,7 +1,9 @@
 """Pairing evaluation: the finite-part formulas and their independent oracle.
 
 The distribution/test-function pairing dispatches on the distribution tree,
-combining sub-results through ``PairingResult.scaled`` and ``+``.  A
+combining sub-results through ``PairingResult.scaled`` and ``+``.  A thick
+delta reads one expansion coefficient, and a multiplier over it moves onto
+it, under d* too (``distributions.multiplier_rule``), so no product is built.  A
 finite-part density c(w) r^lambda splits at a radius A: the far field
 [A, R]; an analytic series term c_j A^(lambda+j+1)/(lambda+j+1) for each
 order j through -Re(lambda)-1 (a log A term at the integer boundary order);
@@ -59,10 +61,11 @@ from .distributions import (
     ThickDelta,
     Translate,
     derivative_rule,
+    multiplier_rule,
 )
 from .expansion import partial_sum
 from .quadrature import fsum, integrate
-from .sphere import SPHERE_MEASURE, FrozenRecord, SpherePair, integrate_sphere, ratio
+from .sphere import FrozenRecord, SpherePair, number_text, ratio
 from .testfn import Body, ThickTestFunction, derivative, dilate, multiply_by, translate
 
 
@@ -89,7 +92,7 @@ Number = Union[Fraction, float]
 
 class PairingResult(FrozenRecord):
     """A pairing's value with the stages of its finite-part formula.  An exact
-    value (a delta pairing: its weighted sum over ``SPHERE_MEASURE``) is a
+    value (a delta pairing: half its weighted sum over the sphere) is a
     Fraction, any other value a float."""
 
     __slots__ = ("value", "split_radius", "quad_error", "series_terms", "log_term")
@@ -153,22 +156,25 @@ def pair(f, phi: ThickTestFunction, cfg: QuadratureConfig = DEFAULT_CONFIG) -> P
             return pair(f.source, phi, cfg)
         if f.point != phi.point:
             raise PointMismatchError(
-                f"distribution at {f.point} paired with test function at {phi.point}"
+                f"distribution at {number_text(f.point)} paired with test function "
+                f"at {number_text(phi.point)}"
             )
         if isinstance(f, ThickDelta):
-            aq = phi.expansion.coefficient(f.degree)
-            value = integrate_sphere(f.weights * aq) / SPHERE_MEASURE
-            return PairingResult(value, None, 0.0)
+            # half the weighted sum of the degree-q coefficient over the sphere
+            w, a = f.weights, phi.expansion.coefficient(f.degree)
+            return PairingResult(Fraction(w.plus * a.plus + w.minus * a.minus, 2), None, 0.0)
         if isinstance(f, PfDensity):
             return _pair_density(f, phi, cfg)
         if isinstance(f, Derivative):
-            # d*g takes g's derivative rule when it has one; anything else is
-            # paired by the definition <d*g, phi> = -<g, phi'>
-            moved = derivative_rule(f.inner)
+            # d*g takes g's derivative rule when it has one, after a multiplier
+            # moves onto a delta; anything else pairs as <d*g, phi> = -<g, phi'>
+            moved = derivative_rule(multiplier_rule(f.inner) or f.inner)
             if moved is not None:
                 return pair(moved, phi, cfg)
             return pair(f.inner, derivative(phi), cfg).scaled(-1)
         if isinstance(f, MultiplierProduct):
+            if (moved := multiplier_rule(f)) is not None:
+                return pair(moved, phi, cfg)
             return pair(f.inner, multiply_by(f.multiplier, phi), cfg)
         if isinstance(f, LinearCombination):
             # from the exact zero, so that a sum of exact pairings stays exact

@@ -17,11 +17,18 @@ are fast as ints, and an int and the equal Fraction compare and hash alike.
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 from operator import attrgetter
 from typing import Union
 
+from .errors import NonFiniteError
+
 Rational = Union[int, Fraction]
+
+#: Most digits of an integer read or printed: Python's default ``int()`` and
+#: ``str()`` limit, held here whatever limit the interpreter is set to.
+MAX_INT_DIGITS = 4300
 
 
 def exact(x) -> Rational:
@@ -48,6 +55,19 @@ def exact(x) -> Rational:
 def ratio(a, b) -> Rational:
     """The exact quotient a / b of two exact scalars, as ``exact`` gives it."""
     return exact(Fraction(a, b))
+
+
+def number_text(x) -> str:
+    """``str(x)`` of a number; an int, or a Fraction's numerator or denominator,
+    of more than MAX_INT_DIGITS digits is a NonFiniteError.  Past 640 digits,
+    where ``str()`` obeys the interpreter's limit, ``Decimal`` writes them."""
+    if type(x) is Fraction and x.denominator != 1:
+        return f"{number_text(x.numerator)}/{number_text(x.denominator)}"
+    if type(x) is not int or x.bit_length() <= 2126:  # a float, or below 10^640
+        return str(x)
+    if x.bit_length() > 14285 or len(str(Decimal(abs(x)))) > MAX_INT_DIGITS:  # 2^14285 > 10^4300
+        raise NonFiniteError(f"exact number longer than {MAX_INT_DIGITS} digits")
+    return str(Decimal(x))
 
 
 class Record:
@@ -154,13 +174,8 @@ def integrate_sphere(f: SpherePair) -> Rational:
     return f.plus + f.minus
 
 
-#: Total measure of the 0-sphere under the counting-measure convention; a
-#: Fraction, so that a delta pairing (its weighted sum over this) is one.
-SPHERE_MEASURE = Fraction(2)
-
-
 def g_lambda(lam) -> SpherePair:
     """Weights (2*lam, 2*(1-lam)); paired through the 1/2 delta normalization
     this interpolates between the two one-sided evaluations."""
-    lam = exact(lam)
-    return SpherePair(2 * lam, 2 * (1 - lam))
+    n, d = exact(lam).as_integer_ratio()
+    return SpherePair(ratio(2 * n, d), ratio(2 * (d - n), d))

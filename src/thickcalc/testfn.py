@@ -160,7 +160,7 @@ class Body:
         out = {}
         for factors, j, p in self.terms:
             if not any(n for _, n in factors):
-                out[j] = out.get(j, ZERO_PAIR) + p
+                out[j] = out[j] + p if j in out else p
         if not out:
             return ZERO_EXPANSION
         lo = min(out)
@@ -289,7 +289,8 @@ class ThickTestFunction(FrozenRecord):
     def is_ordinary(self) -> bool:
         """Smooth across the thick point by construction: every body term looks
         like a one-variable power c*x^j with j >= 0."""
-        return all(j >= 0 and p == parity_pair(p.plus, j) for _, j, p in self.body.terms)
+        return all(j >= 0 and p.minus == (-p.plus if j % 2 else p.plus)
+                   for _, j, p in self.body.terms)
 
     def __add__(self, other: "ThickTestFunction") -> "ThickTestFunction":
         if self.point != other.point:

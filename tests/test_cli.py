@@ -221,6 +221,10 @@ def test_line_format_shows_exact_value():
     ("2 * dstar - glambda(1)·delta[0]", "mono(0, pair(3,1), 2)", "1"),
     ("H(x) * glambda(1/4)·delta[0]", "mono(0, pair(3,1), 2)", "3/4"),
     ("d*(Pf(H(x)))", "mono(0, pair(3,1), 2)", "3"),
+    # a dilated multiplier product over a delta stays exact
+    ("dilate(x^1 * delta[1](pair(1,2)), 2)", "mono(0, pair(1,3), 2) + poly([1,2],2)", "-3/2"),
+    # the multiplier moves the delta to degree -2
+    ("x^3 * delta[1](pair(1,2))", "mono(-2, pair(1,3), 2)", "-5/2"),
 ])
 def test_delta_pairing_json_record(dist, fn, value_exact):
     out = run_cli("eval", "-e", f"{dist}, {fn}", "--json")
@@ -381,6 +385,12 @@ def test_setting_without_a_float_value_is_bad_configuration(flag, value, tmp_pat
     pytest.param("eval", "Pf(abs(x)^-1/" + "1" * 5000 + "), bump(1)", 2,
                  id="denominator-5000-digits"),
     pytest.param("expand", "bump(1), " + "1" * 5000, 2, id="int-argument-5000-digits"),
+    # an exact result of more than 4,300 digits, from literals within the limit
+    pytest.param("derive", f"{'9' * 3000} * {'9' * 3000} * dstar", 3, id="derive-6000-digits"),
+    pytest.param("eval", f"1/{'9' * 3000} * 1/{'9' * 3000} * dstar, bump(1)", 3,
+                 id="eval-6000-digits"),
+    pytest.param("expand", "mono(0, pair(N,1), 1) * mono(0, pair(N,1), 1), 0".replace(
+        "N", "9" * 3000), 3, id="expand-6000-digits"),
 ])
 def test_non_finite_or_too_deep_input_is_a_typed_error(command, expr, status):
     out = run_cli(command, "-e", expr)
@@ -450,6 +460,10 @@ def test_sixth_derivative_pairing_is_a_value():
     ("derive", "D(H(x)) * dstar", "  -> 0 * dstar"),
     ("derive", "mult(pair(0,0), 2) * dstar", "  -> 0 * dstar"),
     ("derive", "0 * dstar", "  -> 0 * dstar"),
+    # simplify keeps a multiplier over a delta, so derive prints the product rule
+    ("derive", "x^2 * delta[1](pair(1,2))",
+     "  -> mult(pair(2,-2), 1) * delta[1](pair(1,2)) + x^2 * delta[2](pair(-2,4))"),
+    ("derive", "d*(x^1 * dstar)", "  -> delta[1](pair(-2,2)) + x^1 * delta[2](pair(2,2))"),
 ])
 def test_printed_record(command, expr, line):
     out = run_cli(command, "-e", expr)

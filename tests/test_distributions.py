@@ -19,6 +19,7 @@ from thickcalc.distributions import (
     derivative_rule,
     g_lambda_delta,
     is_heaviside_pf,
+    multiplier_rule,
     pf_heaviside,
     pf_power,
     pf_sign_power,
@@ -33,6 +34,7 @@ from thickcalc.testfn import (
     derivative,
     from_polynomial,
     heaviside_multiplier,
+    monomial_multiplier,
     plateau_bump,
     power_multiplier,
     thick_monomial,
@@ -370,6 +372,39 @@ def test_nested_derivative_pairs_as_its_moved_tree():
     moved = derivative_rule(Derivative(Derivative(f)))
     assert moved == Derivative(Derivative(density_derivative(f)))
     assert pair(Derivative(Derivative(Derivative(f))), phi) == pair(moved, phi)
+
+
+@pytest.mark.parametrize("multiplier, moved", [
+    (power_multiplier(3), ThickDelta(SpherePair(1, -2), -2)),
+    (power_multiplier(0), ThickDelta(SpherePair(1, 2), 1)),
+    (heaviside_multiplier(), ThickDelta(SpherePair(1, 0), 1)),
+    (monomial_multiplier(-1, (Fraction(1, 2), -3)), ThickDelta(SpherePair(Fraction(1, 2), -6), 2)),
+    (power_multiplier(2).scale(0), ThickDelta(SpherePair(0, 0), 1)),
+])
+def test_multiplier_rule_shifts_the_degree_and_multiplies_the_weights(multiplier, moved):
+    assert multiplier_rule(MultiplierProduct(multiplier, ThickDelta(SpherePair(1, 2), 1))) == moved
+
+
+@pytest.mark.parametrize("inner", [
+    pf_power(Fraction(-1, 2)),
+    LinearCombination(((2, delta_star()),)),
+    Translate(delta_star(), 0),
+    Derivative(delta_star()),
+], ids=["density", "combination", "translate", "derivative"])
+def test_multiplier_rule_is_none_over_any_other_inner_node(inner):
+    assert multiplier_rule(MultiplierProduct(power_multiplier(2), inner)) is None
+    assert multiplier_rule(inner) is None
+
+
+def test_multiplier_rule_moves_one_product_at_a_time():
+    inner = MultiplierProduct(power_multiplier(1), delta_star())
+    assert multiplier_rule(MultiplierProduct(power_multiplier(2), inner)) is None
+    assert multiplier_rule(inner) == ThickDelta(SpherePair(1, -1), -1)
+
+
+def test_simplify_keeps_a_multiplier_over_a_delta():
+    f = MultiplierProduct(power_multiplier(2), ThickDelta(SpherePair(1, 2), 1))
+    assert simplify(f) == f
 
 
 def test_simplify_refuses_a_non_node():

@@ -830,3 +830,36 @@ def test_random_statements_end_in_a_record_or_a_dsl_error():
         if timed:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no str() digit limit")
+@pytest.mark.parametrize("limit", [640, 0])
+def test_a_4300_digit_result_prints_whatever_the_interpreter_limit(limit):
+    n = "9" * 2150  # its square has 4,300 digits
+    square = str(int(n) ** 2)
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        records = [record for text in (
+            f"derive {n} * {n} * dstar",
+            f"eval 1/{n} * 1/{n} * dstar, bump(1)",
+            f"expand mono(0, pair({n},1), 1) * mono(0, pair({n},1), 1), 0",
+        ) for record in run(parse_query(text)).records]
+    finally:
+        sys.set_int_max_str_digits(saved)
+    derive, value, expand = records
+    assert len(square) == 4300
+    assert derive["result"] == f"{square} * delta[1](pair(-1,1))"
+    assert value["value_exact"] == f"1/{square}" and value["value"] == 0.0
+    assert expand["result"] == f"({square}|1)·r^0"
+
+
+@pytest.mark.parametrize("text", [
+    f"derive {'9' * 3000} * {'9' * 3000} * dstar",
+    f"eval 1/{'9' * 3000} * dstar, mono(0, pair(1/{'9' * 3000},1/{'9' * 3000}), 1)",
+    f"expand mono(0, pair({'9' * 3000},1), 1) * mono(0, pair({'9' * 3000},1), 1), 0",
+    f"eval translate(translate(dstar, {'9' * 4300}), {'9' * 4300}), bump(1)",
+], ids=["derive", "value-exact", "expand", "point-mismatch-message"])
+def test_a_number_past_the_digit_limit_is_a_typed_error(text):
+    record, = run(parse_query(text)).records
+    assert record["error"] == "exact number longer than 4300 digits"

@@ -47,7 +47,7 @@ from thickcalc.pairing import (
     ramp_square_moment,
 )
 from thickcalc.quadrature import integrate
-from thickcalc.sphere import SpherePair
+from thickcalc.sphere import SpherePair, integrate_sphere
 from thickcalc.testfn import (
     derivative,
     dilate,
@@ -472,6 +472,50 @@ def test_multiplier_fold_equals_density_fold():
     via_mult = pair(MultiplierProduct(sgn, pf_power(Fraction(-5, 2))), phi)
     via_density = pair(PfDensity(SpherePair(1, -1), Fraction(-5, 2)), phi)
     assert float(via_mult.value) == pytest.approx(float(via_density.value), abs=1e-9)
+
+
+#: Multiplier products over a delta ``{}``, test functions like the symbolic
+#: benchmark pool's, and the deltas they meet.
+RULE_PRODUCTS = ["H(x) * {}", "x^0 * {}", "x^1 * {}", "x^2 * {}", "x^3 * {}",
+                 "mult(pair(2,-3), -1) * {}", "mult(pair(1/2,5), -2) * {}", "0 * H(x) * {}",
+                 "x^1 * (x^2 * {})"]
+RULE_DELTAS = ["dstar", "glambda(1/3)·delta[2]", "glambda(1)·delta[0]", "delta[1](pair(1,2))",
+               "delta[3](pair(-2,1/5))"]
+RULE_FUNCTIONS = ["bump(2)", "poly([1,2,3], 2)", "mono(-1, pair(1,2), 2)",
+                  "mono(0, pair(3,1), 2)", "mono(2, pair(1,-1), 3)",
+                  "poly([0,1,0,2], 1) + mono(1, pair(2,0), 1)", "D(mono(1, pair(2,0), 3))",
+                  "mono(2,pair(1,3),2)*poly([1,1],2)", "D(D(poly([1,1,1,1], 2)))",
+                  "poly([1/2,0,1], 3) * bump(2)", "mono(-2, pair(1,3), 2)"]
+RULE_ORDINARY_FUNCTIONS = ["bump(2)", "poly([1,2,3], 2)", "D(D(poly([1,1,1,1], 2)))",
+                           "poly([1/2,0,1], 3) * bump(2)"]
+
+
+def _delta_by_definition(f, phi):
+    """<f, phi> for a delta under multipliers by the definitions alone: each
+    multiplier multiplies phi, and the delta takes half the weighted sum of
+    phi's coefficient of its degree over the sphere."""
+    while isinstance(f, MultiplierProduct):
+        f, phi = f.inner, multiply_by(f.multiplier, phi)
+    return Fraction(integrate_sphere(f.weights * phi.expansion.coefficient(f.degree)), 2)
+
+
+@pytest.mark.parametrize("product", RULE_PRODUCTS)
+def test_multiplier_over_a_delta_pairs_as_its_definition(product):
+    statements = [f"eval {product.format(d)}, {'D(' * k}{fn}{')' * k}"
+                  for d in RULE_DELTAS for fn in RULE_FUNCTIONS for k in range(4)]
+    statements += [f"project {product.format(d)}, {fn}"
+                   for d in RULE_DELTAS for fn in RULE_ORDINARY_FUNCTIONS]
+    for text in statements:
+        query, = dsl.parse_query(text).queries
+        phi, target = query.testfn, query.dist
+        for _ in range(query.derivatives):
+            phi, target = derivative(phi), Derivative(target)
+        value = pair(target, query.testfn).value
+        expected = _delta_by_definition(query.dist, phi)
+        assert type(value) is Fraction, text
+        assert value * (-1) ** query.derivatives == expected, text
+        record, = dsl.run(dsl.parse_query(text)).records
+        assert record["value_exact"] == str(expected), text
 
 
 def test_linear_combination_pairing():

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thickcalc.errors import NonFiniteError
 from thickcalc.sphere import (
     SpherePair,
     exact,
     g_lambda,
     integrate_sphere,
+    number_text,
     parity_pair,
     ratio,
 )
@@ -161,3 +163,20 @@ def test_non_finite_number_is_not_exact(x):
 def test_bool_and_text_become_exact_numbers():
     assert type(exact(True)) is int and exact(True) == 1
     assert exact("6/4") == Fraction(3, 2) and type(exact("4/2")) is int
+
+
+def test_number_text_is_str_up_to_the_digit_limit():
+    for x in (0, -7, 10 ** 640 - 1, 10 ** 640, -(10 ** 4300 - 1), Fraction(-1, 3),
+              Fraction(10 ** 4300 - 1, 7), Fraction(6, 3), 2.5, -1e300):
+        assert number_text(x) == str(x)
+    for x in (10 ** 4300, -(10 ** 4300), 2 ** 14285, 2 ** 20000, Fraction(1, 10 ** 4300),
+              Fraction(10 ** 4300, 3)):
+        with pytest.raises(NonFiniteError, match="exact number longer than 4300 digits"):
+            number_text(x)
+
+
+@given(st.fractions())
+def test_g_lambda_weights_sum_to_two(lam):
+    g = g_lambda(lam)
+    assert g == SpherePair(2 * lam, 2 * (1 - lam))
+    assert integrate_sphere(g) == 2 and type(g.plus) is type(exact(2 * lam))
