@@ -15,8 +15,8 @@ from fractions import Fraction
 from typing import Optional, Tuple, Union
 
 from .errors import MisclassifiedPowerError, PointMismatchError
-from .sphere import ZERO_PAIR, FrozenRecord, SpherePair, exact, g_lambda, ratio
-from .testfn import Multiplier, derivative as fn_derivative, heaviside_multiplier
+from .sphere import FrozenRecord, SpherePair, exact, g_lambda, ratio
+from .testfn import Multiplier, derivative as fn_derivative
 
 
 def _normalize_power(lam):
@@ -78,6 +78,8 @@ class Derivative(FrozenRecord):
 
 
 class MultiplierProduct(FrozenRecord):
+    """multiplier * inner, a product inside taken in: psi1 * (psi2 * f) is (psi1 psi2) * f."""
+
     __slots__ = ("multiplier", "inner")
 
     def __init__(self, multiplier: Multiplier, inner: "ThickDistribution"):
@@ -85,6 +87,8 @@ class MultiplierProduct(FrozenRecord):
             raise PointMismatchError(
                 "multiplier and distribution live at different thick points"
             )
+        if isinstance(inner, MultiplierProduct):
+            multiplier, inner = multiplier * inner.multiplier, inner.inner
         object.__setattr__(self, "multiplier", multiplier)
         object.__setattr__(self, "inner", inner)
 
@@ -197,9 +201,6 @@ def is_heaviside_pf(f) -> bool:
     return isinstance(f, PfDensity) and f.power == 0 and f.pair == SpherePair(1, 0)
 
 
-_HEAVISIDE_BODY = heaviside_multiplier().body
-
-
 def density_derivative(f: PfDensity) -> ThickDistribution:
     """d*f, integrated by parts in the finite-part sense (Estrada & Kanwal,
     *A Distributional Approach to Asymptotics*, 2002):
@@ -245,10 +246,8 @@ def multiplier_rule(g: ThickDistribution) -> Optional[ThickDelta]:
     a zero-weight delta for psi = 0, and None for any other node."""
     if not (isinstance(g, MultiplierProduct) and isinstance(g.inner, ThickDelta)):
         return None
-    delta = g.inner
-    # one term with no plateau factor; the zero multiplier has none
-    (_, j, p), = g.multiplier.body.terms or (((), 0, ZERO_PAIR),)
-    return ThickDelta(delta.weights * p, delta.degree - j, delta.point)
+    psi, delta = g.multiplier, g.inner
+    return ThickDelta(delta.weights * psi.pair, delta.degree - psi.order, delta.point)
 
 
 def derivative_rule(g: ThickDistribution) -> Optional[ThickDistribution]:
@@ -307,7 +306,7 @@ def simplify(f: ThickDistribution) -> ThickDistribution:
             return ZERO_DISTRIBUTION
         if psi.is_one():
             return inner
-        if psi.body == _HEAVISIDE_BODY and is_heaviside_pf(inner):
+        if psi.order == 0 and psi.pair == SpherePair(1, 0) and is_heaviside_pf(inner):
             return inner
         return MultiplierProduct(psi, inner)
     if isinstance(f, LinearCombination):

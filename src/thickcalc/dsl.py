@@ -17,7 +17,8 @@ Expression grammar (precedence: constructors > ``*``/``·`` > ``+``/``-``):
     density:= abs(x)^num | H(x) | pair(a,b) * r^num
     testfn := bump(R) | mono(j, pair(a,b), R) | poly([c0,...], R)
             | testfn * testfn | D(testfn) | testfn +- testfn
-    mult   := H(x) | x^j | mult(pair(a,b), j) | number * mult | D(mult) | bound name
+    mult   := H(x) | x^j | mult(pair(a,b), j) | mult * mult | number * mult
+            | D(mult) | bound name
 
 Numbers are integers of at most 4,300 digits, rationals ``p/q`` of them (kept
 exact, so the integer-versus-not power dispatch is intent-driven) or decimals
@@ -69,8 +70,6 @@ from .testfn import (
     derivative as fn_derivative,
     from_polynomial,
     heaviside_multiplier,
-    monomial_multiplier,
-    multiply_by,
     plateau_bump,
     power_multiplier,
     thick_monomial,
@@ -118,7 +117,7 @@ _CALLS = {
     "bump": (("number",), plateau_bump),
     "mono": (("integer", "pair", "number"), thick_monomial),
     "poly": (("list", "number"), from_polynomial),
-    "mult": (("pair", "integer"), lambda pair, order: monomial_multiplier(order, pair)),
+    "mult": (("pair", "integer"), lambda pair, order: Multiplier(order, pair)),
     "glambda": (("number",), g_lambda_delta),
     "translate": (("distribution", "number"), Translate),
     "dilate": (("distribution", "number"), Dilate),
@@ -263,11 +262,7 @@ class Parser:
             return self._combine_mul(b, a, op)
         if isinstance(a, Multiplier) and _is_dist(b):
             return self._build(op, MultiplierProduct, a, b)
-        if isinstance(a, Multiplier) and isinstance(b, ThickTestFunction):
-            return multiply_by(a, b)
-        if isinstance(a, ThickTestFunction) and isinstance(b, Multiplier):
-            return multiply_by(b, a)
-        if isinstance(a, ThickTestFunction) and isinstance(b, ThickTestFunction):
+        if not (_is_dist(a) or _is_dist(b)):  # two functions; phi * psi is psi * phi
             return a * b
         raise self.error(f"cannot multiply {_typename(a)} by {_typename(b)}", op)
 
@@ -473,12 +468,11 @@ def _typename(v) -> str:
 def print_multiplier(m: Multiplier) -> str:
     if m.is_zero():
         return "0 * H(x)"
-    (_, order, pair), = m.body.terms  # one term, with no plateau factor
-    if order == 0 and pair == SpherePair(1, 0):
+    if m.order == 0 and m.pair == SpherePair(1, 0):
         return "H(x)"
-    if pair == parity_pair(1, order):
-        return f"x^{number_text(order)}"
-    return f"mult({_pair_text(pair)}, {number_text(order)})"
+    if m.pair == parity_pair(1, m.order):
+        return f"x^{number_text(m.order)}"
+    return f"mult({_pair_text(m.pair)}, {number_text(m.order)})"
 
 
 def _pair_text(p: SpherePair) -> str:
@@ -505,8 +499,8 @@ def print_distribution(d) -> str:
         return f"d*({print_distribution(d.inner)})"
     if isinstance(d, MultiplierProduct):
         inner = print_distribution(d.inner)
-        if isinstance(d.inner, (LinearCombination, MultiplierProduct)):
-            inner = f"({inner})"  # else its multiplier or coefficient binds to ours
+        if isinstance(d.inner, LinearCombination):
+            inner = f"({inner})"  # else its coefficient binds to our multiplier
         return f"{print_multiplier(d.multiplier)} * {inner}"
     if isinstance(d, LinearCombination):
         if not d.terms:

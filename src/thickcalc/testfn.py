@@ -19,9 +19,9 @@ derivative is 0, so there the body equals its expansion identically, and the
 expansion is read off the body (``Body.expansion``): that identity is what
 makes the downstream pairing formulas testable with tight tolerances.
 
-A multiplier is the same kind of object without compact support: its body is
-a ``Body`` with one term and no plateau factor (or none at all), so it
-multiplies, differentiates and scales as a test function does.
+A multiplier is one monomial pair(w) * r^j without compact support, the record
+(order, pair, point): it raises each body term's order by j and multiplies its
+pair (``multiply_by``), and its products, derivative and multiples are monomials.
 """
 
 from __future__ import annotations
@@ -238,26 +238,18 @@ def _canonical(out: dict) -> Body:
 
 
 ZERO_BODY = Body()
-ONE_BODY = Body((((), 0, ONE_PAIR),))
 
 
 # -- the function types --------------------------------------------------------
 
 
-def _evaluate(body, point, radius, x) -> float:
-    y = x - point
-    if radius is not None and abs(y) >= radius:
+def _point_value(e: Expansion) -> float:
+    """The value at the thick point: the limit of both sides where they agree, else nan."""
+    if e.is_zero() or e.start > 0:
         return 0.0
-    if y == 0:
-        # value at the thick point itself: defined only when both one-sided
-        # limits exist and agree
-        expansion = body.expansion
-        if expansion.is_zero() or expansion.start > 0:
-            return 0.0
-        if expansion.start == 0 and expansion.coefficient(0).is_even():
-            return float(expansion.coefficient(0).plus)
-        return math.nan
-    return body.value(float(y))
+    if e.start == 0 and e.coefficient(0).is_even():
+        return float(e.coefficient(0).plus)
+    return math.nan
 
 
 class ThickTestFunction(FrozenRecord):
@@ -269,11 +261,6 @@ class ThickTestFunction(FrozenRecord):
         # the support; kept as built, as a cancelling sum may shrink the body's
         object.__setattr__(self, "radius", float(radius))
 
-    def _with(self, body, point):
-        """The same kind of function with another body and point; a test
-        function keeps its support radius."""
-        return ThickTestFunction(body, point, self.radius)
-
     @property
     def expansion(self) -> Expansion:
         return self.body.expansion
@@ -283,7 +270,10 @@ class ThickTestFunction(FrozenRecord):
         return self.body.exact_radius
 
     def evaluate(self, x) -> float:
-        return _evaluate(self.body, self.point, self.radius, x)
+        y = x - self.point
+        if abs(y) >= self.radius:
+            return 0.0
+        return self.body.value(float(y)) if y else _point_value(self.expansion)
 
     @property
     def is_ordinary(self) -> bool:
@@ -299,7 +289,7 @@ class ThickTestFunction(FrozenRecord):
                                  max(self.radius, other.radius))
 
     def scale(self, k) -> "ThickTestFunction":
-        return self._with(self.body.scale(k), self.point)
+        return ThickTestFunction(self.body.scale(k), self.point, self.radius)
 
     def __mul__(self, other):
         if isinstance(other, ThickTestFunction):
@@ -311,32 +301,41 @@ class ThickTestFunction(FrozenRecord):
 
 
 class Multiplier(FrozenRecord):
-    """Smooth off the thick point, no compact support.
+    """The monomial pair(w) * r^order: smooth off the thick point, no compact
+    support.  A zero pair has order 0, so equal multipliers are equal records."""
 
-    Its body is a test-function body without a cutoff: one factorless term
-    pair(w) * r^j, or none for the zero multiplier."""
+    __slots__ = ("order", "pair", "point")
 
-    __slots__ = ("body", "point")
-
-    def __init__(self, body: Body, point):
-        object.__setattr__(self, "body", body)
+    def __init__(self, order: int, pair, point=0):
+        pair = pair if isinstance(pair, SpherePair) else SpherePair(*pair)
+        object.__setattr__(self, "order", 0 if pair.is_zero() else order)
+        object.__setattr__(self, "pair", pair)
         object.__setattr__(self, "point", exact(point))
 
-    def _with(self, body, point):
-        return Multiplier(body, point)
+    @property
+    def expansion(self) -> Expansion:
+        return Expansion(self.order, (self.pair,))
 
-    expansion = ThickTestFunction.expansion
+    def scale(self, k) -> "Multiplier":
+        return Multiplier(self.order, self.pair * k, self.point)
 
     def evaluate(self, x) -> float:
-        return _evaluate(self.body, self.point, None, x)
+        y, e = x - self.point, self.expansion
+        return xp.evaluate(e, 1 if y > 0 else -1, float(abs(y))) if y else _point_value(e)
 
-    scale = ThickTestFunction.scale  # the same new body
+    def __mul__(self, other):
+        """The product with a multiplier or a test function; it commutes."""
+        if isinstance(other, (Multiplier, ThickTestFunction)):
+            return multiply_by(self, other)
+        return NotImplemented
+
+    __rmul__ = __mul__
 
     def is_one(self) -> bool:
-        return self.body == ONE_BODY
+        return self.order == 0 and self.pair == ONE_PAIR
 
     def is_zero(self) -> bool:
-        return self.body == ZERO_BODY
+        return self.pair.is_zero()
 
 
 # -- constructors ---------------------------------------------------------------
@@ -368,23 +367,20 @@ def _cut_off(terms, radius, point) -> ThickTestFunction:
                              point, radius)
 
 
+monomial_multiplier = Multiplier
+
+
 def heaviside_multiplier(point=0) -> Multiplier:
-    return monomial_multiplier(0, (1, 0), point)
+    return Multiplier(0, (1, 0), point)
 
 
 def power_multiplier(order: int, point=0) -> Multiplier:
     """The one-variable power (x - a)^order as a multiplier."""
-    return monomial_multiplier(order, parity_pair(1, order), point)
-
-
-def monomial_multiplier(order: int, pair, point=0) -> Multiplier:
-    pair = pair if isinstance(pair, SpherePair) else SpherePair(*pair)
-    return Multiplier(_canonical({((), order): pair}), point)
+    return Multiplier(order, parity_pair(1, order), point)
 
 
 def constant_multiplier(value=1, point=0) -> Multiplier:
-    v = exact(value)
-    return monomial_multiplier(0, SpherePair(v, v), point)
+    return Multiplier(0, SpherePair(value, value), point)
 
 
 # -- operations ------------------------------------------------------------------
@@ -392,20 +388,30 @@ def constant_multiplier(value=1, point=0) -> Multiplier:
 
 def derivative(f):
     """Symbolic derivative; works on both test functions and multipliers."""
-    return f._with(f.body.derivative(), f.point)
+    if isinstance(f, Multiplier):
+        j, p = f.order, f.pair
+        return Multiplier(j - 1, SpherePair(j * p.plus, -j * p.minus), f.point)
+    return ThickTestFunction(f.body.derivative(), f.point, f.radius)
 
 
-def multiply_by(psi: Multiplier, phi: ThickTestFunction) -> ThickTestFunction:
+def multiply_by(psi: Multiplier, phi):
+    """psi * phi: for a multiplier phi the product monomial, for a test function
+    each body term rises by psi's order, its pair times psi's."""
     if psi.point != phi.point:
         raise PointMismatchError(
             f"multiplier at {psi.point} cannot act on a function at {phi.point}"
         )
-    return ThickTestFunction(psi.body * phi.body, phi.point, phi.radius)
+    j, p = psi.order, psi.pair
+    if isinstance(phi, Multiplier):
+        return Multiplier(j + phi.order, p * phi.pair, phi.point)
+    terms = ((f, k + j, q if p == ONE_PAIR else p * q) for f, k, q in phi.body.terms)
+    return ThickTestFunction(Body(tuple(t for t in terms if not t[2].is_zero())),
+                             phi.point, phi.radius)
 
 
-def translate(f, shift):
+def translate(f: ThickTestFunction, shift) -> ThickTestFunction:
     """f(x - shift): the graph moves right by shift, the thick point with it."""
-    return f._with(f.body, f.point + exact(shift))
+    return ThickTestFunction(f.body, f.point + exact(shift), f.radius)
 
 
 def dilate(f: ThickTestFunction, c) -> ThickTestFunction:

@@ -464,6 +464,16 @@ def test_sixth_derivative_pairing_is_a_value():
     ("derive", "x^2 * delta[1](pair(1,2))",
      "  -> mult(pair(2,-2), 1) * delta[1](pair(1,2)) + x^2 * delta[2](pair(-2,4))"),
     ("derive", "d*(x^1 * dstar)", "  -> delta[1](pair(-2,2)) + x^1 * delta[2](pair(2,2))"),
+    # a product of multipliers is one multiplier, and a product of products one product
+    ("eval", "H(x) * H(x) * dstar, bump(1)", "  value = 0.5 (exact 1/2)"),
+    ("eval", "x^1 * x^2 * dstar, mono(-3, pair(1,2), 1)", "  value = -0.5 (exact -1/2)"),
+    ("eval", "x^3 * dstar, mono(-3, pair(1,2), 1)", "  value = -0.5 (exact -1/2)"),
+    ("derive", "H(x) * H(x) * Pf(H(x))", "  -> glambda(1)·delta[0]"),
+    ("expand", "x^2 * x^1, 3", "  -> (1|-1)·r^3"),
+    ("derive", "x^-1 * (x^1 * dstar)", "  -> delta[1](pair(-1,1))"),
+    ("derive", "x^1 * (x^2 * dstar)",
+     "  -> mult(pair(3,3), 2) * dstar + x^3 * delta[1](pair(-1,1))"),
+    ("derive", "x^3 * dstar", "  -> mult(pair(3,3), 2) * dstar + x^3 * delta[1](pair(-1,1))"),
 ])
 def test_printed_record(command, expr, line):
     out = run_cli(command, "-e", expr)

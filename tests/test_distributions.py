@@ -396,9 +396,11 @@ def test_multiplier_rule_is_none_over_any_other_inner_node(inner):
     assert multiplier_rule(inner) is None
 
 
-def test_multiplier_rule_moves_one_product_at_a_time():
+def test_a_product_of_products_is_one_product_moved_at_once():
     inner = MultiplierProduct(power_multiplier(1), delta_star())
-    assert multiplier_rule(MultiplierProduct(power_multiplier(2), inner)) is None
+    outer = MultiplierProduct(power_multiplier(2), inner)
+    assert outer == MultiplierProduct(power_multiplier(3), delta_star())
+    assert multiplier_rule(outer) == ThickDelta(SpherePair(1, -1), -3)
     assert multiplier_rule(inner) == ThickDelta(SpherePair(1, -1), -1)
 
 

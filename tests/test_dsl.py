@@ -339,7 +339,7 @@ GOLDEN += [pytest.param(LinearCombination(()), id="0 * dstar")]
 # `derive <m> * dstar` for each multiplier form: the product and its
 # derivative (for D(H(x)) the zero combination)
 _MULTIPLIER_FORMS = ("H(x)", "x^1", "x^-1", "mult(pair(2,1), 2)", "(1/2) * x^3",
-                     "2 * (3 * x^2)", "D(x^3)", "D(H(x))")
+                     "2 * (3 * x^2)", "D(x^3)", "D(H(x))", "H(x) * x^2", "x^-1 * x^1")
 GOLDEN += [pytest.param(parse_value(f"{m} * dstar"), id=f"{m} * dstar")
            for m in _MULTIPLIER_FORMS]
 GOLDEN += [pytest.param(simplify(Derivative(parse_value(f"{m} * dstar"))),
@@ -379,7 +379,8 @@ _NUMBERS = _signed(st.one_of(st.sampled_from(["0", "0.0"]), _NONZERO))
 _MULTIPLIERS = st.recursive(
     st.one_of(st.just("H(x)"), _signed(_DIGITS).map("x^{}".format),
               st.builds("mult(pair({}, {}), {})".format, _NUMBERS, _NUMBERS, _signed(_DIGITS))),
-    lambda m: st.one_of(m.map("D({})".format), st.builds("{} * ({})".format, _NUMBERS, m)),
+    lambda m: st.one_of(m.map("D({})".format), st.builds("{} * ({})".format, _NUMBERS, m),
+                        st.builds("({}) * ({})".format, m, m)),
     max_leaves=3,
 )
 _DENSITIES_AND_DELTAS = st.one_of(
@@ -750,7 +751,7 @@ _STATEMENT_RADII = ("1", "2", "1/2", "3/2", "2.5", "1e-3", "1e150", "1e300", "1e
 
 def _random_statement(rng: random.Random) -> str:
     """An eval, derive, project or expand statement over D, products, sums,
-    H(x), x^n, dilate and numbers up to 1e300."""
+    H(x), x^n, mult(pair(a,b), j), dilate and numbers up to 1e300."""
     def number():
         return rng.choice(_STATEMENT_NUMBERS) if rng.random() < 0.7 else str(rng.randint(-30, 5))
 
@@ -769,7 +770,8 @@ def _random_statement(rng: random.Random) -> str:
                  lambda: f"{fn(depth - 1)} {rng.choice('+-')} {fn(depth - 1)}",
                  lambda: f"{number()} * {fn(depth - 1)}",
                  lambda: f"H(x) * {fn(depth - 1)}",
-                 lambda: f"x^{rng.randint(-1, 3)} * {fn(depth - 1)}")
+                 lambda: f"x^{rng.randint(-1, 3)} * {fn(depth - 1)}",
+                 lambda: f"mult({pair()},{rng.randint(-3, 3)}) * {fn(depth - 1)}")
         return rng.choice(leaves + inner if depth else leaves)()
 
     def dist(depth):
@@ -782,6 +784,7 @@ def _random_statement(rng: random.Random) -> str:
                  lambda: f"{number()} * {dist(depth - 1)}",
                  lambda: f"H(x) * {dist(depth - 1)}",
                  lambda: f"x^{rng.randint(-1, 3)} * {dist(depth - 1)}",
+                 lambda: f"mult({pair()},{rng.randint(-3, 3)}) * {dist(depth - 1)}",
                  lambda: f"dilate({dist(depth - 1)}, {number()})")
         return rng.choice(leaves + inner if depth else leaves)()
 

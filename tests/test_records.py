@@ -25,7 +25,7 @@ ONE = "SpherePair(plus=1, minus=1)"
 DELTA = f"ThickDelta(weights={ONE}, degree=0, point=0)"
 BUMP = ("ThickTestFunction(body=Body(terms=((((1.0, 0),), 0, " + ONE + "),)), "
         "point=0, radius=1.0)")
-X = "Multiplier(body=Body(terms=(((), 1, SpherePair(plus=1, minus=-1)),)), point=0)"
+X = "Multiplier(order=1, pair=SpherePair(plus=1, minus=-1), point=0)"
 
 
 def delta():

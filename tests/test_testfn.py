@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expansion_reference import add, expansion_of, multiply, strength_defect
+from multiplier_reference import body_of, monomial_body
 from thickcalc import expansion as xp
+from thickcalc.checks import mixed_suite
 from thickcalc.errors import PointMismatchError
 from thickcalc.expansion import from_taylor
 from thickcalc.quadrature import integrate
@@ -368,6 +370,71 @@ def test_multiplier_evaluation():
     sq = power_multiplier(2)
     assert sq.evaluate(-3.0) == pytest.approx(9.0)
     assert sq.evaluate(0.0) == 0.0
+
+
+# The multiplier algebra on the (order, pair) record against the bodies the
+# multiplier used to be stored as (tests/multiplier_reference.py): every body
+# equal and printing the same, so each exact number keeps its type and each
+# float its bits.
+
+_TABLE_MULTIPLIERS = {
+    "H(x)": (heaviside_multiplier(), monomial_body(0, (1, 0))),
+    **{f"x^{n}": (power_multiplier(n), monomial_body(n, (1, (-1) ** n))) for n in range(4)},
+    "mult(pair(2,-3), -1)": (monomial_multiplier(-1, (2, -3)), monomial_body(-1, (2, -3))),
+    "mult(pair(0,5/2), -2)": (monomial_multiplier(-2, (0, Fraction(5, 2))),
+                              monomial_body(-2, (0, Fraction(5, 2)))),
+    "mult(pair(1/3,-1), -3)": (monomial_multiplier(-3, (Fraction(1, 3), -1)),
+                               monomial_body(-3, (Fraction(1, 3), -1))),
+    "zero": (constant_multiplier(0), Body()),
+    "mult(pair(0,0), 2)": (monomial_multiplier(2, (0, 0)), monomial_body(2, (0, 0))),
+    "-3/2 * mult(pair(1,3), 2)": (monomial_multiplier(2, (1, 3)).scale(Fraction(-3, 2)),
+                                  monomial_body(2, (1, 3)).scale(Fraction(-3, 2))),
+    "0.25 * x^1": (power_multiplier(1).scale(0.25), monomial_body(1, (1, -1)).scale(0.25)),
+}
+
+
+def _table_functions():
+    suite = mixed_suite()
+    return suite + [
+        derivative(suite[3]),
+        derivative(derivative(suite[7])),
+        derivative(derivative(derivative(suite[9]))),
+        dilate(suite[6], -2),
+        dilate(derivative(suite[8]), Fraction(1, 2)),
+        suite[4] * plateau_bump(Fraction(3, 2)),
+        derivative(thick_monomial(2, (1, 3), 2) * from_polynomial([1, 1], 2)),
+        multiply_by(heaviside_multiplier(), suite[7]) * suite[5],
+    ]
+
+
+def _same_body(got, expected):
+    assert got == expected
+    assert repr(got) == repr(expected)
+
+
+@pytest.mark.parametrize("name", _TABLE_MULTIPLIERS)
+def test_multiplier_algebra_gives_the_bodies_of_the_body_route(name):
+    psi, old = _TABLE_MULTIPLIERS[name]
+    _same_body(body_of(psi), old)
+    for phi in _table_functions():
+        _same_body(multiply_by(psi, phi).body, old * phi.body)
+        assert phi * psi == psi * phi == multiply_by(psi, phi)
+    d, d_old = psi, old
+    for _ in range(4):
+        d, d_old = derivative(d), d_old.derivative()
+        _same_body(body_of(d), d_old)
+    for k in (0, 1, -1, 3, Fraction(-2, 5), 0.5):
+        _same_body(body_of(psi.scale(k)), old.scale(k))
+    for psi2, old2 in _TABLE_MULTIPLIERS.values():
+        _same_body(body_of(psi * psi2), old * old2)
+        assert psi * psi2 == psi2 * psi
+
+
+def test_every_zero_multiplier_is_one_record():
+    zeros = [constant_multiplier(0), monomial_multiplier(2, (0, 0)),
+             derivative(heaviside_multiplier()), power_multiplier(3).scale(0),
+             monomial_multiplier(-1, (1, 0)) * monomial_multiplier(2, (0, 1))]
+    assert all(z == zeros[0] and hash(z) == hash(zeros[0]) and z.order == 0 for z in zeros)
 
 
 # -- strength and old-style data ----------------------------------------------------
