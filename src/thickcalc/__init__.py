@@ -16,7 +16,6 @@ from .testfn import (
     dilate,
     from_polynomial,
     heaviside_multiplier,
-    monomial_multiplier,
     multiply_by,
     plateau_bump,
     power_multiplier,

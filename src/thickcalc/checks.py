@@ -163,7 +163,7 @@ def suite_pairing(cfg: QuadratureConfig) -> List[dict]:
     powers = [Fraction(-5, 2), -2, -1, Fraction(-1, 2), 0, Fraction(3, 2)]
     gaps = []
     for phi in phis:
-        # one oracle call for the six powers, so each body sample is taken once
+        # one oracle call for the six powers, so each sample of phi is taken once
         fits = fp_pair_oracle([pf_power(lam) for lam in powers], phi, cfg)
         gaps += [abs(float(pair(pf_power(lam), phi, cfg).value) - fit.finite_part)
                  for lam, fit in zip(powers, fits)]

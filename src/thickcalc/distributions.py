@@ -272,10 +272,12 @@ def derivative_rule(g: ThickDistribution) -> Optional[ThickDistribution]:
 def simplify(f: ThickDistribution) -> ThickDistribution:
     """Conservative rewriting to a normal form; pairing never needs it.
 
-    Rules: H * Pf(H) collapses; a derivative of a density, a delta or a
-    linear combination takes ``derivative_rule`` (a density gives a Pf term
-    plus, at integer powers -q <= 0, a degree-q delta, so d*(Pf(H)) is the
-    one-sided delta; a degree-q delta gives a degree-(q+1) delta); a
+    Rules: H * Pf(H) collapses; a product with a zero multiplier, or over a
+    distribution that simplifies to zero, is zero; a derivative of a
+    density, a delta or a linear combination takes ``derivative_rule`` (a
+    density gives a Pf term plus, at integer powers -q <= 0, a degree-q
+    delta, so d*(Pf(H)) is the one-sided delta; a degree-q delta gives a
+    degree-(q+1) delta); a
     derivative distributes over a multiplier product by the product rule
     (the multiplier differentiated in the ordinary sense, away from the
     thick point); a linear combination merges like terms (deltas of one
@@ -302,7 +304,7 @@ def simplify(f: ThickDistribution) -> ThickDistribution:
     if isinstance(f, MultiplierProduct):
         inner = simplify(f.inner)
         psi = f.multiplier
-        if psi.is_zero():
+        if psi.is_zero() or inner == ZERO_DISTRIBUTION:
             return ZERO_DISTRIBUTION
         if psi.is_one():
             return inner

@@ -1,13 +1,13 @@
 """Finite expansions sum_j a_j(w) r^j around the thick point.
 
 An expansion stores a dense run of SpherePair coefficients starting at an
-integer order.  It is the local form of a test function: a body equals its
-expansion identically on a punctured neighbourhood of the point, where every
-cutoff is 1, and ``testfn.Body.expansion`` reads it off the body, so the
-expansion of a sum or a product is read off the sum or product of bodies
-and this module has no add or multiply.  Every order beyond the stored ones
-is zero.  Here are the record, its term-by-term derivative, its value and
-its text form.
+integer order.  It is the local form of a test function: a test function
+equals its expansion identically on a punctured neighbourhood of the point,
+where every cutoff is 1, and ``testfn.ThickTestFunction.expansion`` reads it
+off the terms, so the expansion of a sum or a product is read off the sum or
+product of functions and this module has no add or multiply.  Every order
+beyond the stored ones is zero.  Here are the record, its term-by-term
+derivative, its value and its text form.
 
 Canonical form strips zero pairs from both ends, so ``start`` is the true
 leading order and the zero expansion is the unique empty one.
@@ -84,8 +84,8 @@ def from_taylor(coeffs: Iterable) -> Expansion:
 
 
 def partial_sum(coeffs, r: float) -> float:
-    """The sum of c * r**j over the float pairs (j, c).  The body and the near
-    field both sum here, so a body term on the inner plateau cancels
+    """The sum of c * r**j over the float pairs (j, c).  A test function and
+    the near field both sum here, so a term on the inner plateau cancels
     bit-exactly against the expansion term subtracted from it."""
     if len(coeffs) == 1:
         return coeffs[0][1] * r ** coeffs[0][0]

@@ -9,7 +9,7 @@ finite-part density c(w) r^lambda splits at a radius A: the far field
 order j through -Re(lambda)-1 (a log A term at the integer boundary order);
 closed-form terms c_j E^(lambda+j+1)/(lambda+j+1) for the higher orders on
 the inner plateau [0, E] (phi = its expansion); and the expansion-subtracted
-remainder on [E, A].  A body term with one plain cutoff, p(w) r^j S(2 -
+remainder on [E, A].  A term with one plain cutoff, p(w) r^j S(2 -
 2r/rho), takes its share of the far field and the remainder in closed form,
 through powers of r and the ramp moment m(lambda + j) of the cutoff
 (``ramp_moment``); a term with one cutoff derivative, which lives on the
@@ -28,10 +28,10 @@ deltas against the undifferentiated test function.
 route: it truncates the integral at epsilon, sweeps epsilon down a geometric
 grid, and extracts the finite part of the limit by fitting the divergent
 terms away (``fp_limit``).  Given several densities at once, it evaluates
-the test function's body once per node for all of them.
+the test function (``ThickTestFunction.radial``) once per node for all of them.
 
 Between calls the module keeps only the ramp moments, cached per exponent;
-the oracle's body samples live as long as one call.
+the oracle's samples of the test function live as long as one call.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ from .distributions import (
 from .expansion import partial_sum
 from .quadrature import fsum, integrate
 from .sphere import FrozenRecord, SpherePair, number_text, ratio
-from .testfn import Body, ThickTestFunction, derivative, dilate, multiply_by, translate
+from .testfn import ThickTestFunction, derivative, dilate, multiply_by, translate
 
 
 class QuadratureConfig(FrozenRecord):
@@ -122,10 +122,10 @@ class PairingResult(FrozenRecord):
 
 
 def _radial(radial, radius: float, pair: SpherePair, flam: float, subtract=()):
-    """The two-sided radial integrand r^flam * sum_w pair(w) * (body(w r) -
+    """The two-sided radial integrand r^flam * sum_w pair(w) * (phi(w r) -
     sum_j a_j(w) r^j) over the orders (j, a_j) in ``subtract``, reading the
-    body through ``radial`` (``Body.radial`` or a memo of it); the body is
-    zero from ``radius`` on."""
+    function through ``radial`` (``ThickTestFunction.radial`` or a memo of
+    it); the function is zero from ``radius`` on."""
     cp, cm = float(pair.plus), float(pair.minus)
     sub_p = [(j, float(a.plus)) for j, a in subtract]
     sub_m = [(j, float(a.minus)) for j, a in subtract]
@@ -233,7 +233,7 @@ def _pair_density(f: PfDensity, phi: ThickTestFunction, cfg: QuadratureConfig) -
     # do the same with the square moment.  The other products of cutoffs form
     # the rest, integrated with the rest of the expansion subtracted.
     rest, quad_error = [], 0.0
-    for term in phi.body.terms:
+    for term in phi.terms:
         factors, j, p = term
         mu = flam + j
         # E <= exact_radius <= rho/2, so the ramp lies beyond the plateau
@@ -253,19 +253,19 @@ def _pair_density(f: PfDensity, phi: ThickTestFunction, cfg: QuadratureConfig) -
         scale = rho ** (mu + 1)
         closed.append(c * (_power_integral(mu, A if j <= jmax else E, rho / 2) + scale * m))
         quad_error += abs(c) * scale * _moment_error(mu, tail)
-    body = phi.body if len(rest) == len(phi.body.terms) else Body(tuple(rest))
+    left = phi if len(rest) == len(phi.terms) else ThickTestFunction(tuple(rest), phi.point, R)
 
     far_value = 0.0
-    if body.terms:
-        far_value, err = integrate(_radial(body.radial, R, f.pair, flam), A, R,
+    if left.terms:
+        far_value, err = integrate(_radial(left.radial, R, f.pair, flam), A, R,
                                    cfg.abs_tol, cfg.max_subdivisions)
         quad_error += err
     near_value = fsum(closed)
-    if E < A and body.terms:
+    if E < A and left.terms:
         # the remainder between the plateau edge and A, net of the rest's own
         # expansion through jmax (a tuple: _radial reads it twice)
-        subtract = tuple(body.expansion.truncate(jmax).terms())
-        v, err = integrate(_radial(body.radial, R, f.pair, flam, subtract), E, A,
+        subtract = tuple(left.expansion.truncate(jmax).terms())
+        v, err = integrate(_radial(left.radial, R, f.pair, flam, subtract), E, A,
                            cfg.abs_tol, cfg.max_subdivisions)
         near_value += v
         quad_error += err
@@ -584,7 +584,7 @@ def fp_pair_oracle(f, phi: ThickTestFunction, cfg: QuadratureConfig = DEFAULT_CO
     """Independent check of the density pairing via the finite part of a limit.
 
     F(eps) = integral of the density against phi over |x - a| >= eps is
-    computed by quadrature (the test function evaluated through its body,
+    computed by quadrature (the test function evaluated through its terms,
     never its expansion) on a decreasing geometric grid eps_0 > eps_1 > ...
     of eight samples more than the fit has columns: [eps_0, R] and each slice
     [eps_(k+1), eps_k] are integrated once, and F(eps_k) is their running
@@ -595,7 +595,7 @@ def fp_pair_oracle(f, phi: ThickTestFunction, cfg: QuadratureConfig = DEFAULT_CO
 
     ``f`` is one ``PfDensity``, which gives one ``FpFit``, or a list or
     tuple of them, which gives their fits as a list, in order.  The densities
-    of one call share the body samples: each node r is evaluated once, into a
+    of one call share the samples: each node r is evaluated once, into a
     cache that lives as long as the call.  Each fit is otherwise computed alone
     (its own integrand, grid, quadrature and fit), so it is bit-identical to
     the fit of a one-density call.
@@ -606,7 +606,7 @@ def fp_pair_oracle(f, phi: ThickTestFunction, cfg: QuadratureConfig = DEFAULT_CO
             raise TypeError("the finite-part oracle applies to density nodes only")
         if g.point != phi.point:
             raise PointMismatchError("oracle: thick points differ")
-    radial = lru_cache(maxsize=None)(phi.body.radial)
+    radial = lru_cache(maxsize=None)(phi.radial)
     R = phi.radius
     eps0 = min(phi.exact_radius, R) * 0.9
     fits = []

@@ -72,8 +72,10 @@ def number_text(x) -> str:
 
 class Record:
     """Base of the small record types.  The fields are the ``__slots__`` of
-    the class, read through one ``attrgetter``: records of one class with
-    equal fields are equal, and the repr is ``Name(field=value, ...)``."""
+    the class whose names do not start with ``_`` (those hold caches), named
+    in ``_field_names`` and read through one ``attrgetter``: records of one
+    class with equal fields are equal, and the repr is
+    ``Name(field=value, ...)``."""
 
     __slots__ = ()
     __hash__ = None
@@ -81,7 +83,8 @@ class Record:
     def __init_subclass__(cls):
         super().__init_subclass__()
         if cls.__slots__:
-            cls._fields = attrgetter(*cls.__slots__)
+            cls._field_names = tuple(n for n in cls.__slots__ if not n.startswith("_"))
+            cls._fields = attrgetter(*cls._field_names)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -89,8 +92,9 @@ class Record:
         return NotImplemented
 
     def __repr__(self):
-        values = self._fields(self) if len(self.__slots__) > 1 else (self._fields(self),)
-        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, values))
+        names = self._field_names
+        values = self._fields(self) if len(names) > 1 else (self._fields(self),)
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(names, values))
         return f"{type(self).__qualname__}({fields})"
 
 

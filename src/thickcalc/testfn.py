@@ -1,35 +1,35 @@
 """Test functions with one thick point, as canonical sums of terms.
 
 A test function is smooth away from its thick point, compactly supported,
-and carries the expansion of its local behaviour.  Its body is a ``Body``: a
-sum of terms
+and carries the expansion of its local behaviour.  It is one record
+``ThickTestFunction(terms, point, radius)``: a sum of terms
 
     pair(w) * r^j * prod_i plateau^(k_i)(R_i)
 
-in the local coordinate y (r = |y|, w = sign y).  ``pair(w) * r^j`` covers
-x^j, |x|^j, the unit step and signed powers; ``plateau^(k)(R)`` is the k-th
-derivative of a smooth cutoff that is identically 1 on |y| <= R/2 and 0 on
-|y| >= R.  Like terms merge in exact arithmetic, zero terms drop out, and so
-does a cutoff at least twice as wide as another factor of its term (it is 1
-there), so the body is closed under sums, scalar multiples, products and
-symbolic differentiation (the Leibniz rule), derivatives are exact objects
-and never numeric, and their size grows polynomially in the order.  Inside
-the smallest factor radius over 2 every cutoff is 1 and every cutoff
-derivative is 0, so there the body equals its expansion identically, and the
-expansion is read off the body (``Body.expansion``): that identity is what
-makes the downstream pairing formulas testable with tight tolerances.
+in the local coordinate y = x - point (r = |y|, w = sign y), zero from
+|y| >= radius on.  ``pair(w) * r^j`` covers x^j, |x|^j, the unit step and
+signed powers; ``plateau^(k)(R)`` is the k-th derivative of a smooth cutoff
+that is identically 1 on |y| <= R/2 and 0 on |y| >= R.  Like terms merge in
+exact arithmetic, zero terms drop out, and so does a cutoff at least twice as
+wide as another factor of its term (it is 1 there), so the terms are closed
+under sums, scalar multiples, products, dilations and symbolic
+differentiation (the Leibniz rule), derivatives are exact objects and never
+numeric, and their size grows polynomially in the order.  Inside the
+smallest factor radius over 2 every cutoff is 1 and every cutoff derivative
+is 0, so there the function equals its expansion identically, and the
+expansion is read off the terms (``ThickTestFunction.expansion``): that
+identity is what makes the downstream pairing formulas testable with tight
+tolerances.
 
 A multiplier is one monomial pair(w) * r^j without compact support, the record
-(order, pair, point): it raises each body term's order by j and multiplies its
+(order, pair, point): it raises each term's order by j and multiplies its
 pair (``multiply_by``), and its products, derivative and multiples are monomials.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import groupby
 from typing import Tuple
 
@@ -94,7 +94,7 @@ def smoothstep_deriv(t: float, n: int) -> float:
     return s[n] * math.factorial(n)
 
 
-# -- bodies -------------------------------------------------------------------
+# -- terms --------------------------------------------------------------------
 
 
 def plateau_value(radius: float, n: int, r: float) -> float:
@@ -108,31 +108,67 @@ def plateau_value(radius: float, n: int, r: float) -> float:
 Factors = Tuple[Tuple[float, int], ...]
 
 
-@dataclass(frozen=True)
-class Body:
-    """The sum of pair(w) * r^j * prod_i plateau^(k_i)(R_i) over its terms.
+def _accumulate(out: dict, factors: Factors, j: int, p: SpherePair) -> None:
+    # a cutoff of radius rho is 1, and its derivatives 0, wherever a factor
+    # of radius at most rho/2 is nonzero: there the plain one drops out and a
+    # derivative makes the term zero (the radii compare exactly, as stored)
+    if factors and factors[-1][0] >= 2 * factors[0][0]:
+        wide = [n for rho, n in factors if rho >= 2 * factors[0][0]]
+        if any(wide):
+            return
+        factors = factors[:len(factors) - len(wide)]
+    key = (factors, j)
+    out[key] = out[key] + p if key in out else p
+
+
+def _canonical(out: dict) -> tuple:
+    return tuple((f, j, p) for (f, j), p in sorted(out.items()) if not p.is_zero())
+
+
+# -- the function types --------------------------------------------------------
+
+
+def _point_value(e: Expansion) -> float:
+    """The value at the thick point: the limit of both sides where they agree, else nan."""
+    if e.is_zero() or e.start > 0:
+        return 0.0
+    if e.start == 0 and e.coefficient(0).is_even():
+        return float(e.coefficient(0).plus)
+    return math.nan
+
+
+class ThickTestFunction(FrozenRecord):
+    """The sum of pair(w) * r^j * prod_i plateau^(k_i)(R_i) over its terms, in
+    the local coordinate y = x - point, zero from |y| >= radius on.
 
     ``terms`` holds (factors, j, pair) sorted by (factors, j), one term per
     key and no zero pair, so equal sums built different ways compare equal.
+    The radius is kept as built, as a cancelling sum may shrink the terms'.
+    The ``_`` slots are lazy caches, not fields.
     """
 
-    terms: Tuple[Tuple[Factors, int, SpherePair], ...] = ()
+    __slots__ = ("terms", "point", "radius", "_groups", "_expansion")
 
-    @cached_property
-    def _groups(self):
-        # (factors, nonzero float coefficients (j, c) at y > 0, the same at y < 0)
-        groups = []
-        for factors, terms in groupby(self.terms, key=lambda t: t[0]):
-            terms = list(terms)
-            plus = [(j, float(p.plus)) for _, j, p in terms if p.plus]
-            minus = [(j, float(p.minus)) for _, j, p in terms if p.minus]
-            groups.append((factors, plus, minus))
-        return groups
+    def __init__(self, terms: Tuple[Tuple[Factors, int, SpherePair], ...], point, radius):
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "point", exact(point))
+        object.__setattr__(self, "radius", float(radius))
+        object.__setattr__(self, "_groups", None)
+        object.__setattr__(self, "_expansion", None)
 
     def radial(self, r: float) -> Tuple[float, float]:
         """(value at y = r, value at y = -r) for r > 0.  Each cutoff factor is
         evaluated once for both sides: its n-th derivative at -r is (-1)^n
         times the one at r."""
+        if self._groups is None:
+            # (factors, nonzero float coefficients (j, c) at y > 0, the same at y < 0)
+            groups = []
+            for factors, terms in groupby(self.terms, key=lambda t: t[0]):
+                terms = list(terms)
+                plus = [(j, float(p.plus)) for _, j, p in terms if p.plus]
+                minus = [(j, float(p.minus)) for _, j, p in terms if p.minus]
+                groups.append((factors, plus, minus))
+            object.__setattr__(self, "_groups", groups)
         plus, minus = [], []
         for factors, cp, cm in self._groups:
             a, b = partial_sum(cp, r), partial_sum(cm, r)
@@ -150,30 +186,46 @@ class Body:
                 minus.append(b)
         return fsum(plus), fsum(minus)
 
-    def value(self, y: float) -> float:
-        return self.radial(abs(y))[0 if y > 0 else 1]
-
-    @cached_property
+    @property
     def expansion(self) -> Expansion:
-        """The body near the thick point: the sum of pair(w) * r^j over the
-        terms whose factors are all plain cutoffs (or none)."""
-        out = {}
-        for factors, j, p in self.terms:
-            if not any(n for _, n in factors):
-                out[j] = out[j] + p if j in out else p
-        if not out:
-            return ZERO_EXPANSION
-        lo = min(out)
-        return Expansion(lo, tuple(out.get(j, ZERO_PAIR) for j in range(lo, max(out) + 1)))
+        """The function near the thick point: the sum of pair(w) * r^j over the
+        terms whose factors are all plain cutoffs."""
+        if self._expansion is None:
+            out = {}
+            for factors, j, p in self.terms:
+                if not any(n for _, n in factors):
+                    out[j] = out[j] + p if j in out else p
+            e = ZERO_EXPANSION
+            if out:
+                lo = min(out)
+                e = Expansion(lo, tuple(out.get(j, ZERO_PAIR) for j in range(lo, max(out) + 1)))
+            object.__setattr__(self, "_expansion", e)
+        return self._expansion
 
-    @cached_property
+    @property
     def exact_radius(self) -> float:
-        """The body equals its expansion for 0 < r < this radius: the smallest
-        factor radius over 2, or inf when no term has a factor."""
+        """The function equals its expansion for 0 < r < this radius: the
+        smallest factor radius over 2, or inf when no term has a factor."""
         return min((factors[0][0] for factors, _, _ in self.terms if factors),
                    default=math.inf) / 2
 
-    def derivative(self) -> "Body":
+    def evaluate(self, x) -> float:
+        y = x - self.point
+        if abs(y) >= self.radius:
+            return 0.0
+        if not y:
+            return _point_value(self.expansion)
+        y = float(y)
+        return self.radial(abs(y))[0 if y > 0 else 1]
+
+    @property
+    def is_ordinary(self) -> bool:
+        """Smooth across the thick point by construction: every term looks
+        like a one-variable power c*x^j with j >= 0."""
+        return all(j >= 0 and p.minus == (-p.plus if j % 2 else p.plus)
+                   for _, j, p in self.terms)
+
+    def derivative(self) -> "ThickTestFunction":
         """Leibniz rule: the power drops one order, or one factor gains one."""
         out = {}
         for factors, j, p in self.terms:
@@ -182,34 +234,43 @@ class Body:
             for i, (radius, n) in enumerate(factors):
                 raised = factors[:i] + ((radius, n + 1),) + factors[i + 1:]
                 _accumulate(out, tuple(sorted(raised)), j, p)
-        return _canonical(out)
+        return ThickTestFunction(_canonical(out), self.point, self.radius)
 
-    def __add__(self, other: "Body") -> "Body":
+    def __add__(self, other: "ThickTestFunction") -> "ThickTestFunction":
+        if self.point != other.point:
+            raise PointMismatchError("cannot add functions at different thick points")
         out = {}
         for factors, j, p in self.terms + other.terms:
             _accumulate(out, factors, j, p)
-        return _canonical(out)
+        return ThickTestFunction(_canonical(out), self.point, max(self.radius, other.radius))
 
-    def __mul__(self, other: "Body") -> "Body":
+    def __mul__(self, other):
+        if not isinstance(other, ThickTestFunction):
+            return NotImplemented
+        if self.point != other.point:
+            raise PointMismatchError("cannot multiply functions at different thick points")
         out = {}
         for f1, j1, p1 in self.terms:
             for f2, j2, p2 in other.terms:
                 p = p2 if p1 == ONE_PAIR else p1 if p2 == ONE_PAIR else p1 * p2
                 _accumulate(out, tuple(sorted(f1 + f2)), j1 + j2, p)
-        return _canonical(out)
+        return ThickTestFunction(_canonical(out), self.point, min(self.radius, other.radius))
 
-    def scale(self, k) -> "Body":
+    def scale(self, k) -> "ThickTestFunction":
         k = exact(k)
-        if k == 0:
-            return ZERO_BODY
         if k == 1:
             return self
-        return Body(tuple((f, j, p * k) for f, j, p in self.terms))
+        terms = () if k == 0 else tuple((f, j, p * k) for f, j, p in self.terms)
+        return ThickTestFunction(terms, self.point, self.radius)
 
-    def dilate(self, c: Rational) -> "Body":
-        """The body of y -> self(y / c).  The k-th derivative of a cutoff picks
-        up c^k, because the profile is scale-invariant.  A cutoff radius that
-        leaves the positive floats is a NonFiniteError."""
+    def dilate(self, c) -> "ThickTestFunction":
+        """x -> self(x / c): the thick point moves to c*a and the support
+        scales by |c|.  The k-th derivative of a cutoff picks up c^k, because
+        the profile is scale-invariant.  A cutoff radius that leaves the
+        positive floats is a NonFiniteError."""
+        c = exact(c)
+        if c == 0:
+            raise ValueError("dilation factor must be nonzero")
         out = {}
         for factors, j, p in self.terms:
             scaled = tuple(sorted((float(abs(c)) * radius, n) for radius, n in factors))
@@ -217,87 +278,7 @@ class Body:
                 raise NonFiniteError(f"dilation by {float(c):g} takes a cutoff radius "
                                      "out of the float range")
             _accumulate(out, scaled, j, _dilate_pair(p, j, c) * c ** sum(n for _, n in factors))
-        return _canonical(out)
-
-
-def _accumulate(out: dict, factors: Factors, j: int, p: SpherePair) -> None:
-    # a cutoff of radius rho is 1, and its derivatives 0, wherever a factor
-    # of radius at most rho/2 is nonzero: there the plain one drops out and a
-    # derivative makes the term zero (the radii compare exactly, as stored)
-    if factors and factors[-1][0] >= 2 * factors[0][0]:
-        wide = [n for rho, n in factors if rho >= 2 * factors[0][0]]
-        if any(wide):
-            return
-        factors = factors[:len(factors) - len(wide)]
-    key = (factors, j)
-    out[key] = out[key] + p if key in out else p
-
-
-def _canonical(out: dict) -> Body:
-    return Body(tuple((f, j, p) for (f, j), p in sorted(out.items()) if not p.is_zero()))
-
-
-ZERO_BODY = Body()
-
-
-# -- the function types --------------------------------------------------------
-
-
-def _point_value(e: Expansion) -> float:
-    """The value at the thick point: the limit of both sides where they agree, else nan."""
-    if e.is_zero() or e.start > 0:
-        return 0.0
-    if e.start == 0 and e.coefficient(0).is_even():
-        return float(e.coefficient(0).plus)
-    return math.nan
-
-
-class ThickTestFunction(FrozenRecord):
-    __slots__ = ("body", "point", "radius")
-
-    def __init__(self, body: Body, point, radius):
-        object.__setattr__(self, "body", body)
-        object.__setattr__(self, "point", exact(point))
-        # the support; kept as built, as a cancelling sum may shrink the body's
-        object.__setattr__(self, "radius", float(radius))
-
-    @property
-    def expansion(self) -> Expansion:
-        return self.body.expansion
-
-    @property
-    def exact_radius(self) -> float:
-        return self.body.exact_radius
-
-    def evaluate(self, x) -> float:
-        y = x - self.point
-        if abs(y) >= self.radius:
-            return 0.0
-        return self.body.value(float(y)) if y else _point_value(self.expansion)
-
-    @property
-    def is_ordinary(self) -> bool:
-        """Smooth across the thick point by construction: every body term looks
-        like a one-variable power c*x^j with j >= 0."""
-        return all(j >= 0 and p.minus == (-p.plus if j % 2 else p.plus)
-                   for _, j, p in self.body.terms)
-
-    def __add__(self, other: "ThickTestFunction") -> "ThickTestFunction":
-        if self.point != other.point:
-            raise PointMismatchError("cannot add functions at different thick points")
-        return ThickTestFunction(self.body + other.body, self.point,
-                                 max(self.radius, other.radius))
-
-    def scale(self, k) -> "ThickTestFunction":
-        return ThickTestFunction(self.body.scale(k), self.point, self.radius)
-
-    def __mul__(self, other):
-        if isinstance(other, ThickTestFunction):
-            if self.point != other.point:
-                raise PointMismatchError("cannot multiply functions at different thick points")
-            return ThickTestFunction(self.body * other.body, self.point,
-                                     min(self.radius, other.radius))
-        return NotImplemented
+        return ThickTestFunction(_canonical(out), c * self.point, float(abs(c)) * self.radius)
 
 
 class Multiplier(FrozenRecord):
@@ -363,11 +344,8 @@ def _cut_off(terms, radius, point) -> ThickTestFunction:
     if not 0 < radius < math.inf:
         raise ValueError("support radius must be positive and finite")
     cutoff = ((float(radius), 0),)
-    return ThickTestFunction(Body(tuple((cutoff, j, p) for j, p in terms if not p.is_zero())),
+    return ThickTestFunction(tuple((cutoff, j, p) for j, p in terms if not p.is_zero()),
                              point, radius)
-
-
-monomial_multiplier = Multiplier
 
 
 def heaviside_multiplier(point=0) -> Multiplier:
@@ -379,10 +357,6 @@ def power_multiplier(order: int, point=0) -> Multiplier:
     return Multiplier(order, parity_pair(1, order), point)
 
 
-def constant_multiplier(value=1, point=0) -> Multiplier:
-    return Multiplier(0, SpherePair(value, value), point)
-
-
 # -- operations ------------------------------------------------------------------
 
 
@@ -391,12 +365,12 @@ def derivative(f):
     if isinstance(f, Multiplier):
         j, p = f.order, f.pair
         return Multiplier(j - 1, SpherePair(j * p.plus, -j * p.minus), f.point)
-    return ThickTestFunction(f.body.derivative(), f.point, f.radius)
+    return f.derivative()
 
 
 def multiply_by(psi: Multiplier, phi):
     """psi * phi: for a multiplier phi the product monomial, for a test function
-    each body term rises by psi's order, its pair times psi's."""
+    each term rises by psi's order, its pair times psi's."""
     if psi.point != phi.point:
         raise PointMismatchError(
             f"multiplier at {psi.point} cannot act on a function at {phi.point}"
@@ -404,22 +378,17 @@ def multiply_by(psi: Multiplier, phi):
     j, p = psi.order, psi.pair
     if isinstance(phi, Multiplier):
         return Multiplier(j + phi.order, p * phi.pair, phi.point)
-    terms = ((f, k + j, q if p == ONE_PAIR else p * q) for f, k, q in phi.body.terms)
-    return ThickTestFunction(Body(tuple(t for t in terms if not t[2].is_zero())),
-                             phi.point, phi.radius)
+    terms = ((f, k + j, q if p == ONE_PAIR else p * q) for f, k, q in phi.terms)
+    return ThickTestFunction(tuple(t for t in terms if not t[2].is_zero()), phi.point, phi.radius)
 
 
 def translate(f: ThickTestFunction, shift) -> ThickTestFunction:
     """f(x - shift): the graph moves right by shift, the thick point with it."""
-    return ThickTestFunction(f.body, f.point + exact(shift), f.radius)
+    return ThickTestFunction(f.terms, f.point + exact(shift), f.radius)
 
 
-def dilate(f: ThickTestFunction, c) -> ThickTestFunction:
-    """f(x / c); the thick point moves to c*a and the support scales by |c|."""
-    c = exact(c)
-    if c == 0:
-        raise ValueError("dilation factor must be nonzero")
-    return ThickTestFunction(f.body.dilate(c), c * f.point, float(abs(c)) * f.radius)
+#: f(x / c), for ``dilate(f, c)``
+dilate = ThickTestFunction.dilate
 
 
 def _dilate_pair(p: SpherePair, j: int, c: Rational) -> SpherePair:
@@ -448,8 +417,7 @@ def seminorm(phi: ThickTestFunction, q: int, s: int, k_radius: float) -> float:
     for _ in range(s + 1):
         e = current.expansion.truncate(q - 1)
         for r in rs:
-            for w in (1, -1):
-                got = current.body.value(w * r)
+            for w, got in zip((1, -1), current.radial(r)):
                 ref = xp.evaluate(e, w, r)
                 worst = max(worst, abs(got - ref) * r ** (-q))
         current = derivative(current)

@@ -1,9 +1,9 @@
 """Reference expansion algebra that the tests compare the program against.
 
-The program reads the expansion of a sum or a product off its body
-(``testfn.Body.expansion``); these are the same operations done directly on
-the coefficient pairs, and a direct measure of how far a function's body is
-from its truncated expansion.  Not a test module: pytest does not collect it.
+The program reads the expansion of a sum or a product off its terms
+(``testfn.ThickTestFunction.expansion``); these are the same operations done
+directly on the coefficient pairs, and a direct measure of how far a function
+is from its truncated expansion.  Not a test module: pytest does not collect it.
 """
 
 from typing import Iterable
@@ -49,8 +49,7 @@ def strength_defect(phi: ThickTestFunction, p: int, through_order: int, r: float
         current = derivative(current)
     e = current.expansion.truncate(through_order)
     out = 0.0
-    for w in (1, -1):
-        got = current.body.value(w * r)
+    for w, got in zip((1, -1), current.radial(r)):
         ref = evaluate(e, w, r)
         out = max(out, abs(got - ref) * r ** (-through_order))
     return out

@@ -460,6 +460,8 @@ def test_sixth_derivative_pairing_is_a_value():
     ("derive", "D(H(x)) * dstar", "  -> 0 * dstar"),
     ("derive", "mult(pair(0,0), 2) * dstar", "  -> 0 * dstar"),
     ("derive", "0 * dstar", "  -> 0 * dstar"),
+    # a multiplier over a combination that cancels is the zero distribution
+    ("derive", "H(x) * (dstar - dstar)", "  -> 0 * dstar"),
     # simplify keeps a multiplier over a delta, so derive prints the product rule
     ("derive", "x^2 * delta[1](pair(1,2))",
      "  -> mult(pair(2,-2), 1) * delta[1](pair(1,2)) + x^2 * delta[2](pair(-2,4))"),

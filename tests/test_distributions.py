@@ -31,10 +31,10 @@ from thickcalc.errors import MisclassifiedPowerError, PointMismatchError
 from thickcalc.pairing import pair
 from thickcalc.sphere import SpherePair, g_lambda
 from thickcalc.testfn import (
+    Multiplier,
     derivative,
     from_polynomial,
     heaviside_multiplier,
-    monomial_multiplier,
     plateau_bump,
     power_multiplier,
     thick_monomial,
@@ -168,10 +168,9 @@ def test_product_rule_expansion():
 
 
 def test_unit_multiplier_vanishes():
-    from thickcalc.testfn import constant_multiplier
-    f = MultiplierProduct(constant_multiplier(1), delta_star())
+    f = MultiplierProduct(Multiplier(0, (1, 1)), delta_star())
     assert simplify(f) == delta_star()
-    z = MultiplierProduct(constant_multiplier(0), delta_star())
+    z = MultiplierProduct(Multiplier(0, (0, 0)), delta_star())
     assert simplify(z) == ZERO_DISTRIBUTION
 
 
@@ -378,7 +377,7 @@ def test_nested_derivative_pairs_as_its_moved_tree():
     (power_multiplier(3), ThickDelta(SpherePair(1, -2), -2)),
     (power_multiplier(0), ThickDelta(SpherePair(1, 2), 1)),
     (heaviside_multiplier(), ThickDelta(SpherePair(1, 0), 1)),
-    (monomial_multiplier(-1, (Fraction(1, 2), -3)), ThickDelta(SpherePair(Fraction(1, 2), -6), 2)),
+    (Multiplier(-1, (Fraction(1, 2), -3)), ThickDelta(SpherePair(Fraction(1, 2), -6), 2)),
     (power_multiplier(2).scale(0), ThickDelta(SpherePair(0, 0), 1)),
 ])
 def test_multiplier_rule_shifts_the_degree_and_multiplies_the_weights(multiplier, moved):
@@ -407,6 +406,17 @@ def test_a_product_of_products_is_one_product_moved_at_once():
 def test_simplify_keeps_a_multiplier_over_a_delta():
     f = MultiplierProduct(power_multiplier(2), ThickDelta(SpherePair(1, 2), 1))
     assert simplify(f) == f
+
+
+def test_a_multiplier_over_a_cancelling_combination_simplifies_to_zero():
+    # at a point other than 0: the zero distribution's point reads 0, and the
+    # product is not rebuilt over it
+    cancel = LinearCombination(((1, delta_star(1)), (-1, delta_star(1))))
+    assert simplify(MultiplierProduct(power_multiplier(2, point=1), cancel)) == ZERO_DISTRIBUTION
+    assert simplify(Derivative(MultiplierProduct(heaviside_multiplier(1), cancel))) \
+        == ZERO_DISTRIBUTION
+    cancel = LinearCombination(((1, delta_star()), (-1, delta_star())))
+    assert simplify(MultiplierProduct(heaviside_multiplier(), cancel)) == ZERO_DISTRIBUTION
 
 
 def test_simplify_refuses_a_non_node():

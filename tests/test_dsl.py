@@ -40,11 +40,9 @@ from thickcalc.sphere import SpherePair
 from thickcalc.testfn import (
     Multiplier,
     ThickTestFunction,
-    constant_multiplier,
     derivative,
     from_polynomial,
     heaviside_multiplier,
-    monomial_multiplier,
     plateau_bump,
     power_multiplier,
     thick_monomial,
@@ -165,7 +163,7 @@ def test_parse_power_multiplier():
 def test_scaled_multipliers():
     got = parse_value("3 * x^2 * dstar")
     assert isinstance(got, MultiplierProduct)
-    assert got.multiplier == monomial_multiplier(2, SpherePair(3, 3))
+    assert got.multiplier == Multiplier(2, SpherePair(3, 3))
     zero = parse_value("2 * D(H(x))")
     assert zero.is_zero()
 
@@ -332,8 +330,8 @@ GOLDEN = [
     Translate(delta_star(), Fraction(3, 2)),
     Dilate(pf_power(1), -2),
     Translate(MultiplierProduct(heaviside_multiplier(), pf_heaviside()), 1),
-    MultiplierProduct(monomial_multiplier(2, SpherePair(2, 1)), delta_star()),
-    MultiplierProduct(constant_multiplier(0), delta_star()),
+    MultiplierProduct(Multiplier(2, SpherePair(2, 1)), delta_star()),
+    MultiplierProduct(Multiplier(0, (0, 0)), delta_star()),
 ]
 GOLDEN += [pytest.param(LinearCombination(()), id="0 * dstar")]
 # `derive <m> * dstar` for each multiplier form: the product and its

@@ -49,6 +49,8 @@ from thickcalc.pairing import (
 from thickcalc.quadrature import integrate
 from thickcalc.sphere import SpherePair, integrate_sphere
 from thickcalc.testfn import (
+    Multiplier,
+    ThickTestFunction,
     derivative,
     dilate,
     from_polynomial,
@@ -399,15 +401,14 @@ def test_oracle_sequence_form_checks_every_density():
 
 def test_pairing_suite_samples_each_oracle_node_once(monkeypatch):
     from thickcalc import checks
-    from thickcalc.testfn import Body
-    radial, oracle = Body.radial, checks.fp_pair_oracle
-    nodes = []  # the (body, r) of each Body.radial call, one list per oracle call
+    radial, oracle = ThickTestFunction.radial, checks.fp_pair_oracle
+    nodes = []  # the (function, r) of each radial call, one list per oracle call
     inside = []
 
-    def sampled(body, r):
+    def sampled(phi, r):
         if inside:
-            nodes[-1].append((id(body), r))
-        return radial(body, r)
+            nodes[-1].append((id(phi), r))
+        return radial(phi, r)
 
     def one_oracle_call(*args):
         nodes.append([])
@@ -416,7 +417,7 @@ def test_pairing_suite_samples_each_oracle_node_once(monkeypatch):
             return oracle(*args)
         finally:
             inside.pop()
-    monkeypatch.setattr(Body, "radial", sampled)
+    monkeypatch.setattr(ThickTestFunction, "radial", sampled)
     monkeypatch.setattr(checks, "fp_pair_oracle", one_oracle_call)
     calls, evals = [], []
 
@@ -462,13 +463,12 @@ def test_multiplier_product_routes_through_test_function():
 def test_multiplier_fold_equals_density_fold():
     # H(x) applied as a multiplier must match the step baked into the density:
     # one route modifies the test function, the other the density coefficient
-    from thickcalc.testfn import monomial_multiplier
     phi = from_polynomial([1, 2, 1], 2.0) + thick_monomial(-1, (1, 2), 2.0)
     for lam in (-2, Fraction(-3, 2), -1, 1):
         via_mult = pair(MultiplierProduct(heaviside_multiplier(), pf_power(lam)), phi)
         via_density = pair(PfDensity(SpherePair(1, 0), lam), phi)
         assert float(via_mult.value) == pytest.approx(float(via_density.value), abs=1e-9)
-    sgn = monomial_multiplier(0, SpherePair(1, -1))
+    sgn = Multiplier(0, SpherePair(1, -1))
     via_mult = pair(MultiplierProduct(sgn, pf_power(Fraction(-5, 2))), phi)
     via_density = pair(PfDensity(SpherePair(1, -1), Fraction(-5, 2)), phi)
     assert float(via_mult.value) == pytest.approx(float(via_density.value), abs=1e-9)
@@ -663,7 +663,7 @@ def test_expansion_cancels_the_body_exactly_inside_the_exact_radius(name):
     rng = random.Random(name)
     subtract = tuple(phi.expansion.terms())
     for flam in (0.0, -1.5, -2.0):
-        integrand = pairing._radial(phi.body.radial, phi.radius, SpherePair(1, 1), flam, subtract)
+        integrand = pairing._radial(phi.radial, phi.radius, SpherePair(1, 1), flam, subtract)
         for _ in range(500):
             r = phi.exact_radius * (1.0 - rng.random())
             assert integrand(r) == 0.0, (flam, r)
@@ -674,7 +674,7 @@ def test_radial_equals_axis_integral():
     cfg = pairing.DEFAULT_CONFIG
     for phi in (plateau_bump(1.5), from_polynomial([1, 2, 3], 2.0),
                 translate(from_polynomial([1, 1], 1.0), Fraction(5, 2))):
-        radial, _ = integrate(pairing._radial(phi.body.radial, phi.radius, SpherePair(1, 1), 0.0),
+        radial, _ = integrate(pairing._radial(phi.radial, phi.radius, SpherePair(1, 1), 0.0),
                               0.0, phi.radius, cfg.abs_tol, cfg.max_subdivisions)
         a = float(phi.point)
         axis, _ = integrate(phi.evaluate, a - phi.radius, a + phi.radius,
@@ -1035,8 +1035,8 @@ SINGLE_CUTOFF_BODIES = {
 @pytest.mark.parametrize("name", SINGLE_CUTOFF_BODIES)
 def test_single_cutoff_pairings_agree_with_the_oracle(monkeypatch, name):
     phi = SINGLE_CUTOFF_BODIES[name]
-    assert all(len(factors) == 1 for factors, _, _ in phi.body.terms)
-    assert ("D(" in name) == any(factors[0][1] for factors, _, _ in phi.body.terms)
+    assert all(len(factors) == 1 for factors, _, _ in phi.terms)
+    assert ("D(" in name) == any(factors[0][1] for factors, _, _ in phi.terms)
     powers = (Fraction(-5, 2), -2, -1.3, Fraction(1, 2))
     expected = [fit.finite_part for fit in fp_pair_oracle([pf_power(lam) for lam in powers], phi)]
     calls = counting_integrate(monkeypatch)
@@ -1162,9 +1162,9 @@ PRODUCT_BODIES = {
 @pytest.mark.parametrize("name", PRODUCT_BODIES)
 def test_product_pairings_agree_with_the_oracle(monkeypatch, name):
     phi = PRODUCT_BODIES[name]
-    shapes = {tuple(n for _, n in factors) for factors, _, _ in phi.body.terms}
+    shapes = {tuple(n for _, n in factors) for factors, _, _ in phi.terms}
     assert shapes <= {(0, 0), (0, 1)} and ((0, 1) in shapes) == ("D(" in name)
-    assert all(factors[0][0] == factors[1][0] for factors, _, _ in phi.body.terms)
+    assert all(factors[0][0] == factors[1][0] for factors, _, _ in phi.terms)
     powers = (Fraction(-5, 2), -2, -1.3, Fraction(1, 2))
     expected = [fit.finite_part for fit in fp_pair_oracle([pf_power(lam) for lam in powers], phi)]
     calls = counting_integrate(monkeypatch)

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from body_reference import (Body, body_of, bump_body, mono_body, monomial_body, multiplied,
+                            poly_body)
 from expansion_reference import add, expansion_of, multiply, strength_defect
-from multiplier_reference import body_of, monomial_body
 from thickcalc import expansion as xp
 from thickcalc.checks import mixed_suite
 from thickcalc.errors import PointMismatchError
@@ -15,16 +16,14 @@ from thickcalc.expansion import from_taylor
 from thickcalc.quadrature import integrate
 from thickcalc.sphere import SpherePair
 from thickcalc.testfn import (
-    Body,
+    Multiplier,
     _jet_exp,
     _jet_mul,
     _jet_recip,
-    constant_multiplier,
     derivative,
     dilate,
     from_polynomial,
     heaviside_multiplier,
-    monomial_multiplier,
     multiply_by,
     plateau_bump,
     power_multiplier,
@@ -190,23 +189,23 @@ def test_second_derivative_matches_finite_differences():
 def test_derivative_size_grows_linearly_with_the_order():
     phi = thick_monomial(2, (1, 3), 2.0) * from_polynomial([1, 1], 2.0)
     for k in range(9):
-        assert len(phi.body.terms) <= 4 * k + 2
+        assert len(phi.terms) <= 4 * k + 2
         phi = derivative(phi)
 
 
 def test_nested_radii_drop_the_wide_cutoff():
     # bump(2) is 1 wherever bump(1) or its derivatives are nonzero
     inner = thick_monomial(1, (1, 2), 1.0)
-    assert (inner * plateau_bump(2.0)).body == inner.body
+    assert (inner * plateau_bump(2.0)).terms == inner.terms
     d6 = inner
     for _ in range(6):
         d6 = derivative(d6)
-    assert (d6 * plateau_bump(2.0)).body == d6.body
+    assert (d6 * plateau_bump(2.0)).terms == d6.terms
     # ... and its derivatives vanish there, so such a term is zero
-    assert (inner * derivative(plateau_bump(2.0))).body == Body()
-    assert derivative(inner * plateau_bump(2.0)).body == derivative(inner).body
+    assert (inner * derivative(plateau_bump(2.0))).terms == ()
+    assert derivative(inner * plateau_bump(2.0)).terms == derivative(inner).terms
     # overlapping radii keep both factors
-    assert [f for f, _, _ in (inner * plateau_bump(1.5)).body.terms] == [((1.0, 0), (1.5, 0))]
+    assert [f for f, _, _ in (inner * plateau_bump(1.5)).terms] == [((1.0, 0), (1.5, 0))]
     for x in (0.3, -0.6, 0.9, -0.99):
         assert (d6 * plateau_bump(2.0)).evaluate(x) == d6.evaluate(x)
 
@@ -216,13 +215,13 @@ def test_nested_radii_compare_the_stored_radii_after_dilate():
     # dilating by 3/2 rounds the radii to exactly 1.05 and 2.1, which nest
     wide = math.nextafter(1.4, 0)
     phi = thick_monomial(1, (1, 2), 0.7) * plateau_bump(wide)
-    assert [f for f, _, _ in phi.body.terms] == [((0.7, 0), (wide, 0))]
+    assert [f for f, _, _ in phi.terms] == [((0.7, 0), (wide, 0))]
     for c in (Fraction(3, 2), Fraction(-3, 2)):
         nested = dilate(phi, c)
-        assert [f for f, _, _ in nested.body.terms] == [((1.0499999999999998, 0),)]
+        assert [f for f, _, _ in nested.terms] == [((1.0499999999999998, 0),)]
         assert 2 * 1.0499999999999998 == 2.0999999999999996 == float(abs(c)) * wide
     kept = dilate(phi, 2)  # exact scaling: still one ulp apart, both factors stay
-    assert [f for f, _, _ in kept.body.terms] == [((1.4, 0), (2 * wide, 0))]
+    assert [f for f, _, _ in kept.terms] == [((1.4, 0), (2 * wide, 0))]
     for c, psi in ((Fraction(3, 2), dilate(phi, Fraction(3, 2))), (2, kept)):
         for x in (0.3, -0.6, 0.9, -1.0, 1.3):
             assert psi.evaluate(x) == pytest.approx(phi.evaluate(x / c), abs=1e-15)
@@ -235,10 +234,10 @@ def test_equal_functions_have_equal_bodies():
     assert derivative(f + g) == derivative(f) + derivative(g)
 
 
-# -- the expansion read off the body ----------------------------------------------
+# -- the expansion read off the terms ---------------------------------------------
 #
 # Each drawn function comes with its expansion composed from the parts by the
-# expansion algebra, the reference the body-derived one must equal.
+# expansion algebra, the reference the one read off the terms must equal.
 
 _RADII = st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(4)])
 _PAIRS = st.builds(SpherePair, st.integers(-3, 3), st.integers(-3, 3))
@@ -256,9 +255,9 @@ _LEAVES = st.one_of(
 _MULTIPLIERS = st.one_of(
     st.just((heaviside_multiplier(), expansion_of(0, [(1, 0)]))),
     st.integers(0, 3).map(lambda n: (power_multiplier(n), from_taylor([0] * n + [1]))),
-    st.builds(lambda j, p: (monomial_multiplier(j, p), expansion_of(j, [p])),
+    st.builds(lambda j, p: (Multiplier(j, p), expansion_of(j, [p])),
               st.integers(-2, 2), _PAIRS),
-    _SMALL.map(lambda v: (constant_multiplier(v), from_taylor([v]))),
+    _SMALL.map(lambda v: (Multiplier(0, (v, v)), from_taylor([v]))),
 )
 
 
@@ -302,9 +301,9 @@ def test_expansion_read_off_the_body_matches_the_composed_one(fe):
     # inside the exact radius every cutoff is 1 and every cutoff derivative 0
     for t in (0.999, 0.7, 0.3, 0.01):
         r = t * f.exact_radius if math.isfinite(f.exact_radius) else t
-        for w in (1, -1):
-            scale = math.fsum(abs(float(p.at(w))) * r ** j for _, j, p in f.body.terms)
-            assert abs(f.body.value(w * r) - xp.evaluate(f.expansion, w, r)) <= 1e-13 * scale
+        for w, got in zip((1, -1), f.radial(r)):
+            scale = math.fsum(abs(float(p.at(w))) * r ** j for _, j, p in f.terms)
+            assert abs(got - xp.evaluate(f.expansion, w, r)) <= 1e-13 * scale
 
 
 def test_exact_radius_is_the_smallest_factor_radius_over_two():
@@ -327,7 +326,7 @@ def test_heaviside_times_plateau_is_cutoff_heaviside():
 
 
 def test_unit_multiplier_is_identity():
-    one = constant_multiplier(1)
+    one = Multiplier(0, (1, 1))
     phi = plateau_bump(1.0)
     assert multiply_by(one, phi) == phi
 
@@ -373,21 +372,21 @@ def test_multiplier_evaluation():
 
 
 # The multiplier algebra on the (order, pair) record against the bodies the
-# multiplier used to be stored as (tests/multiplier_reference.py): every body
+# multiplier used to be stored as (tests/body_reference.py): every body
 # equal and printing the same, so each exact number keeps its type and each
 # float its bits.
 
 _TABLE_MULTIPLIERS = {
     "H(x)": (heaviside_multiplier(), monomial_body(0, (1, 0))),
     **{f"x^{n}": (power_multiplier(n), monomial_body(n, (1, (-1) ** n))) for n in range(4)},
-    "mult(pair(2,-3), -1)": (monomial_multiplier(-1, (2, -3)), monomial_body(-1, (2, -3))),
-    "mult(pair(0,5/2), -2)": (monomial_multiplier(-2, (0, Fraction(5, 2))),
+    "mult(pair(2,-3), -1)": (Multiplier(-1, (2, -3)), monomial_body(-1, (2, -3))),
+    "mult(pair(0,5/2), -2)": (Multiplier(-2, (0, Fraction(5, 2))),
                               monomial_body(-2, (0, Fraction(5, 2)))),
-    "mult(pair(1/3,-1), -3)": (monomial_multiplier(-3, (Fraction(1, 3), -1)),
+    "mult(pair(1/3,-1), -3)": (Multiplier(-3, (Fraction(1, 3), -1)),
                                monomial_body(-3, (Fraction(1, 3), -1))),
-    "zero": (constant_multiplier(0), Body()),
-    "mult(pair(0,0), 2)": (monomial_multiplier(2, (0, 0)), monomial_body(2, (0, 0))),
-    "-3/2 * mult(pair(1,3), 2)": (monomial_multiplier(2, (1, 3)).scale(Fraction(-3, 2)),
+    "zero": (Multiplier(0, (0, 0)), Body()),
+    "mult(pair(0,0), 2)": (Multiplier(2, (0, 0)), monomial_body(2, (0, 0))),
+    "-3/2 * mult(pair(1,3), 2)": (Multiplier(2, (1, 3)).scale(Fraction(-3, 2)),
                                   monomial_body(2, (1, 3)).scale(Fraction(-3, 2))),
     "0.25 * x^1": (power_multiplier(1).scale(0.25), monomial_body(1, (1, -1)).scale(0.25)),
 }
@@ -417,7 +416,7 @@ def test_multiplier_algebra_gives_the_bodies_of_the_body_route(name):
     psi, old = _TABLE_MULTIPLIERS[name]
     _same_body(body_of(psi), old)
     for phi in _table_functions():
-        _same_body(multiply_by(psi, phi).body, old * phi.body)
+        _same_body(Body(multiply_by(psi, phi).terms), old * Body(phi.terms))
         assert phi * psi == psi * phi == multiply_by(psi, phi)
     d, d_old = psi, old
     for _ in range(4):
@@ -431,10 +430,81 @@ def test_multiplier_algebra_gives_the_bodies_of_the_body_route(name):
 
 
 def test_every_zero_multiplier_is_one_record():
-    zeros = [constant_multiplier(0), monomial_multiplier(2, (0, 0)),
+    zeros = [Multiplier(0, (0, 0)), Multiplier(2, (0, 0)),
              derivative(heaviside_multiplier()), power_multiplier(3).scale(0),
-             monomial_multiplier(-1, (1, 0)) * monomial_multiplier(2, (0, 1))]
+             Multiplier(-1, (1, 0)) * Multiplier(2, (0, 1))]
     assert all(z == zeros[0] and hash(z) == hash(zeros[0]) and z.order == 0 for z in zeros)
+
+
+# A test function holds its terms itself; the same functions built on the body
+# it used to wrap (tests/body_reference.py) give equal terms and expansions that
+# print the same, so each exact number keeps its type, and bit-equal floats.
+
+
+def _body_table():
+    bump1, bump2 = (plateau_bump(1), bump_body(1)), (plateau_bump(2), bump_body(2))
+    mono = (thick_monomial(2, (1, 3), 2), mono_body(2, (1, 3), 2))
+    pole = (thick_monomial(-1, (2, -3), Fraction(3, 2)), mono_body(-1, (2, -3), Fraction(3, 2)))
+    poly = (from_polynomial([1, -2, Fraction(1, 3)], 2), poly_body([1, -2, Fraction(1, 3)], 2))
+
+    def d(fo, k=1):
+        f, old = fo
+        for _ in range(k):
+            f, old = derivative(f), old.derivative()
+        return f, old
+
+    def times(a, b):
+        return a[0] * b[0], a[1] * b[1]
+
+    product = times(mono, poly)
+    table = {
+        "bump(1)": bump1,
+        "mono(2, pair(1,3), 2)": mono,
+        "mono(-1, pair(2,-3), 3/2)": pole,
+        "poly([1,-2,1/3], 2)": poly,
+        "bump(1) - bump(1)": (bump1[0] + bump1[0].scale(-1), bump1[1] + bump1[1].scale(-1)),
+        "poly + mono": (poly[0] + mono[0], poly[1] + mono[1]),
+        "mono * poly": product,
+        "mono(-1, 3/2) * poly": times(pole, poly),
+        # nested radii: the wide cutoff drops, a derivative of it zeroes the term
+        "bump(1) * bump(2)": times(bump1, bump2),
+        "D(bump(1)) * bump(2)": times(d(bump1), bump2),
+        "bump(1) * D(bump(2))": times(bump1, d(bump2)),
+        "D(mono(-1, 3/2) * bump(2) * poly)": d(times(times(pole, bump2), poly)),
+    }
+    for k in range(1, 5):
+        table[f"D^{k}(mono * poly)"] = d(product, k)
+    f, old = d(product)
+    for c in (2, -1, Fraction(1, 3)):
+        table[f"dilate(D(mono * poly), {c})"] = (dilate(f, c), old.dilate(c))
+    for k in (0, 1, Fraction(-3, 2)):
+        table[f"{k} * D(mono * poly)"] = (f.scale(k), old.scale(k))
+    for name, psi, fo in (("H(x) * poly", heaviside_multiplier(), poly),
+                          ("x^2 * mono(-1, 3/2)", power_multiplier(2), pole),
+                          ("mult(pair(2,-3), -1) * D^2(mono * poly)", Multiplier(-1, (2, -3)),
+                           d(product, 2))):
+        table[name] = (multiply_by(psi, fo[0]), multiplied(psi, fo[1]))
+    return table
+
+
+_BODY_TABLE = _body_table()
+
+
+@pytest.mark.parametrize("name", _BODY_TABLE)
+def test_terms_give_what_the_body_gave(name):
+    f, old = _BODY_TABLE[name]
+    assert f.terms == old.terms and repr(f.terms) == repr(old.terms)
+    assert f.expansion == old.expansion and repr(f.expansion) == repr(old.expansion)
+    assert f.exact_radius == old.exact_radius
+    rs = [f.radius * k / 64 for k in range(1, 72)]
+    assert [f.radial(r) for r in rs] == [old.radial(r) for r in rs]
+
+
+def test_the_body_table_reaches_each_nested_radius_case():
+    # the plain wide cutoff dropped, and a term zeroed by a wide derivative
+    assert [f for f, _, _ in _BODY_TABLE["bump(1) * bump(2)"][0].terms] == [((1.0, 0),)]
+    assert _BODY_TABLE["bump(1) * D(bump(2))"][0].terms == ()
+    assert _BODY_TABLE["bump(1) - bump(1)"][0].terms == ()
 
 
 # -- strength and old-style data ----------------------------------------------------
@@ -603,4 +673,4 @@ def test_cutoff_constructors_check_the_radius_first():
                 build(radius)
     with pytest.raises(ValueError, match="support radius"):
         from_polynomial([math.inf], 0)
-    assert thick_monomial(3, (0, 0), 1.0).body == from_polynomial([0, 0], 1.0).body == Body()
+    assert thick_monomial(3, (0, 0), 1.0).terms == from_polynomial([0, 0], 1.0).terms == ()
