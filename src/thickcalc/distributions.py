@@ -14,7 +14,7 @@ import warnings
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
-from .errors import MisclassifiedPowerError, PointMismatchError
+from .errors import MisclassifiedPowerError, NonFiniteError, PointMismatchError
 from .sphere import FrozenRecord, SpherePair, exact, g_lambda, ratio
 from .testfn import Multiplier, derivative as fn_derivative
 
@@ -197,8 +197,15 @@ def g_lambda_delta(lam, degree: int = 0, point=0) -> ThickDelta:
     return ThickDelta(g_lambda(lam), degree, point)
 
 
-def is_heaviside_pf(f) -> bool:
-    return isinstance(f, PfDensity) and f.power == 0 and f.pair == SpherePair(1, 0)
+def _shifted(lam, j):
+    """The power lam + j, of lam's kind; a float power is shifted as the
+    decimal it prints as, so -0.7 + 1 is 0.3, not 0.30000000000000004."""
+    if not isinstance(lam, float):
+        return lam + j
+    try:
+        return float(exact(repr(lam)) + j)
+    except OverflowError:
+        raise NonFiniteError("shifted power out of the float range") from None
 
 
 def density_derivative(f: PfDensity) -> ThickDistribution:
@@ -206,11 +213,13 @@ def density_derivative(f: PfDensity) -> ThickDistribution:
     *A Distributional Approach to Asymptotics*, 2002):
 
         d*(Pf(c(w) r^lam)) = Pf((lam c+, -lam c-) r^(lam-1))
-                             + [-lam = q >= 0] ThickDelta((2c+, -2c-), q)
+                             + [lam integral] ThickDelta((2c+, -2c-), -lam)
 
     The delta term is the finite part of the boundary term eps^lam phi(+-eps),
-    its weights taken through the 1/2 delta normalization; the Pf term
-    vanishes at lam = 0 and is dropped.  So d*(Pf(H(x))) is glambda(1)·delta[0].
+    its weights taken through the 1/2 delta normalization; at lam > 0 its
+    degree is negative, and it reads a coefficient that only a test function
+    with negative orders has.  The Pf term vanishes at lam = 0 and is
+    dropped.  So d*(Pf(H(x))) is glambda(1)·delta[0].
     A float power is taken as the decimal it prints as, so the derivatives of
     Pf(|x|^1.6) carry 8/5 and the power 0.6, not their binary expansions.
     """
@@ -223,9 +232,8 @@ def density_derivative(f: PfDensity) -> ThickDistribution:
     terms = []
     if lam != 0:
         k = exact(repr(lam)) if isinstance(lam, float) else lam
-        power = float(k - 1) if isinstance(lam, float) else lam - 1
-        terms.append(PfDensity(SpherePair(k * c.plus, -k * c.minus), power, f.point))
-    if f.integral_power and lam <= 0:
+        terms.append(PfDensity(SpherePair(k * c.plus, -k * c.minus), _shifted(lam, -1), f.point))
+    if f.integral_power:
         terms.append(ThickDelta(SpherePair(2 * c.plus, -2 * c.minus), -lam, f.point))
     if len(terms) == 1:
         return terms[0]
@@ -240,20 +248,29 @@ def delta_derivative(f: ThickDelta) -> ThickDelta:
     return ThickDelta(SpherePair(-(q + 1) * w.plus, (q + 1) * w.minus), q + 1, f.point)
 
 
-def multiplier_rule(g: ThickDistribution) -> Optional[ThickDelta]:
-    """psi·delta_q[w] moved onto the delta: delta_(q-j)[w·p] for psi = p(w) r^j
-    (the degree-q coefficient of psi·phi is p times phi's degree-(q - j) one),
-    a zero-weight delta for psi = 0, and None for any other node."""
-    if not (isinstance(g, MultiplierProduct) and isinstance(g.inner, ThickDelta)):
+def multiplier_rule(g: ThickDistribution) -> Optional[ThickDistribution]:
+    """psi·f moved onto the leaf f, for psi = p(w) r^j: delta_q[w] gives
+    delta_(q-j)[w·p] (the degree-q coefficient of psi·phi is p times phi's
+    degree-(q - j) one), and Pf(c r^lam) gives Pf(c·p r^(lam+j)) (psi·phi·c r^lam
+    is one integrand, so the finite parts agree); a zero psi gives a zero
+    leaf.  None for a product over any other node, and for any other node."""
+    if not isinstance(g, MultiplierProduct):
         return None
-    psi, delta = g.multiplier, g.inner
-    return ThickDelta(delta.weights * psi.pair, delta.degree - psi.order, delta.point)
+    psi, f = g.multiplier, g.inner
+    if isinstance(f, ThickDelta):
+        return ThickDelta(f.weights * psi.pair, f.degree - psi.order, f.point)
+    if isinstance(f, PfDensity):
+        return PfDensity(f.pair * psi.pair, _shifted(f.power, psi.order), f.point)
+    return None
 
 
 def derivative_rule(g: ThickDistribution) -> Optional[ThickDistribution]:
     """d*g moved onto g: ``density_derivative`` for a density, ``delta_derivative``
-    for a delta, d* of each term for a combination, and for ``Derivative(h)`` the
-    ``Derivative`` of d*h moved onto h; None where no rule reaches a leaf."""
+    for a delta, d* of each term for a combination, for ``Derivative(h)`` the
+    ``Derivative`` of d*h moved onto h, for psi·h the rule of the leaf that
+    ``multiplier_rule`` moves it onto, or else the product rule psi'·h + psi·d*h
+    (psi' taken away from the thick point); None where no rule reaches a leaf."""
+    g = multiplier_rule(g) or g
     if isinstance(g, PfDensity):
         return density_derivative(g)
     if isinstance(g, ThickDelta):
@@ -263,6 +280,11 @@ def derivative_rule(g: ThickDistribution) -> Optional[ThickDistribution]:
     if isinstance(g, Derivative):
         moved = derivative_rule(g.inner)
         return None if moved is None else Derivative(moved)
+    if isinstance(g, MultiplierProduct):
+        psi, dpsi, h = g.multiplier, fn_derivative(g.multiplier), g.inner
+        # a zero psi' (of a step or a constant) drops out with its zero coefficient
+        return LinearCombination(((0 if dpsi.is_zero() else 1, MultiplierProduct(dpsi, h)),
+                                  (1, MultiplierProduct(psi, Derivative(h)))))
     return None
 
 
@@ -272,34 +294,22 @@ def derivative_rule(g: ThickDistribution) -> Optional[ThickDistribution]:
 def simplify(f: ThickDistribution) -> ThickDistribution:
     """Conservative rewriting to a normal form; pairing never needs it.
 
-    Rules: H * Pf(H) collapses; a product with a zero multiplier, or over a
-    distribution that simplifies to zero, is zero; a derivative of a
-    density, a delta or a linear combination takes ``derivative_rule`` (a
-    density gives a Pf term plus, at integer powers -q <= 0, a degree-q
-    delta, so d*(Pf(H)) is the one-sided delta; a degree-q delta gives a
-    degree-(q+1) delta); a
-    derivative distributes over a multiplier product by the product rule
-    (the multiplier differentiated in the ordinary sense, away from the
-    thick point); a linear combination merges like terms (deltas of one
-    degree add their weights, densities of one power their pairs, other equal
-    terms their coefficients, and zero terms drop out);
-    stacked translations merge.
+    Rules: a density or a delta of zero weights is zero; a product with a
+    zero multiplier, or over a distribution that simplifies to zero, is
+    zero, and one over a density or a delta takes
+    ``multiplier_rule`` (so H * Pf(H) is Pf(H)); a derivative takes
+    ``derivative_rule`` where a rule reaches (so d*(Pf(H)) is the one-sided
+    delta); a linear combination merges like terms (deltas of one degree add
+    their weights, densities of one power their pairs, other equal terms
+    their coefficients, and zero terms drop out); stacked translations merge.
     """
     if isinstance(f, (PfDensity, ThickDelta)):
-        return f
+        return ZERO_DISTRIBUTION if _is_zero_leaf(f) else f
     if isinstance(f, Derivative):
         inner = simplify(f.inner)
         moved = derivative_rule(inner)
         if moved is not None:
             return simplify(moved)
-        if isinstance(inner, MultiplierProduct):
-            dpsi = fn_derivative(inner.multiplier)
-            terms = []
-            if not dpsi.is_zero():
-                terms.append((1, simplify(MultiplierProduct(dpsi, inner.inner))))
-            terms.append((1, simplify(
-                MultiplierProduct(inner.multiplier, simplify(Derivative(inner.inner))))))
-            return simplify(LinearCombination(tuple(terms)))
         return Derivative(inner)
     if isinstance(f, MultiplierProduct):
         inner = simplify(f.inner)
@@ -308,9 +318,9 @@ def simplify(f: ThickDistribution) -> ThickDistribution:
             return ZERO_DISTRIBUTION
         if psi.is_one():
             return inner
-        if psi.order == 0 and psi.pair == SpherePair(1, 0) and is_heaviside_pf(inner):
-            return inner
-        return MultiplierProduct(psi, inner)
+        product = MultiplierProduct(psi, inner)
+        moved = multiplier_rule(product)
+        return product if moved is None else simplify(moved)
     if isinstance(f, LinearCombination):
         merged = {}  # like-term key -> (coefficient, term)
         for c, d in LinearCombination(tuple((c, simplify(d)) for c, d in f.terms)).terms:

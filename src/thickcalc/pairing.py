@@ -1,9 +1,12 @@
 """Pairing evaluation: the finite-part formulas and their independent oracle.
 
 The distribution/test-function pairing dispatches on the distribution tree,
-combining sub-results through ``PairingResult.scaled`` and ``+``.  A thick
-delta reads one expansion coefficient, and a multiplier over it moves onto
-it, under d* too (``distributions.multiplier_rule``), so no product is built.  A
+combining sub-results through ``PairingResult.scaled`` and ``+``, with the
+rules ``simplify`` applies: a multiplier moves onto a density or a delta
+(``distributions.multiplier_rule``), and d* onto a density, a delta, a
+combination or a multiplier product (``distributions.derivative_rule``), so
+d*^k (psi Pf) is paired as densities and deltas against the undifferentiated
+test function.  A thick delta reads one expansion coefficient.  A
 finite-part density c(w) r^lambda splits at a radius A: the far field
 [A, R]; an analytic series term c_j A^(lambda+j+1)/(lambda+j+1) for each
 order j through -Re(lambda)-1 (a log A term at the integer boundary order);
@@ -17,12 +20,8 @@ ramp alone, takes m(lambda + j - n) after n integrations by parts
 (``ramp_derivative_moment``).  A same-radius product S^2, or S S' =
 (S^2)'/2, does the same through the square moment (``ramp_square_moment``).
 The other terms (S' S', S S'', products of overlapping radii) go through
-adaptive quadrature.  The split radius is arbitrary;
-A-independence is one of the main correctness checks.  A
-derivative of a density, a delta or a linear combination of them moves onto
-the distribution (``distributions.derivative_rule``, the rule ``simplify``
-applies too), so d*^k Pf is paired as densities of power lambda - k and
-deltas against the undifferentiated test function.
+adaptive quadrature.  The split radius is arbitrary; A-independence is one
+of the main correctness checks.
 
 ``fp_pair_oracle`` reaches the same number along a completely different
 route: it truncates the integral at epsilon, sweeps epsilon down a geometric
@@ -154,6 +153,11 @@ def pair(f, phi: ThickTestFunction, cfg: QuadratureConfig = DEFAULT_CONFIG) -> P
                     "projected distributions pair only with functions smooth across the point"
                 )
             return pair(f.source, phi, cfg)
+        if isinstance(f, LinearCombination):
+            # each term checks its own point, so the zero distribution pairs
+            # anywhere; from the exact zero, so that exact pairings sum exactly
+            return sum((pair(d, phi, cfg).scaled(c) for c, d in f.terms),
+                       PairingResult(Fraction(0), None, 0.0))
         if f.point != phi.point:
             raise PointMismatchError(
                 f"distribution at {number_text(f.point)} paired with test function "
@@ -166,20 +170,15 @@ def pair(f, phi: ThickTestFunction, cfg: QuadratureConfig = DEFAULT_CONFIG) -> P
         if isinstance(f, PfDensity):
             return _pair_density(f, phi, cfg)
         if isinstance(f, Derivative):
-            # d*g takes g's derivative rule when it has one, after a multiplier
-            # moves onto a delta; anything else pairs as <d*g, phi> = -<g, phi'>
-            moved = derivative_rule(multiplier_rule(f.inner) or f.inner)
-            if moved is not None:
+            # d*g takes g's derivative rule when it has one; anything else (a
+            # translate, a dilate) pairs as <d*g, phi> = -<g, phi'>
+            if (moved := derivative_rule(f.inner)) is not None:
                 return pair(moved, phi, cfg)
             return pair(f.inner, derivative(phi), cfg).scaled(-1)
         if isinstance(f, MultiplierProduct):
             if (moved := multiplier_rule(f)) is not None:
                 return pair(moved, phi, cfg)
             return pair(f.inner, multiply_by(f.multiplier, phi), cfg)
-        if isinstance(f, LinearCombination):
-            # from the exact zero, so that a sum of exact pairings stays exact
-            return sum((pair(d, phi, cfg).scaled(c) for c, d in f.terms),
-                       PairingResult(Fraction(0), None, 0.0))
         if isinstance(f, Translate):
             return pair(f.inner, translate(phi, f.shift), cfg)
         if isinstance(f, Dilate):

@@ -6,6 +6,11 @@ their records, each record dumped as JSON with sorted keys. The lines
 must not depend on the Python version. Not a test module: pytest does not
 collect it.
 
+With ``--records`` it prints, in place of the digests, one JSON line for
+each record of the pool and near-field sets, ``{"set", "split_radius",
+"record"}`` with sorted keys (``split_radius`` is null for the default
+configuration), so that two source trees' outputs compare line by line.
+
 - The pool set is every statement of ``perfbench/refs/symbolic.json``,
   ``eval-mix.json`` and ``deep-derivative.json``, in that order and in file
   order, run with the default configuration.
@@ -22,6 +27,7 @@ collect it.
   where and how the parser refuses a malformed statement.
 """
 
+import argparse
 import hashlib
 import itertools
 import json
@@ -93,6 +99,15 @@ def near_field_statements():
             yield f"eval {d}, {f}", cfg
 
 
+def record_lines():
+    """The ``--records`` lines, one for each record of the pool and near-field sets."""
+    for name, statements in (("pool", pool_statements()), ("near", near_field_statements())):
+        for text, cfg in statements:
+            for record in run(parse_query(text), cfg).records:
+                yield json.dumps({"set": name, "split_radius": cfg and cfg.split_radius,
+                                  "record": record}, sort_keys=True)
+
+
 def parse_texts():
     texts = [text[:k] for name in POOL_WORKLOADS for text in pool_texts(name)
              for k in range(1, len(text))]
@@ -102,7 +117,14 @@ def parse_texts():
 
 
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--records", action="store_true",
+                        help="print each pool and near-field record as one JSON line")
+    args = parser.parse_args()
     warnings.filterwarnings("ignore", "side weight")  # glambda(q) outside [0, 1] parses
-    for records in (run_records(pool_statements()), run_records(near_field_statements()),
-                    parse_records(parse_texts())):
-        print(*digest(records))
+    if args.records:
+        print(*record_lines(), sep="\n")
+    else:
+        for records in (run_records(pool_statements()), run_records(near_field_statements()),
+                        parse_records(parse_texts())):
+            print(*digest(records))

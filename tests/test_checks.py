@@ -40,3 +40,17 @@ def test_a_nan_gap_fails_in_any_position(gaps):
 def test_worst_gap_is_the_largest():
     assert _worst("x", [1e-15, 3e-13, 2e-13], 1e-12)["observed"] == 3e-13
     assert _worst("x", [], 0)["passed"]
+
+
+def test_paskusz_pairings_agree_reads_the_test_function_route(monkeypatch):
+    # the right side pairs Pf(H) against H·phi' by quadrature, so a wrong
+    # product of a multiplier and a test function fails the check
+    import thickcalc.checks as checks
+    from thickcalc.testfn import multiply_by
+
+    def agree():
+        return next(o for o in run_suite("paskusz") if o["name"] == "paskusz.pairings-agree")
+
+    assert agree()["passed"]
+    monkeypatch.setattr(checks, "multiply_by", lambda psi, phi: multiply_by(psi, phi).scale(2))
+    assert not agree()["passed"]

@@ -462,10 +462,12 @@ def test_sixth_derivative_pairing_is_a_value():
     ("derive", "0 * dstar", "  -> 0 * dstar"),
     # a multiplier over a combination that cancels is the zero distribution
     ("derive", "H(x) * (dstar - dstar)", "  -> 0 * dstar"),
-    # simplify keeps a multiplier over a delta, so derive prints the product rule
-    ("derive", "x^2 * delta[1](pair(1,2))",
-     "  -> mult(pair(2,-2), 1) * delta[1](pair(1,2)) + x^2 * delta[2](pair(-2,4))"),
-    ("derive", "d*(x^1 * dstar)", "  -> delta[1](pair(-2,2)) + x^1 * delta[2](pair(2,2))"),
+    # simplify moves a multiplier onto a delta, so derive prints one delta, and
+    # a delta of zero weights is the zero distribution
+    # (test_a_derive_text_pairs_like_the_product_rule_text_it_replaced)
+    ("derive", "x^2 * delta[1](pair(1,2))", "  -> 0 * dstar"),
+    ("derive", "d*(x^1 * dstar)", "  -> 0 * dstar"),
+    ("derive", "delta[0](pair(0,0))", "  -> 0 * dstar"),
     # a product of multipliers is one multiplier, and a product of products one product
     ("eval", "H(x) * H(x) * dstar, bump(1)", "  value = 0.5 (exact 1/2)"),
     ("eval", "x^1 * x^2 * dstar, mono(-3, pair(1,2), 1)", "  value = -0.5 (exact -1/2)"),
@@ -473,14 +475,36 @@ def test_sixth_derivative_pairing_is_a_value():
     ("derive", "H(x) * H(x) * Pf(H(x))", "  -> glambda(1)·delta[0]"),
     ("expand", "x^2 * x^1, 3", "  -> (1|-1)·r^3"),
     ("derive", "x^-1 * (x^1 * dstar)", "  -> delta[1](pair(-1,1))"),
-    ("derive", "x^1 * (x^2 * dstar)",
-     "  -> mult(pair(3,3), 2) * dstar + x^3 * delta[1](pair(-1,1))"),
-    ("derive", "x^3 * dstar", "  -> mult(pair(3,3), 2) * dstar + x^3 * delta[1](pair(-1,1))"),
+    ("derive", "x^1 * (x^2 * dstar)", "  -> delta[-2](pair(2,2))"),
+    ("derive", "x^3 * dstar", "  -> delta[-2](pair(2,2))"),
 ])
 def test_printed_record(command, expr, line):
     out = run_cli(command, "-e", expr)
     assert out.returncode == 0
     assert line in out.stdout.splitlines()
+
+
+@pytest.mark.parametrize("expr, text, product_rule_text", [
+    ("x^2 * delta[1](pair(1,2))", "0 * dstar",
+     "mult(pair(2,-2), 1) * delta[1](pair(1,2)) + x^2 * delta[2](pair(-2,4))"),
+    ("d*(x^1 * dstar)", "0 * dstar",
+     "delta[1](pair(-2,2)) + x^1 * delta[2](pair(2,2))"),
+    ("x^1 * (x^2 * dstar)", "delta[-2](pair(2,2))",
+     "mult(pair(3,3), 2) * dstar + x^3 * delta[1](pair(-1,1))"),
+    ("x^3 * dstar", "delta[-2](pair(2,2))",
+     "mult(pair(3,3), 2) * dstar + x^3 * delta[1](pair(-1,1))"),
+])
+def test_a_derive_text_pairs_like_the_product_rule_text_it_replaced(expr, text,
+                                                                     product_rule_text):
+    # derive printed the product rule while simplify kept a multiplier over a
+    # delta; the moved delta it prints now pairs to the same exact values
+    from thickcalc.dsl import parse_query, run
+    assert run(parse_query(f"derive {expr}")).records[0]["result"] == text
+    for fn in ("bump(1)", "mono(-2, pair(1,3), 1) + mono(-1, pair(2,5), 1) + "
+               "poly([7,1,4,3], 1) + mono(0, pair(1,-1), 1)"):
+        values = [run(parse_query(f"eval {t}, {fn}")).records[0]["value_exact"]
+                  for t in (text, product_rule_text, f"d*({expr})")]
+        assert values[0] == values[1] == values[2]
 
 
 @pytest.mark.parametrize("command, expr, lines", [

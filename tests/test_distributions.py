@@ -18,7 +18,6 @@ from thickcalc.distributions import (
     density_derivative,
     derivative_rule,
     g_lambda_delta,
-    is_heaviside_pf,
     multiplier_rule,
     pf_heaviside,
     pf_power,
@@ -27,7 +26,7 @@ from thickcalc.distributions import (
     simplify,
 )
 from thickcalc.dsl import Parser, print_distribution
-from thickcalc.errors import MisclassifiedPowerError, PointMismatchError
+from thickcalc.errors import MisclassifiedPowerError, NonFiniteError, PointMismatchError
 from thickcalc.pairing import pair
 from thickcalc.sphere import SpherePair, g_lambda
 from thickcalc.testfn import (
@@ -71,9 +70,10 @@ def test_power_classification():
 
 
 def test_heaviside_pattern():
-    assert is_heaviside_pf(pf_heaviside())
-    assert not is_heaviside_pf(pf_power(0))
-    assert not is_heaviside_pf(delta_star())
+    assert pf_heaviside() == PfDensity(SpherePair(1, 0), 0)
+    assert pf_power(0) != pf_heaviside()
+    # the step times |x|^0 is the step, by the multiplier rule
+    assert simplify(MultiplierProduct(heaviside_multiplier(), pf_power(0))) == pf_heaviside()
     assert pf_sign_power(1).pair == SpherePair(1, -1)
 
 
@@ -158,13 +158,18 @@ def test_paskusz_chain_normalizes_to_the_same_form():
 
 def test_product_rule_expansion():
     psi = power_multiplier(2)
-    f = simplify(Derivative(MultiplierProduct(psi, delta_star())))
-    assert isinstance(f, LinearCombination)
-    assert len(f.terms) == 2
-    (c1, t1), (c2, t2) = f.terms
-    assert c1 == c2 == 1
-    assert isinstance(t1, MultiplierProduct) and t1.inner == delta_star()
-    assert t2 == MultiplierProduct(psi, ThickDelta(SpherePair(-1, 1), 1))  # d*dstar
+    # over a dilate, which no multiplier rule reaches, d* takes the product
+    # rule psi'·g + psi·d*g
+    g = Dilate(delta_star(), 2)
+    f = simplify(Derivative(MultiplierProduct(psi, g)))
+    assert f == LinearCombination(((1, MultiplierProduct(Multiplier(1, (2, -2)), g)),
+                                   (1, MultiplierProduct(psi, Derivative(g)))))
+    # over dstar the multiplier moves onto the delta first: x^2·dstar is
+    # delta_(-2), and d* raises its degree
+    moved = ThickDelta(SpherePair(1, 1), -2)
+    assert simplify(MultiplierProduct(psi, delta_star())) == moved
+    assert simplify(Derivative(MultiplierProduct(psi, delta_star()))) \
+        == delta_derivative(moved) == ThickDelta(SpherePair(1, -1), -1)
 
 
 def test_unit_multiplier_vanishes():
@@ -308,15 +313,18 @@ def test_density_derivative_of_a_decimal_power_keeps_the_decimal():
 
 def test_like_terms_merge_and_zero_terms_drop():
     x2_dstar = MultiplierProduct(power_multiplier(2), delta_star())
+    x2_dilate = MultiplierProduct(power_multiplier(2), Dilate(delta_star(), 2))
     f = LinearCombination((
         (2, pf_power(-2)), (1, PfDensity(SpherePair(1, -1), -2)), (1, pf_power(-2.0)),
-        (3, x2_dstar), (-1, x2_dstar),
+        (3, x2_dstar), (-1, x2_dstar), (3, x2_dilate), (-1, x2_dilate),
         (1, ThickDelta(SpherePair(1, 0), 2)), (-1, ThickDelta(SpherePair(1, 0), 2)),
     ))
-    # densities of one power add their pairs, but 2 and 2.0 stay apart; equal
-    # terms add their coefficients; the cancelled deltas drop out
+    # densities of one power add their pairs, but 2 and 2.0 stay apart; the
+    # products over dstar move onto it and add their weights, equal terms
+    # add their coefficients; the cancelled deltas drop out
     assert simplify(f) == LinearCombination((
-        (1, PfDensity(SpherePair(3, 1), -2)), (1, pf_power(-2.0)), (2, x2_dstar),
+        (1, PfDensity(SpherePair(3, 1), -2)), (1, pf_power(-2.0)),
+        (1, ThickDelta(SpherePair(2, 2), -2)), (2, x2_dilate),
     ))
 
 
@@ -356,7 +364,7 @@ def test_derivative_rule_moves_through_nested_derivatives():
 
 
 @pytest.mark.parametrize("node", [
-    MultiplierProduct(heaviside_multiplier(), pf_heaviside()),
+    Dilate(pf_heaviside(), 2),
     Translate(delta_star(), 1),
 ])
 def test_derivative_rule_stays_none_over_a_node_without_a_rule(node):
@@ -385,14 +393,49 @@ def test_multiplier_rule_shifts_the_degree_and_multiplies_the_weights(multiplier
 
 
 @pytest.mark.parametrize("inner", [
-    pf_power(Fraction(-1, 2)),
     LinearCombination(((2, delta_star()),)),
     Translate(delta_star(), 0),
     Derivative(delta_star()),
-], ids=["density", "combination", "translate", "derivative"])
+], ids=["combination", "translate", "derivative"])
 def test_multiplier_rule_is_none_over_any_other_inner_node(inner):
     assert multiplier_rule(MultiplierProduct(power_multiplier(2), inner)) is None
     assert multiplier_rule(inner) is None
+
+
+@pytest.mark.parametrize("multiplier, density, moved", [
+    (power_multiplier(2), pf_power(Fraction(-5, 2)), pf_power(Fraction(-1, 2))),
+    (heaviside_multiplier(), pf_power(-1), PfDensity(SpherePair(1, 0), -1)),
+    (heaviside_multiplier(), pf_heaviside(), pf_heaviside()),
+    (Multiplier(-2, (2, 1)), pf_sign_power(Fraction(1, 2)),
+     PfDensity(SpherePair(2, -1), Fraction(-3, 2))),
+    (power_multiplier(3), pf_power(-3), PfDensity(SpherePair(1, -1), 0)),
+    (power_multiplier(2).scale(0), pf_power(-2), PfDensity(SpherePair(0, 0), -2)),
+    # a decimal power shifts as the decimal it prints as
+    (power_multiplier(1), pf_power(-0.7), PfDensity(SpherePair(1, -1), 0.3)),
+    (power_multiplier(-1), pf_power(0.1), PfDensity(SpherePair(1, -1), -0.9)),
+], ids=["half-integer", "step-log", "step-step", "negative-order", "to-zero", "zero",
+        "decimal", "decimal-down"])
+def test_multiplier_rule_moves_onto_a_density(multiplier, density, moved):
+    assert multiplier_rule(MultiplierProduct(multiplier, density)) == moved
+    assert type(moved.power) is type(density.power)
+
+
+def test_a_shifted_decimal_power_out_of_the_float_range_ends_typed():
+    psi = power_multiplier(10 ** 400)
+    with pytest.raises(NonFiniteError, match="float range"):
+        multiplier_rule(MultiplierProduct(psi, pf_power(0.5)))
+    with pytest.raises(NonFiniteError):
+        simplify(MultiplierProduct(psi, pf_power(0.5)))
+
+
+def test_derivative_rule_over_a_product_moves_it_or_takes_the_product_rule():
+    step = heaviside_multiplier()
+    # onto Pf(H), then d*Pf(H) is the one-sided delta
+    assert derivative_rule(MultiplierProduct(step, pf_heaviside())) == ThickDelta(g_lambda(1), 0)
+    # H' is zero away from the point, so only psi·d*g is left
+    g = Dilate(pf_heaviside(), 2)
+    assert derivative_rule(MultiplierProduct(step, g)) \
+        == LinearCombination(((1, MultiplierProduct(step, Derivative(g))),))
 
 
 def test_a_product_of_products_is_one_product_moved_at_once():
@@ -403,8 +446,15 @@ def test_a_product_of_products_is_one_product_moved_at_once():
     assert multiplier_rule(inner) == ThickDelta(SpherePair(1, -1), -1)
 
 
-def test_simplify_keeps_a_multiplier_over_a_delta():
-    f = MultiplierProduct(power_multiplier(2), ThickDelta(SpherePair(1, 2), 1))
+def test_simplify_moves_a_multiplier_onto_a_leaf():
+    psi = power_multiplier(2)
+    f = MultiplierProduct(psi, ThickDelta(SpherePair(1, 2), 1))
+    assert simplify(f) == multiplier_rule(f) == ThickDelta(SpherePair(1, 2), -1)
+    f = MultiplierProduct(psi, Derivative(pf_power(Fraction(-1, 2))))
+    # onto d*Pf(|x|^-1/2) = Pf((-1/2, 1/2) r^-3/2), once simplify has moved d*
+    assert simplify(f) == PfDensity(SpherePair(Fraction(-1, 2), Fraction(1, 2)), Fraction(1, 2))
+    # over any other node the product stays
+    f = MultiplierProduct(psi, Translate(delta_star(1), 1))
     assert simplify(f) == f
 
 
@@ -417,6 +467,20 @@ def test_a_multiplier_over_a_cancelling_combination_simplifies_to_zero():
         == ZERO_DISTRIBUTION
     cancel = LinearCombination(((1, delta_star()), (-1, delta_star())))
     assert simplify(MultiplierProduct(heaviside_multiplier(), cancel)) == ZERO_DISTRIBUTION
+
+
+@pytest.mark.parametrize("f", [
+    ThickDelta(SpherePair(0, 0), 2),
+    PfDensity(SpherePair(0, 0), Fraction(-1, 2)),
+    # a multiplier moved onto a leaf, to zero weights or then differentiated to them
+    MultiplierProduct(Multiplier(1, (1, 0)), PfDensity(SpherePair(0, 1), Fraction(-1, 2))),
+    Derivative(MultiplierProduct(power_multiplier(1), delta_star())),
+    Derivative(MultiplierProduct(power_multiplier(2), ThickDelta(SpherePair(1, 2), 1))),
+    Derivative(PfDensity(SpherePair(0, 0), 3)),
+])
+def test_a_zero_leaf_simplifies_to_the_zero_distribution(f):
+    # one normal form for the zero distribution, as in a combination
+    assert simplify(f) == ZERO_DISTRIBUTION
 
 
 def test_simplify_refuses_a_non_node():

@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import math
 import random
@@ -35,7 +36,8 @@ from thickcalc.dsl import (
     run,
     tokenize,
 )
-from thickcalc.errors import DslError
+from thickcalc.errors import DslError, ThickCalcError
+from thickcalc.pairing import pair
 from thickcalc.sphere import SpherePair
 from thickcalc.testfn import (
     Multiplier,
@@ -831,6 +833,74 @@ def test_random_statements_end_in_a_record_or_a_dsl_error():
         if timed:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
+
+
+# -- a derive result pairs as d* of its input ------------------------------------------
+
+#: derive statements with multipliers over densities, deltas, combinations and
+#: dilates; the seeded generator's derive statements are checked beside them
+DERIVE_TABLE = (
+    "x^2 * Pf(abs(x)^-5/2)", "H(x) * Pf(abs(x)^-1)", "H(x) * Pf(H(x))", "x^1 * Pf(abs(x)^2)",
+    "mult(pair(2,1), -2) * Pf(pair(1,-1) * r^-1/2)", "x^1 * Pf(abs(x)^-0.7)",
+    "0 * H(x) * Pf(abs(x)^-3/2)", "x^3 * dstar", "H(x) * glambda(1/2)·delta[2]",
+    "mult(pair(1,3), -1) * delta[1](pair(2,-1))",
+    "x^2 * (Pf(abs(x)^-3/2) - 2 * dstar)", "H(x) * (Pf(H(x)) + delta[1](pair(1,2)))",
+    "H(x) * dilate(Pf(abs(x)^-1/2), 2)", "x^1 * dilate(dstar, -3)",
+    "d*(x^2 * dilate(Pf(H(x)), 1/2))", "mult(pair(1,3), -1) * d*(Pf(abs(x)^1))",
+    "x^-1 * (Pf(abs(x)^-1) + dilate(delta[1](pair(1,2)), 2))",
+    "d*(d*(x^2 * Pf(abs(x)^-1/2) - H(x) * dstar))",
+)
+
+
+def _derive_check_functions():
+    """The test functions perfbench's worker pairs a derive result against
+    (``DERIVE_CHECK_FNS`` in ``perfbench/worker.py``, read off its source)."""
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "perfbench" / "worker.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "DERIVE_CHECK_FNS":
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/worker.py defines no DERIVE_CHECK_FNS")
+
+
+def _pairs_alike(a, b) -> bool:
+    """Exact values equal; otherwise within both error estimates plus 1e-12·|b|."""
+    if isinstance(a.value, Fraction) and isinstance(b.value, Fraction):
+        return a.value == b.value
+    a, b, slack = float(a.value), float(b.value), a.quad_error + b.quad_error
+    return abs(a - b) <= slack + 1e-12 * abs(b)
+
+
+@pytest.mark.filterwarnings("ignore:side weight")
+def test_a_derive_result_pairs_as_d_star_of_its_input():
+    functions = [parse_query(f"expand {fn}, 0").queries[0].testfn
+                 for fn in _derive_check_functions()]
+    rng = random.Random(20261020)
+    drawn = []
+    while len(drawn) < 300:
+        text = _random_statement(rng)
+        if text.startswith("derive "):
+            drawn.append(text)
+    compared = 0
+    for text, fixed in [(f"derive {expr}", True) for expr in DERIVE_TABLE] \
+            + [(text, False) for text in drawn]:
+        try:
+            program = parse_query(text)
+        except DslError:  # the generator's, e.g. a dilation by 0
+            continue
+        record = run(program).records[0]
+        if "error" in record:
+            assert not fixed, record
+            continue
+        printed = parse_query(f"derive {record['result']}").queries[0].dist
+        for phi in functions:
+            try:
+                a, b = pair(printed, phi), pair(Derivative(program.queries[0].dist), phi)
+            except ThickCalcError:  # a typed end: 1e300 powers, misclassified floats
+                assert not fixed, text
+                continue
+            assert _pairs_alike(a, b), (text, record["result"], phi, a, b)
+            compared += 1
+    assert compared >= 4 * (len(DERIVE_TABLE) + 200)
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no str() digit limit")

@@ -113,6 +113,17 @@ def test_point_mismatch_rejected():
         pair(delta_star(point=1), plateau_bump(1.0))
 
 
+def test_the_zero_distribution_pairs_at_any_point():
+    # a combination is paired term by term, and each term checks its own point
+    res = pair(LinearCombination(()), plateau_bump(1, point=1))
+    assert res.value == 0 and isinstance(res.value, Fraction)
+    assert res.quad_error == 0.0 and res.split_radius is None
+    at_one = LinearCombination(((1, delta_star(1)), (2, pf_power(-1, 1))))
+    with pytest.raises(PointMismatchError,
+                       match="^distribution at 1 paired with test function at 0$"):
+        pair(at_one, plateau_bump(1))
+
+
 # -- step-function derivative ----------------------------------------------------
 
 
@@ -1234,3 +1245,81 @@ def test_pairing_result_refuses_a_negative_error_estimate():
 def test_pair_refuses_a_non_node():
     with pytest.raises(TypeError, match="cannot pair object of type ThickTestFunction"):
         pair(plateau_bump(1.0), plateau_bump(1.0))
+
+
+# -- a multiplier moved onto a density -----------------------------------------------
+
+#: The densities of the table: integer, half-integer and decimal powers; the
+#: log case is an integer power -q - 1 against a nonzero order-q coefficient,
+#: which each integer power meets through the shifted orders of some psi·phi.
+_MOVED_DENSITIES = (pf_power(-2), pf_power(1), pf_power(Fraction(-3, 2)),
+                    pf_sign_power(Fraction(1, 2)), pf_power(-0.7), pf_power(0.25),
+                    pf_heaviside(), PfDensity(SpherePair(2, -1), -1))
+_MOVED_MULTIPLIERS = (heaviside_multiplier(), *(power_multiplier(k) for k in range(4)),
+                      Multiplier(-1, (2, 1)), Multiplier(-2, (1, -3)), Multiplier(-3, (1, 2)),
+                      heaviside_multiplier().scale(0))
+_MOVED_FUNCTIONS = (plateau_bump(1.0), thick_monomial(-1, (1, 2), 1.5),
+                    from_polynomial([1, -2, 3], 2.0),
+                    from_polynomial([1, 1], 1.0) * plateau_bump(1.0),
+                    derivative(thick_monomial(1, (2, 1), 1.0) * plateau_bump(1.0)))
+
+
+def _agree_within_quad_errors(a, b):
+    """Exact values equal, or floats within the sum of both error estimates."""
+    if isinstance(a.value, Fraction) and isinstance(b.value, Fraction):
+        return a.value == b.value
+    return abs(float(a.value) - float(b.value)) <= a.quad_error + b.quad_error
+
+
+@pytest.mark.parametrize("density", _MOVED_DENSITIES, ids=dsl.print_distribution)
+def test_a_multiplier_moved_onto_a_density_pairs_as_the_product(density):
+    # <psi·Pf(c r^lam), phi> is the finite part of one integrand either way:
+    # as Pf(c·p r^(lam+j)) against phi, or as Pf(c r^lam) against psi·phi
+    log_case = False
+    for psi in _MOVED_MULTIPLIERS:
+        moved = distributions.multiplier_rule(MultiplierProduct(psi, density))
+        assert moved is not None
+        for phi in _MOVED_FUNCTIONS:
+            a = pair(MultiplierProduct(psi, density), phi)
+            b = pair(density, multiply_by(psi, phi))
+            assert _agree_within_quad_errors(a, b), (psi, phi, a, b)
+            log_case = log_case or b.log_term != 0
+    assert log_case or not density.integral_power
+
+
+@pytest.mark.parametrize("g", [
+    Dilate(pf_power(Fraction(-1, 2)), 2),
+    Translate(pf_power(-2, point=0), 0),
+    LinearCombination(((1, pf_power(Fraction(-3, 2))), (-2, delta_star()),
+                       (Fraction(1, 3), PfDensity(SpherePair(1, 0), -1)))),
+], ids=["dilate", "translate", "combination"])
+@pytest.mark.parametrize("psi", [power_multiplier(2), heaviside_multiplier(),
+                                 Multiplier(-1, (2, 1))], ids=["x^2", "H", "mult"])
+def test_the_product_rule_pairs_as_the_differentiated_test_function(g, psi):
+    # d*(psi·g) takes psi'·g + psi·d*g; <d*f, phi> = -<f, phi'> by definition
+    for phi in _MOVED_FUNCTIONS:
+        a = pair(Derivative(MultiplierProduct(psi, g)), phi)
+        b = pair(MultiplierProduct(psi, g), derivative(phi)).scaled(-1)
+        assert _agree_within_quad_errors(a, b), (phi, a, b)
+
+
+def test_a_decimal_power_moved_onto_an_integer_is_refused_at_its_order():
+    # x^1 * Pf(|x|^-2.0) is Pf(pair(1,-1) r^-1.0), a float power that behaves
+    # as the integer -1 against the order-0 coefficient of the bump
+    record = dsl.run(dsl.parse_query("eval x^1 * Pf(abs(x)^-2.0), bump(1)")).records[0]
+    assert record["error"] == ("power -1.0 behaves as the integer -1 at order 0; "
+                               "pass it as an exact int or Fraction")
+
+
+@pytest.mark.parametrize("lam", [1, 2, 3])
+def test_the_derivative_of_a_positive_integer_power_reads_a_negative_order(lam):
+    # the boundary term eps^lam phi(eps) keeps the order -lam coefficient,
+    # which a test function with negative orders has: a delta of degree -lam
+    f = PfDensity(SpherePair(2, -7), lam)
+    phi = thick_monomial(-lam, (1, 2), 2.0) + thick_monomial(-1, (3, 1), 2.0) \
+        + from_polynomial([1, 2], 2.0)
+    moved = pair(Derivative(f), phi)
+    direct = pair(f, derivative(phi)).scaled(-1)
+    assert _agree_within_quad_errors(moved, direct)
+    assert distributions.density_derivative(f).terms[1][1] \
+        == ThickDelta(SpherePair(4, 14), -lam)
