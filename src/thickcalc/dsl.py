@@ -39,6 +39,11 @@ terms of the finite-part formula whose coefficient is not zero.
 An ``eval`` whose test function is a chain ``D(...D(psi)...)`` spanning the
 whole argument pairs ``(-1)^k d*^k f`` with ``psi``, so the derivatives land
 on the distribution and ``psi`` is never differentiated.
+
+The test-function operand of ``eval`` (``psi`` of a chain, else the whole
+argument), ``project`` and ``expand`` is built once per process: a later
+statement with the same operand text at the same depth gets the object built
+first, its expansion already computed (``Parser.parse_testfn``).
 """
 
 from __future__ import annotations
@@ -111,7 +116,8 @@ MAX_NESTING = 100
 #: Every ``name(arg, ...)`` form: the kinds of its arguments (a ``function`` is
 #: a test function or a multiplier) and the constructor that ``Parser._call``
 #: reads them for.  ``D`` looks ``fn_derivative`` up when it runs, so that a
-#: replacement of the module attribute (a tracer, say) sees every ``D( )``.
+#: replacement of the module attribute (a tracer, say) sees every ``D( )`` the
+#: parser reads; an operand ``_TESTFNS`` hands back is not read again.
 _CALLS = {
     "pair": (("number", "number"), SpherePair),
     "bump": (("number",), plateau_bump),
@@ -131,6 +137,11 @@ _BUILTIN_NAMES = (frozenset(_CALLS) - {"pair", "d*"}) | {"Pf", "dstar", "delta"}
 
 #: The binding level of each binary operator; a unary ``-`` binds at level 2.
 _BINDING = {"+": 0, "-": 0, "*": 1, "·": 1}
+
+#: Test functions by operand, (token texts, nesting depth) -> the object built
+#: from them, so each is built and expanded once per process; emptied when full.
+_TESTFNS: dict = {}
+TESTFN_MEMO_CAP = 256
 
 
 class Parser:
@@ -238,6 +249,30 @@ class Parser:
             combine = self._combine_add if binding == 0 else self._combine_mul
             left = combine(left, right, op)
         return left
+
+    def parse_testfn(self) -> Value:
+        """Read a test-function operand: the tokens up to the first top-level
+        ``,``, an unmatched ``)`` or the end.  An operand read before at the
+        same depth gives the object built then; one is kept only if it is a
+        ``ThickTestFunction`` read from exactly those tokens, none of them a
+        ``let`` name (an error raises before anything is kept)."""
+        tokens, start, end, open_ = self.tokens, self.i, self.i, 0
+        while tokens[end] and (open_ or tokens[end] not in (",", ")")):
+            open_ += (tokens[end] == "(") - (tokens[end] == ")")
+            end += 1
+        key = (tuple(tokens[start:end]), self.depth)
+        if self.bindings and not self.bindings.keys().isdisjoint(key[0]):
+            return self.parse_value()
+        fn = _TESTFNS.get(key)
+        if fn is None:
+            fn = self.parse_value()
+            if self.i != end or not isinstance(fn, ThickTestFunction):
+                return fn
+            if len(_TESTFNS) >= TESTFN_MEMO_CAP:
+                _TESTFNS.clear()
+            _TESTFNS[key] = fn
+        self.i = end
+        return fn
 
     def _combine_add(self, a: Value, b: Value, op: int) -> Value:
         plus = self.tokens[op] == "+"
@@ -404,7 +439,7 @@ class Parser:
                 if not (word.isidentifier() or word == "-"):
                     raise self.error("check takes a suite name", i)
             return Query("check", source, suite="".join(pieces) or "all")
-        first = self.parse_value()
+        first = self.parse_testfn() if head == "expand" else self.parse_value()
         if head == "derive":
             self.expect_end()
             if not _is_dist(first):
@@ -418,7 +453,7 @@ class Parser:
                 raise self.error("expand takes a test function", 0)
             return Query("expand", source, testfn=first, max_order=order)
         # eval | project
-        fn, k = self._derivative_chain() if head == "eval" else (self.parse_value(), 0)
+        fn, k = self._derivative_chain() if head == "eval" else (self.parse_testfn(), 0)
         self.expect_end()
         if not _is_dist(first):
             raise self.error(f"{head} takes a distribution first", 0)
@@ -439,13 +474,13 @@ class Parser:
             k += 1
         if k:
             self.depth += k
-            psi = self.parse_value()
+            psi = self.parse_testfn()
             self.depth -= k
             if isinstance(psi, ThickTestFunction) and self.tokens[self.i:] == [")"] * k + [""]:
                 self.i += k
                 return psi, k
             self.i = start
-        return self.parse_value(), 0
+        return self.parse_testfn(), 0
 
 
 def _is_dist(v) -> bool:

@@ -6,6 +6,12 @@ their records, each record dumped as JSON with sorted keys. The lines
 must not depend on the Python version. Not a test module: pytest does not
 collect it.
 
+With ``--reverse`` it runs the statements of each set last to first, in
+one process, and prints their records first to last: its output is the
+plain run's unless a record depends on what ran before it in the process
+(through a cache such as the parser's test-function memo or the ramp
+moments kept per exponent).
+
 With ``--records`` it prints, in place of the digests, one JSON line for
 each record of the pool and near-field sets, ``{"set", "split_radius",
 "record"}`` with sorted keys (``split_radius`` is null for the default
@@ -66,20 +72,28 @@ def digest(records):
     return count, h.hexdigest()
 
 
-def run_records(statements):
-    """The record list of each ``(text, cfg)`` statement."""
-    for text, cfg in statements:
-        yield run(parse_query(text), cfg).records
+def run_record(statement):
+    """The record list of one ``(text, cfg)`` statement."""
+    text, cfg = statement
+    return run(parse_query(text), cfg).records
 
 
-def parse_records(texts):
-    """``[message, position, line]`` of the error each text is refused with,
+def parse_record(text):
+    """``[message, position, line]`` of the error ``text`` is refused with,
     or the number of queries of a text that parses."""
-    for text in texts:
-        try:
-            yield len(parse_query(text).queries)
-        except DslError as exc:
-            yield [str(exc), exc.position, exc.line]
+    try:
+        return len(parse_query(text).queries)
+    except DslError as exc:
+        return [str(exc), exc.position, exc.line]
+
+
+def in_order(record, items, reverse=False):
+    """``record(item)`` of each item, listed in the items' order; with
+    ``reverse`` they are computed last to first."""
+    items = list(items)
+    if not reverse:
+        return map(record, items)
+    return reversed([record(item) for item in reversed(items)])
 
 
 def pool_texts(name):
@@ -99,11 +113,12 @@ def near_field_statements():
             yield f"eval {d}, {f}", cfg
 
 
-def record_lines():
+def record_lines(reverse=False):
     """The ``--records`` lines, one for each record of the pool and near-field sets."""
     for name, statements in (("pool", pool_statements()), ("near", near_field_statements())):
-        for text, cfg in statements:
-            for record in run(parse_query(text), cfg).records:
+        statements = list(statements)
+        for (_, cfg), records in zip(statements, in_order(run_record, statements, reverse)):
+            for record in records:
                 yield json.dumps({"set": name, "split_radius": cfg and cfg.split_radius,
                                   "record": record}, sort_keys=True)
 
@@ -120,11 +135,13 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--records", action="store_true",
                         help="print each pool and near-field record as one JSON line")
+    parser.add_argument("--reverse", action="store_true",
+                        help="run each set's statements last to first, print them first to last")
     args = parser.parse_args()
     warnings.filterwarnings("ignore", "side weight")  # glambda(q) outside [0, 1] parses
     if args.records:
-        print(*record_lines(), sep="\n")
+        print(*record_lines(args.reverse), sep="\n")
     else:
-        for records in (run_records(pool_statements()), run_records(near_field_statements()),
-                        parse_records(parse_texts())):
-            print(*digest(records))
+        for record, items in ((run_record, pool_statements()), (run_record, near_field_statements()),
+                              (parse_record, parse_texts())):
+            print(*digest(in_order(record, items, args.reverse)))

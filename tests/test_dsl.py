@@ -934,3 +934,132 @@ def test_a_4300_digit_result_prints_whatever_the_interpreter_limit(limit):
 def test_a_number_past_the_digit_limit_is_a_typed_error(text):
     record, = run(parse_query(text)).records
     assert record["error"] == "exact number longer than 4300 digits"
+
+
+# -- the parser's test-function memo ---------------------------------------------------
+
+
+def _outcome(text):
+    """The records of ``text``, or the (message, position) of its DslError."""
+    try:
+        program = parse_query(text)
+    except DslError as exc:
+        return str(exc), exc.position
+    return run(program).records
+
+
+def _cold_outcome(text):
+    """``_outcome`` of ``text`` parsed with an empty memo."""
+    dsl._TESTFNS.clear()
+    return _outcome(text)
+
+
+def test_an_operand_read_again_is_the_object_built_the_first_time():
+    first = parse_query("eval dstar, mono(1, pair(1,3), 2) * bump(3/2)").queries[0].testfn
+    again = parse_query("project Pf(H(x)),  mono(1,pair(1,3),2)*bump(3/2)").queries[0].testfn
+    expand = parse_query("expand mono(1, pair(1,3), 2) * bump(3/2), 2").queries[0].testfn
+    assert again is first and expand is first
+    # at another nesting depth (psi of a D chain) it is read afresh
+    psi = parse_query("eval dstar, D(mono(1, pair(1,3), 2) * bump(3/2))").queries[0].testfn
+    assert psi == first and psi is not first
+
+
+@pytest.mark.parametrize("fn", ["bump(2)", "mono(1, pair(1,-1), 2) * bump(3)"])
+def test_a_memo_hit_holds_the_value_not_the_derivative_chain(fn):
+    texts = [f"eval dstar, D({fn})", f"project dstar, D({fn})", f"eval dstar, {fn}",
+             f"eval dstar, D(D({fn}))", f"expand D({fn}), 1"]
+    warm = [_outcome(text) for text in texts]
+    assert warm == [_cold_outcome(text) for text in texts]
+    assert all("value" in records[0] or "result" in records[0] for records in warm)
+    eval_chain, project = (parse_query(text).queries[0] for text in texts[:2])
+    assert (eval_chain.derivatives, project.derivatives) == (1, 0)
+    assert project.testfn == derivative(eval_chain.testfn)
+
+
+def test_an_operand_with_a_let_name_is_read_with_the_bindings_of_its_program():
+    with pytest.raises(DslError, match="unbound name 'phi'"):
+        parse_query("eval dstar, phi")
+    program = parse_program("let phi = bump(1)\neval dstar, phi\neval dstar, phi * bump(3)\n"
+                            "let phi = 2 * bump(1)\neval dstar, phi\neval dstar, phi * bump(3)")
+    fns = [q.testfn for q in program.queries]
+    assert fns == [plateau_bump(1), plateau_bump(1) * plateau_bump(3),
+                   plateau_bump(1).scale(2), plateau_bump(1).scale(2) * plateau_bump(3)]
+    other = parse_program("let phi = bump(2)\neval dstar, phi * bump(3)").queries[0].testfn
+    assert other == plateau_bump(2) * plateau_bump(3)
+    with pytest.raises(DslError, match="unbound name 'phi'"):
+        parse_query("eval dstar, phi * bump(3)")
+    assert not any("phi" in tokens for tokens, _ in dsl._TESTFNS)
+
+
+def test_an_operand_read_shallow_first_still_fails_past_the_nesting_bound():
+    psi = "(" * MAX_NESTING + "bump(1)" + ")" * MAX_NESTING
+    assert len(parse_query(f"eval dstar, {psi}").queries) == 1
+    text = f"eval dstar, D({psi})"
+    with pytest.raises(DslError) as warm:
+        parse_query(text)
+    assert "nested deeper" in str(warm.value)
+    assert _cold_outcome(text) == (str(warm.value), warm.value.position)
+
+
+@pytest.mark.parametrize("text, at", [
+    ("eval dstar, bump(1) * bump(0)", "bump(0)"),
+    # read up to its second bump, the operand is not kept for the tokens it spans
+    ("eval dstar, bump(1) bump(2)", "bump(2)"),
+    ("expand bump(1) bump(2), 1", "bump(2)"),
+])
+def test_a_failing_operand_fails_alike_every_time(text, at):
+    first, second = _outcome(text), _outcome(text)
+    assert first == second and isinstance(first, tuple)
+    assert first[1] == text.index(at)
+
+
+def test_the_memo_never_holds_more_entries_than_its_cap():
+    for k in range(dsl.TESTFN_MEMO_CAP + 10):
+        parse_query(f"expand bump({k + 1}), 0")
+        assert 0 < len(dsl._TESTFNS) <= dsl.TESTFN_MEMO_CAP
+
+
+def _split_operands(text):
+    """(distribution, test function) of an ``eval`` or ``project`` statement."""
+    rest, depth = text.split(" ", 1)[1], 0
+    for i, ch in enumerate(rest):
+        depth += (ch == "(") - (ch == ")")
+        if ch == "," and not depth:
+            return rest[:i], rest[i + 1:].strip()
+    raise AssertionError(text)
+
+
+@pytest.mark.filterwarnings("ignore:side weight")
+def test_records_do_not_depend_on_the_memo_or_the_statements_before():
+    rng = random.Random(20261021)
+    dists, fns = [], []
+    while len(fns) < 40:
+        text = _random_statement(rng)
+        if text.startswith(("eval", "project")):
+            d, f = _split_operands(text)
+            dists.append(d)
+            fns.append(f)
+    texts = []
+    for _ in range(1500):  # the drawn operands, recombined so that each recurs
+        command, fn = rng.choice(("eval", "eval", "project", "expand")), rng.choice(fns)
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            fn = f"D({fn})"
+        texts.append(f"expand {fn}, {rng.randint(0, 4)}" if command == "expand"
+                     else f"{command} {rng.choice(dists)}, {fn}")
+    outcomes = []
+    for order in (texts, texts[::-1]):
+        for read in (_cold_outcome, _outcome):
+            dsl._TESTFNS.clear()
+            got = [read(text) for text in order]
+            outcomes.append(got if order is texts else got[::-1])
+    assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0] \
+        and outcomes[3] == outcomes[0]
+    assert sum(isinstance(o, tuple) for o in outcomes[0]) > 50
+    # the warm runs read most operands from the memo
+    kept = []
+    for text in texts:
+        try:
+            kept.append(parse_query(text).queries[0].testfn)
+        except DslError:
+            pass
+    assert len({id(fn) for fn in kept}) < len(kept) / 2
