@@ -227,9 +227,7 @@ def suite_a_independence(cfg: QuadratureConfig) -> List[dict]:
     spreads = []
     for lam in (Fraction(-5, 2), -2, -1, Fraction(3, 2)):
         for phi in wide_suite():
-            values = [float(pair(pf_power(lam), phi,
-                                 QuadratureConfig(cfg.abs_tol, cfg.max_subdivisions,
-                                                  A)).value)
+            values = [float(pair(pf_power(lam), phi, QuadratureConfig(cfg.abs_tol, A)).value)
                       for A in (0.3, 0.5, 1.0)]
             spreads.append(max(values) - min(values))
     return [_worst("a-independence.split-radius-invariance", spreads, 1e-7)]

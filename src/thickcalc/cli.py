@@ -8,10 +8,10 @@
                                         # projection, a-independence, all
     thickcalc eval program.tc           # file of let-bindings and queries
 
-Flags: ``--config FILE`` (key = value lines for the quadrature settings),
-``--A R`` split radius, ``--tol T`` quadrature tolerance, ``--json`` one JSON
-record per query.  Exit codes: 0 ok, 1 a check failed, 2 parse error,
-3 evaluation error.
+Flags: ``--A R`` split radius (a number such as 0.5 or 1/2) and ``--tol T``
+quadrature absolute tolerance, the only two settings; ``--json`` one JSON
+record per query.  Exit codes: 0 ok, 1 a check failed, 2 parse error or bad
+configuration, 3 evaluation error.
 """
 
 from __future__ import annotations
@@ -38,40 +38,13 @@ from .pairing import DEFAULT_CONFIG, QuadratureConfig
 gc.freeze()
 
 
-def load_config_file(path: str) -> dict:
-    values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
-    return values
-
-
-def _number(text: str) -> float:
-    """A setting as a float; ValueError when it has no finite float value."""
+def _number(text) -> float:
+    """The ``--A`` setting (a text such as 1/2, or the default float) as a
+    float; ValueError when it has no finite float value."""
     try:
         return float(Fraction(text))
     except (ZeroDivisionError, OverflowError):
         raise ValueError(f"{text!r} is not a finite number") from None
-
-
-def build_config(args) -> QuadratureConfig:
-    fields = {key: getattr(DEFAULT_CONFIG, key) for key in QuadratureConfig.__slots__}
-    if args.config:
-        for key, value in load_config_file(args.config).items():
-            if key not in fields:
-                raise ValueError(f"unknown config key {key!r}")
-            fields[key] = int(value) if key == "max_subdivisions" else _number(value)
-    if args.A is not None:
-        fields["split_radius"] = _number(args.A)
-    if args.tol is not None:
-        fields["abs_tol"] = args.tol
-    return QuadratureConfig(**fields)
 
 
 def _print_record(rec: dict, out) -> None:
@@ -117,15 +90,16 @@ def main(argv=None) -> int:
     parser.add_argument("source", nargs="?",
                         help="program file (or suite name for check)")
     parser.add_argument("-e", "--expr", help="inline query arguments")
-    parser.add_argument("--config", help="file of key = value quadrature settings")
     parser.add_argument("--json", action="store_true", help="one JSON record per query")
-    parser.add_argument("--A", help="split radius for the finite-part formulas")
-    parser.add_argument("--tol", type=float, help="quadrature absolute tolerance")
+    parser.add_argument("--A", default=DEFAULT_CONFIG.split_radius,
+                        help="split radius for the finite-part formulas")
+    parser.add_argument("--tol", type=float, default=DEFAULT_CONFIG.abs_tol,
+                        help="quadrature absolute tolerance")
     args = parser.parse_args(argv)
 
     try:
-        cfg = build_config(args)
-    except (ValueError, OSError) as exc:
+        cfg = QuadratureConfig(args.tol, _number(args.A))
+    except ValueError as exc:
         print(f"thickcalc: bad configuration: {exc}", file=sys.stderr)
         return 2
 

@@ -69,18 +69,14 @@ from .testfn import ThickTestFunction, derivative, dilate, multiply_by, translat
 
 
 class QuadratureConfig(FrozenRecord):
-    __slots__ = ("abs_tol", "max_subdivisions", "split_radius")
+    __slots__ = ("abs_tol", "split_radius")
 
-    def __init__(self, abs_tol: float = 1e-10, max_subdivisions: int = 2000,
-                 split_radius: float = 1.0):
+    def __init__(self, abs_tol: float = 1e-10, split_radius: float = 1.0):
         if not 0 < abs_tol < math.inf:
             raise ValueError("abs_tol must be positive and finite")
-        if not (isinstance(max_subdivisions, int) and max_subdivisions >= 1):
-            raise ValueError("max_subdivisions must be an integer of at least 1")
         if not 0 < split_radius < math.inf:
             raise ValueError("split_radius must be positive and finite")
         object.__setattr__(self, "abs_tol", abs_tol)
-        object.__setattr__(self, "max_subdivisions", max_subdivisions)
         object.__setattr__(self, "split_radius", split_radius)
 
 
@@ -254,18 +250,18 @@ def _pair_density(f: PfDensity, phi: ThickTestFunction, cfg: QuadratureConfig) -
         quad_error += abs(c) * scale * _moment_error(mu, tail)
     left = phi if len(rest) == len(phi.terms) else ThickTestFunction(tuple(rest), phi.point, R)
 
-    far_value = 0.0
+    # each of the two integrals gets half the tolerance, so that their summed
+    # estimate can meet the whole of it
+    far_value, tol = 0.0, cfg.abs_tol / 2
     if left.terms:
-        far_value, err = integrate(_radial(left.radial, R, f.pair, flam), A, R,
-                                   cfg.abs_tol, cfg.max_subdivisions)
+        far_value, err = integrate(_radial(left.radial, R, f.pair, flam), A, R, tol)
         quad_error += err
     near_value = fsum(closed)
     if E < A and left.terms:
         # the remainder between the plateau edge and A, net of the rest's own
         # expansion through jmax (a tuple: _radial reads it twice)
         subtract = tuple(left.expansion.truncate(jmax).terms())
-        v, err = integrate(_radial(left.radial, R, f.pair, flam, subtract), E, A,
-                           cfg.abs_tol, cfg.max_subdivisions)
+        v, err = integrate(_radial(left.radial, R, f.pair, flam, subtract), E, A, tol)
         near_value += v
         quad_error += err
 
@@ -613,7 +609,7 @@ def fp_pair_oracle(f, phi: ThickTestFunction, cfg: QuadratureConfig = DEFAULT_CO
         powers = [g.power + j + 1 for j, _ in phi.expansion.terms()]
         integrand = _radial(radial, R, g.pair, float(g.power))
         grid = [eps0 * 2.0 ** (-k / 2.0) for k in range(len(fit_columns(powers)) + 8)]
-        pieces = [integrate(integrand, lo, hi, cfg.abs_tol, max(cfg.max_subdivisions, 4000))[0]
+        pieces = [integrate(integrand, lo, hi, cfg.abs_tol, 4000)[0]
                   for lo, hi in zip(grid, [R] + grid)]
         fits.append(fp_limit(list(zip(grid, accumulate(pieces))), powers))
     return fits if densities is f else fits[0]

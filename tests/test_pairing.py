@@ -205,10 +205,28 @@ def test_float_integer_power_is_rejected():
 
 def test_quadrature_failure_surfaces():
     # a product of cutoffs of overlapping radii takes no ramp moment, so its
-    # far field is integrated
-    cfg = QuadratureConfig(abs_tol=1e-14, max_subdivisions=3)
-    with pytest.raises(QuadratureError):
-        pair(pf_power(Fraction(-5, 2)), thick_monomial(3, (1, 2), 2.0) * plateau_bump(1.5), cfg)
+    # far field is integrated; the sixth cutoff derivative's cancellations
+    # stop that integral at the roundoff floor
+    phi = plateau_bump(1.0)
+    for _ in range(6):
+        phi = derivative(phi)
+    with pytest.raises(QuadratureError, match="roundoff floor"):
+        pair(pf_power(Fraction(-3, 2)), phi * plateau_bump(1.5))
+
+
+def test_two_integrated_stages_meet_the_tolerance_together():
+    # three cutoffs of one radius take both the far field and the near field
+    # to quadrature; each met the whole tolerance alone (about 7e-11 and
+    # 9e-11), so their sum was refused at the default 1e-10
+    report = dsl.run(dsl.parse_query(
+        "eval Pf(abs(x)^-5/2), bump(3/2) * bump(3/2) * bump(3/2)"))
+    rec = report.records[0]
+    assert "error" not in rec, rec["error"]
+    assert rec["quad_error"] <= 1e-10
+    phi = plateau_bump(1.5) * plateau_bump(1.5) * plateau_bump(1.5)
+    fit = fp_pair_oracle(pf_power(Fraction(-5, 2)), phi)
+    assert rec["value"] == pytest.approx(fit.finite_part, abs=1e-10)
+    assert rec["value"] == pytest.approx(-1.3134576746799072, abs=1e-12)
 
 
 # -- A independence -------------------------------------------------------------------
@@ -686,10 +704,9 @@ def test_radial_equals_axis_integral():
     for phi in (plateau_bump(1.5), from_polynomial([1, 2, 3], 2.0),
                 translate(from_polynomial([1, 1], 1.0), Fraction(5, 2))):
         radial, _ = integrate(pairing._radial(phi.radial, phi.radius, SpherePair(1, 1), 0.0),
-                              0.0, phi.radius, cfg.abs_tol, cfg.max_subdivisions)
+                              0.0, phi.radius, cfg.abs_tol, 2000)
         a = float(phi.point)
-        axis, _ = integrate(phi.evaluate, a - phi.radius, a + phi.radius,
-                            cfg.abs_tol, cfg.max_subdivisions)
+        axis, _ = integrate(phi.evaluate, a - phi.radius, a + phi.radius, cfg.abs_tol, 2000)
         assert radial == pytest.approx(axis, abs=1e-10)
 
 
@@ -1230,11 +1247,6 @@ def test_deep_derivative_statements_make_no_quadrature(monkeypatch, dist):
         assert "error" not in report.records[0]
         fn = f"D({fn})"
     assert calls == []
-
-
-def test_config_needs_a_subdivision():
-    with pytest.raises(ValueError, match="max_subdivisions"):
-        QuadratureConfig(max_subdivisions=0)
 
 
 def test_pairing_result_refuses_a_negative_error_estimate():

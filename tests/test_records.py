@@ -52,9 +52,8 @@ CASES = {
     "Dilate": (lambda: Dilate(delta(), -2), f"Dilate(inner={DELTA}, factor=-2)"),
     "ClassicalDistributionView": (lambda: ClassicalDistributionView(delta()),
                                   f"ClassicalDistributionView(source={DELTA})"),
-    "QuadratureConfig": (lambda: QuadratureConfig(1e-8, 100, 0.5),
-                         "QuadratureConfig(abs_tol=1e-08, max_subdivisions=100, "
-                         "split_radius=0.5)"),
+    "QuadratureConfig": (lambda: QuadratureConfig(1e-8, 0.5),
+                         "QuadratureConfig(abs_tol=1e-08, split_radius=0.5)"),
     "PairingResult": (lambda: PairingResult(0.5, 1.0, 1e-12, ((-1, 0.25),), 2.0),
                       "PairingResult(value=0.5, split_radius=1.0, quad_error=1e-12, "
                       "series_terms=((-1, 0.25),), log_term=2.0)"),
