@@ -7,7 +7,7 @@ pair against them through Hadamard finite-part formulas, with an independent
 finite-part-of-the-limit oracle for cross-checking.
 """
 
-from .sphere import SpherePair, g_lambda, integrate_sphere
+from .sphere import SpherePair, g_lambda
 from .expansion import Expansion, differentiate, evaluate, from_taylor, render
 from .testfn import (
     Multiplier,

@@ -40,10 +40,10 @@ An ``eval`` whose test function is a chain ``D(...D(psi)...)`` spanning the
 whole argument pairs ``(-1)^k d*^k f`` with ``psi``, so the derivatives land
 on the distribution and ``psi`` is never differentiated.
 
-The test-function operand of ``eval`` (``psi`` of a chain, else the whole
-argument), ``project`` and ``expand`` is built once per process: a later
-statement with the same operand text at the same depth gets the object built
-first, its expansion already computed (``Parser.parse_testfn``).
+Each operand of ``eval`` (``psi`` of a chain), ``project``, ``derive`` and
+``expand`` is built once per process: a later statement with the same operand
+text at the same depth gets the object built first, a test function with its
+expansion computed (``Parser.parse_operand``); a ``let`` value is built anew.
 """
 
 from __future__ import annotations
@@ -117,7 +117,7 @@ MAX_NESTING = 100
 #: a test function or a multiplier) and the constructor that ``Parser._call``
 #: reads them for.  ``D`` looks ``fn_derivative`` up when it runs, so that a
 #: replacement of the module attribute (a tracer, say) sees every ``D( )`` the
-#: parser reads; an operand ``_TESTFNS`` hands back is not read again.
+#: parser reads; an operand ``_OPERANDS`` hands back is not read again.
 _CALLS = {
     "pair": (("number", "number"), SpherePair),
     "bump": (("number",), plateau_bump),
@@ -138,10 +138,11 @@ _BUILTIN_NAMES = (frozenset(_CALLS) - {"pair", "d*"}) | {"Pf", "dstar", "delta"}
 #: The binding level of each binary operator; a unary ``-`` binds at level 2.
 _BINDING = {"+": 0, "-": 0, "*": 1, "·": 1}
 
-#: Test functions by operand, (token texts, nesting depth) -> the object built
-#: from them, so each is built and expanded once per process; emptied when full.
-_TESTFNS: dict = {}
-TESTFN_MEMO_CAP = 256
+#: Operands, (token texts, nesting depth) -> the distribution, test function or
+#: multiplier built from them, so each is built once per process; emptied when full.
+_OPERANDS: dict = {}
+OPERAND_MEMO_CAP = 256
+_OPERAND_TYPES = (ThickTestFunction, Multiplier) + distributions.DISTRIBUTION_TYPES
 
 
 class Parser:
@@ -163,6 +164,7 @@ class Parser:
         self.tokens.append("")
         self.i = 0
         self.depth = -1  # nesting level of the factor being parsed; 0 is outermost
+        self.warned = False  # whether a glambda read since parse_operand began warned
 
     def position(self, i: int) -> int:
         """Where token ``i`` starts in the text; the end of input is at its length."""
@@ -250,12 +252,12 @@ class Parser:
             left = combine(left, right, op)
         return left
 
-    def parse_testfn(self) -> Value:
-        """Read a test-function operand: the tokens up to the first top-level
-        ``,``, an unmatched ``)`` or the end.  An operand read before at the
-        same depth gives the object built then; one is kept only if it is a
-        ``ThickTestFunction`` read from exactly those tokens, none of them a
-        ``let`` name (an error raises before anything is kept)."""
+    def parse_operand(self) -> Value:
+        """Read an operand: the tokens up to the first top-level ``,``, an
+        unmatched ``)`` or the end.  An operand read before at the same depth
+        gives the object built then.  One is kept only if it is a distribution,
+        test function or multiplier read from exactly those tokens, none of them
+        a ``let`` name, and gave no warning (an error raises before it is kept)."""
         tokens, start, end, open_ = self.tokens, self.i, self.i, 0
         while tokens[end] and (open_ or tokens[end] not in (",", ")")):
             open_ += (tokens[end] == "(") - (tokens[end] == ")")
@@ -263,16 +265,17 @@ class Parser:
         key = (tuple(tokens[start:end]), self.depth)
         if self.bindings and not self.bindings.keys().isdisjoint(key[0]):
             return self.parse_value()
-        fn = _TESTFNS.get(key)
-        if fn is None:
-            fn = self.parse_value()
-            if self.i != end or not isinstance(fn, ThickTestFunction):
-                return fn
-            if len(_TESTFNS) >= TESTFN_MEMO_CAP:
-                _TESTFNS.clear()
-            _TESTFNS[key] = fn
+        value = _OPERANDS.get(key)
+        if value is None:
+            self.warned = False
+            value = self.parse_value()
+            if self.i != end or self.warned or not isinstance(value, _OPERAND_TYPES):
+                return value
+            if len(_OPERANDS) >= OPERAND_MEMO_CAP:
+                _OPERANDS.clear()
+            _OPERANDS[key] = value
         self.i = end
-        return fn
+        return value
 
     def _combine_add(self, a: Value, b: Value, op: int) -> Value:
         plus = self.tokens[op] == "+"
@@ -308,10 +311,11 @@ class Parser:
             word = "d*"
         if word in _CALLS and word != "pair":  # pair(a, b) is an argument, not a value
             value = self._call(word)
-            if word == "glambda" and tokens[self.i] in ("·", "*") \
-                    and tokens[self.i + 1] == "delta":
-                self.i += 1
-                value = ThickDelta(value.weights, self._degree())
+            if word == "glambda":  # g_lambda_delta warned of a side weight outside [0, 1]
+                self.warned |= not 0 <= value.weights.plus <= 2
+                if tokens[self.i] in ("·", "*") and tokens[self.i + 1] == "delta":
+                    self.i += 1
+                    value = ThickDelta(value.weights, self._degree())
             return value
         if word[:1].isdecimal():
             return self.parse_number()
@@ -439,7 +443,7 @@ class Parser:
                 if not (word.isidentifier() or word == "-"):
                     raise self.error("check takes a suite name", i)
             return Query("check", source, suite="".join(pieces) or "all")
-        first = self.parse_testfn() if head == "expand" else self.parse_value()
+        first = self.parse_operand()
         if head == "derive":
             self.expect_end()
             if not _is_dist(first):
@@ -453,7 +457,7 @@ class Parser:
                 raise self.error("expand takes a test function", 0)
             return Query("expand", source, testfn=first, max_order=order)
         # eval | project
-        fn, k = self._derivative_chain() if head == "eval" else (self.parse_testfn(), 0)
+        fn, k = self._derivative_chain() if head == "eval" else (self.parse_operand(), 0)
         self.expect_end()
         if not _is_dist(first):
             raise self.error(f"{head} takes a distribution first", 0)
@@ -474,13 +478,13 @@ class Parser:
             k += 1
         if k:
             self.depth += k
-            psi = self.parse_testfn()
+            psi = self.parse_operand()
             self.depth -= k
             if isinstance(psi, ThickTestFunction) and self.tokens[self.i:] == [")"] * k + [""]:
                 self.i += k
                 return psi, k
             self.i = start
-        return self.parse_testfn(), 0
+        return self.parse_operand(), 0
 
 
 def _is_dist(v) -> bool:

@@ -4,7 +4,7 @@ A function on the 0-sphere is just an ordered pair of values (the value on
 the positive side and the value on the negative side).  So is a
 distribution g on it, such as the weights of a thick delta: a pair of side
 weights, acting on a pair a by the counting-measure integral of the product,
-``integrate_sphere(g * a)``.  Everything here is exact rational arithmetic so
+``(g * a).plus + (g * a).minus``.  Everything here is exact rational arithmetic so
 that the algebra built on top can be tested with straight equality.
 
 An exact scalar is an ``int`` when it is integral and a ``Fraction`` only
@@ -171,11 +171,6 @@ def parity_pair(value, order: int) -> SpherePair:
     """
     v = exact(value)
     return SpherePair(v, v if order % 2 == 0 else -v)
-
-
-def integrate_sphere(f: SpherePair) -> Rational:
-    """Counting-measure integral over the two points; total mass is 2."""
-    return f.plus + f.minus
 
 
 def g_lambda(lam) -> SpherePair:

@@ -9,7 +9,7 @@ collect it.
 With ``--reverse`` it runs the statements of each set last to first, in
 one process, and prints their records first to last: its output is the
 plain run's unless a record depends on what ran before it in the process
-(through a cache such as the parser's test-function memo or the ramp
+(through a cache such as the parser's operand memo or the ramp
 moments kept per exponent).
 
 With ``--records`` it prints, in place of the digests, one JSON line for

@@ -5,8 +5,10 @@ import random
 import re
 import signal
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -936,7 +938,7 @@ def test_a_number_past_the_digit_limit_is_a_typed_error(text):
     assert record["error"] == "exact number longer than 4300 digits"
 
 
-# -- the parser's test-function memo ---------------------------------------------------
+# -- the parser's operand memo --------------------------------------------------------
 
 
 def _outcome(text):
@@ -950,7 +952,7 @@ def _outcome(text):
 
 def _cold_outcome(text):
     """``_outcome`` of ``text`` parsed with an empty memo."""
-    dsl._TESTFNS.clear()
+    dsl._OPERANDS.clear()
     return _outcome(text)
 
 
@@ -988,7 +990,18 @@ def test_an_operand_with_a_let_name_is_read_with_the_bindings_of_its_program():
     assert other == plateau_bump(2) * plateau_bump(3)
     with pytest.raises(DslError, match="unbound name 'phi'"):
         parse_query("eval dstar, phi * bump(3)")
-    assert not any("phi" in tokens for tokens, _ in dsl._TESTFNS)
+    # a distribution operand that reads a name, bound, re-bound and run again
+    text = ("let f = dstar\neval f, bump(1)\nderive x^1 * f\n"
+            "let f = glambda(1)·delta[1]\neval f, mono(1, pair(1,3), 2)\nderive x^1 * f")
+    plain = ("eval dstar, bump(1)\nderive x^1 * dstar\n"
+             "eval glambda(1)·delta[1], mono(1, pair(1,3), 2)\nderive x^1 * glambda(1)·delta[1]")
+    program = parse_program(text)
+    assert [q.dist for q in program.queries] == [q.dist for q in parse_program(plain).queries]
+    assert program.queries[0].dist != program.queries[2].dist
+    records = [{**rec, "source": None} for rec in run(program).records]
+    assert records == [{**rec, "source": None} for rec in run(parse_program(plain)).records]
+    assert run(parse_program(text)).records == run(program).records
+    assert not any({"phi", "f"} & set(tokens) for tokens, _ in dsl._OPERANDS)
 
 
 def test_an_operand_read_shallow_first_still_fails_past_the_nesting_bound():
@@ -1013,10 +1026,20 @@ def test_a_failing_operand_fails_alike_every_time(text, at):
     assert first[1] == text.index(at)
 
 
+def test_an_operand_that_warns_warns_each_time_it_is_read():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        program = parse_program("derive glambda(3)·delta[0]\neval glambda(3)·delta[0], bump(1)")
+        parse_query("derive glambda(3)·delta[0]")
+    assert [str(w.message)[:22] for w in caught] == ["side weight 3 outside "] * 3
+    assert program.queries[0].dist == program.queries[1].dist
+    assert not any("glambda" in tokens for tokens, _ in dsl._OPERANDS)
+
+
 def test_the_memo_never_holds_more_entries_than_its_cap():
-    for k in range(dsl.TESTFN_MEMO_CAP + 10):
+    for k in range(dsl.OPERAND_MEMO_CAP + 10):
         parse_query(f"expand bump({k + 1}), 0")
-        assert 0 < len(dsl._TESTFNS) <= dsl.TESTFN_MEMO_CAP
+        assert 0 < len(dsl._OPERANDS) <= dsl.OPERAND_MEMO_CAP
 
 
 def _split_operands(text):
@@ -1039,27 +1062,109 @@ def test_records_do_not_depend_on_the_memo_or_the_statements_before():
             d, f = _split_operands(text)
             dists.append(d)
             fns.append(f)
+        elif text.startswith("derive "):
+            dists.append(text[len("derive "):])
     texts = []
     for _ in range(1500):  # the drawn operands, recombined so that each recurs
-        command, fn = rng.choice(("eval", "eval", "project", "expand")), rng.choice(fns)
+        command, fn = rng.choice(("eval", "eval", "project", "expand", "derive")), rng.choice(fns)
         for _ in range(rng.choice((0, 0, 1, 2))):
             fn = f"D({fn})"
         texts.append(f"expand {fn}, {rng.randint(0, 4)}" if command == "expand"
+                     else f"derive {rng.choice(dists)}" if command == "derive"
                      else f"{command} {rng.choice(dists)}, {fn}")
     outcomes = []
     for order in (texts, texts[::-1]):
         for read in (_cold_outcome, _outcome):
-            dsl._TESTFNS.clear()
+            dsl._OPERANDS.clear()
             got = [read(text) for text in order]
             outcomes.append(got if order is texts else got[::-1])
     assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0] \
         and outcomes[3] == outcomes[0]
     assert sum(isinstance(o, tuple) for o in outcomes[0]) > 50
-    # the warm runs read most operands from the memo
-    kept = []
+    # the warm runs read most operands, of either kind, from the memo
+    kept_fns, kept_dists = [], []
     for text in texts:
         try:
-            kept.append(parse_query(text).queries[0].testfn)
+            query = parse_query(text).queries[0]
         except DslError:
-            pass
-    assert len({id(fn) for fn in kept}) < len(kept) / 2
+            continue
+        kept_fns += [query.testfn] if query.testfn is not None else []
+        kept_dists += [query.dist] if query.dist is not None else []
+    assert len({id(fn) for fn in kept_fns}) < len(kept_fns) / 2
+    assert len({id(d) for d in kept_dists}) < len(kept_dists) / 2
+
+
+# -- whole programs, with the memo cold and warm -----------------------------------------
+
+
+def _drawn_operands():
+    """The (distribution, test-function) operand texts of the seeded
+    generator's statements, and two glambda deltas, one of which warns."""
+    rng = random.Random(20261022)
+    dists, fns = ["glambda(3)·delta[1]", "glambda(1/4)·delta[0]"], []
+    for _ in range(150):
+        text = _random_statement(rng)
+        if text.startswith(("eval", "project")):
+            d, f = _split_operands(text)
+            dists.append(d)
+            fns.append(f)
+        elif text.startswith("derive "):
+            dists.append(text[len("derive "):])
+        else:
+            fns.append(text[len("expand "):].rsplit(",", 1)[0])
+    return dists, fns
+
+
+_PROGRAM_DISTS, _PROGRAM_FNS = _drawn_operands()
+#: Operand texts that read the names a program binds and re-binds.
+_NAMED_DISTS = ("f", "2 * f", "d*(f)", "x^1 * f + dstar")
+_NAMED_FNS = ("phi", "D(phi)", "phi * bump(2)", "D(D(phi))")
+
+
+@st.composite
+def _programs(draw):
+    """A program of let / eval / derive / expand / project lines over drawn
+    operands; its operands read the names ``f`` and ``phi``, which it re-binds."""
+    dist = st.sampled_from(_PROGRAM_DISTS) | st.sampled_from(_NAMED_DISTS)
+    fn = st.sampled_from(_PROGRAM_FNS) | st.sampled_from(_NAMED_FNS)
+    lines = [f"let f = {draw(st.sampled_from(_PROGRAM_DISTS))}",
+             f"let phi = {draw(st.sampled_from(_PROGRAM_FNS))}"]
+    for kind in draw(st.lists(st.sampled_from(
+            ("let f", "let phi", "eval", "eval", "derive", "expand", "project")),
+            min_size=2, max_size=8)):
+        if kind.startswith("let"):
+            lines.append(f"{kind} = {draw(dist if kind == 'let f' else fn)}")
+        elif kind == "derive":
+            lines.append(f"derive {draw(dist)}")
+        elif kind == "expand":
+            lines.append(f"expand {draw(fn)}, {draw(st.integers(0, 4))}")
+        else:
+            lines.append(f"{kind} {draw(dist)}, {draw(fn)}")
+    return "\n".join(lines)
+
+
+def _program_outcome(text):
+    """The records of program ``text``, or the (message, position, line) of
+    its DslError, and the messages of the warnings it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            outcome = run(parse_program(text)).records
+        except DslError as exc:
+            outcome = (str(exc), exc.position, exc.line)
+    return outcome, [str(w.message) for w in caught]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_programs())
+def test_a_program_gives_the_same_records_with_the_memo_cold_warm_or_absent(text):
+    with mock.patch.object(Parser, "parse_operand", Parser.parse_value):
+        plain = _program_outcome(text)
+    dsl._OPERANDS.clear()
+    cold = _program_outcome(text)
+    warm = _program_outcome(text)
+    assert cold == plain and warm == plain
+    # an error other than a typed one would have raised above
+    records, _ = plain
+    if isinstance(records, list):
+        assert all({"value", "result", "error"} & set(rec) for rec in records)
