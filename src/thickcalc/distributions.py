@@ -5,6 +5,11 @@ concentrations ``ThickDelta(g, q)``; inner nodes apply derivatives,
 multiplier products, linear combination, translation and dilation.  Trees are
 immutable; ``simplify`` applies a small conservative rewrite set and is never
 required for evaluation.
+
+Being immutable, a node keeps what is derived from it in ``_`` slots, lazy
+caches that stay unset until first read and are never fields: ``_derivative``
+(``derivative_rule``), ``_moved`` on a product (``multiplier_rule``) and
+``_text`` (``dsl.print_distribution``).  A computation that raises keeps nothing.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ def _normalize_power(lam):
 class PfDensity(FrozenRecord):
     """Finite-part regularization of the density pair(w) * r^power."""
 
-    __slots__ = ("pair", "power", "point")
+    __slots__ = ("pair", "power", "point", "_derivative", "_text")
 
     def __init__(self, pair: SpherePair, power: Union[int, Fraction, float], point=0):
         pair = pair if isinstance(pair, SpherePair) else SpherePair(*pair)
@@ -57,7 +62,7 @@ class ThickDelta(FrozenRecord):
     """Extracts the degree-q expansion coefficient, weighted on the two sides
     by ``weights``, a SpherePair or a (plus, minus) tuple."""
 
-    __slots__ = ("weights", "degree", "point")
+    __slots__ = ("weights", "degree", "point", "_derivative", "_text")
 
     def __init__(self, weights: SpherePair, degree: int, point=0):
         weights = weights if isinstance(weights, SpherePair) else SpherePair(*weights)
@@ -67,7 +72,7 @@ class ThickDelta(FrozenRecord):
 
 
 class Derivative(FrozenRecord):
-    __slots__ = ("inner",)
+    __slots__ = ("inner", "_derivative", "_text")
 
     def __init__(self, inner: "ThickDistribution"):
         object.__setattr__(self, "inner", inner)
@@ -80,7 +85,7 @@ class Derivative(FrozenRecord):
 class MultiplierProduct(FrozenRecord):
     """multiplier * inner, a product inside taken in: psi1 * (psi2 * f) is (psi1 psi2) * f."""
 
-    __slots__ = ("multiplier", "inner")
+    __slots__ = ("multiplier", "inner", "_derivative", "_moved", "_text")
 
     def __init__(self, multiplier: Multiplier, inner: "ThickDistribution"):
         if multiplier.point != inner.point:
@@ -102,7 +107,7 @@ class LinearCombination(FrozenRecord):
     by construction: a nested combination's terms are spliced in, times its
     coefficient, and zero terms drop out; the rest share one thick point."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_derivative", "_text")
 
     def __init__(self, terms: Tuple[Tuple[Fraction, "ThickDistribution"], ...]):
         flat = []
@@ -126,7 +131,7 @@ class LinearCombination(FrozenRecord):
 class Translate(FrozenRecord):
     """f(x + shift); a distribution at point a moves to a - shift."""
 
-    __slots__ = ("inner", "shift")
+    __slots__ = ("inner", "shift", "_derivative", "_text")
 
     def __init__(self, inner: "ThickDistribution", shift):
         object.__setattr__(self, "inner", inner)
@@ -140,7 +145,7 @@ class Translate(FrozenRecord):
 class Dilate(FrozenRecord):
     """f(factor * x); the thick point moves from a to a / factor."""
 
-    __slots__ = ("inner", "factor")
+    __slots__ = ("inner", "factor", "_derivative", "_text")
 
     def __init__(self, inner: "ThickDistribution", factor):
         f = exact(factor)
@@ -253,15 +258,19 @@ def multiplier_rule(g: ThickDistribution) -> Optional[ThickDistribution]:
     delta_(q-j)[w·p] (the degree-q coefficient of psi·phi is p times phi's
     degree-(q - j) one), and Pf(c r^lam) gives Pf(c·p r^(lam+j)) (psi·phi·c r^lam
     is one integrand, so the finite parts agree); a zero psi gives a zero
-    leaf.  None for a product over any other node, and for any other node."""
+    leaf.  None for a product over any other node, and for any other node.
+    Kept in the product's ``_moved`` slot."""
     if not isinstance(g, MultiplierProduct):
         return None
-    psi, f = g.multiplier, g.inner
-    if isinstance(f, ThickDelta):
-        return ThickDelta(f.weights * psi.pair, f.degree - psi.order, f.point)
-    if isinstance(f, PfDensity):
-        return PfDensity(f.pair * psi.pair, _shifted(f.power, psi.order), f.point)
-    return None
+    moved = getattr(g, "_moved", None)
+    if moved is None:
+        psi, f = g.multiplier, g.inner
+        if isinstance(f, ThickDelta):
+            moved = ThickDelta(f.weights * psi.pair, f.degree - psi.order, f.point)
+        elif isinstance(f, PfDensity):
+            moved = PfDensity(f.pair * psi.pair, _shifted(f.power, psi.order), f.point)
+        object.__setattr__(g, "_moved", moved)
+    return moved
 
 
 def derivative_rule(g: ThickDistribution) -> Optional[ThickDistribution]:
@@ -269,7 +278,16 @@ def derivative_rule(g: ThickDistribution) -> Optional[ThickDistribution]:
     for a delta, d* of each term for a combination, for ``Derivative(h)`` the
     ``Derivative`` of d*h moved onto h, for psi·h the rule of the leaf that
     ``multiplier_rule`` moves it onto, or else the product rule psi'·h + psi·d*h
-    (psi' taken away from the thick point); None where no rule reaches a leaf."""
+    (psi' taken away from the thick point); None where no rule reaches a leaf.
+    Kept in g's ``_derivative`` slot."""
+    moved = getattr(g, "_derivative", None)
+    if moved is None and isinstance(g, DISTRIBUTION_TYPES):
+        moved = _move_derivative(g)
+        object.__setattr__(g, "_derivative", moved)
+    return moved
+
+
+def _move_derivative(g: ThickDistribution) -> Optional[ThickDistribution]:
     g = multiplier_rule(g) or g
     if isinstance(g, PfDensity):
         return density_derivative(g)

@@ -41,9 +41,10 @@ whole argument pairs ``(-1)^k d*^k f`` with ``psi``, so the derivatives land
 on the distribution and ``psi`` is never differentiated.
 
 Each operand of ``eval`` (``psi`` of a chain), ``project``, ``derive`` and
-``expand`` is built once per process: a later statement with the same operand
-text at the same depth gets the object built first, a test function with its
-expansion computed (``Parser.parse_operand``); a ``let`` value is built anew.
+``expand``, and each ``let`` value, is built once per process: a later
+statement with the same operand text at the same depth gets the object built
+first, a test function with its expansion computed and a distribution with its
+moves and its text (``Parser.parse_operand``).
 """
 
 from __future__ import annotations
@@ -253,11 +254,12 @@ class Parser:
         return left
 
     def parse_operand(self) -> Value:
-        """Read an operand: the tokens up to the first top-level ``,``, an
-        unmatched ``)`` or the end.  An operand read before at the same depth
-        gives the object built then.  One is kept only if it is a distribution,
-        test function or multiplier read from exactly those tokens, none of them
-        a ``let`` name, and gave no warning (an error raises before it is kept)."""
+        """Read an operand or a ``let`` value: the tokens up to the first
+        top-level ``,``, an unmatched ``)`` or the end.  One read before at the
+        same depth gives the object built then.  One is kept only if it is a
+        distribution, test function or multiplier read from exactly those
+        tokens, none of them a ``let`` name, and gave no warning (an error
+        raises before it is kept)."""
         tokens, start, end, open_ = self.tokens, self.i, self.i, 0
         while tokens[end] and (open_ or tokens[end] not in (",", ")")):
             open_ += (tokens[end] == "(") - (tokens[end] == ")")
@@ -433,7 +435,7 @@ class Parser:
                 raise self.error(f"cannot bind {name!r}: it is a built-in name", 1)
             self.i = 2
             self.expect("=")
-            value = self.parse_value()
+            value = self.parse_operand()
             self.expect_end()
             self.bindings[name] = value
             return None
@@ -519,6 +521,15 @@ def _pair_text(p: SpherePair) -> str:
 
 
 def print_distribution(d) -> str:
+    """The canonical text of ``d``, kept in its ``_text`` slot."""
+    text = getattr(d, "_text", None)
+    if text is None:
+        text = _canonical_text(d)
+        object.__setattr__(d, "_text", text)
+    return text
+
+
+def _canonical_text(d) -> str:
     if isinstance(d, ThickDelta):
         w = d.weights
         if w == SpherePair(1, 1) and d.degree == 0:

@@ -147,7 +147,7 @@ class ThickTestFunction(FrozenRecord):
     The ``_`` slots are lazy caches, not fields.
     """
 
-    __slots__ = ("terms", "point", "radius", "_groups", "_expansion")
+    __slots__ = ("terms", "point", "radius", "_groups", "_expansion", "_exact_radius")
 
     def __init__(self, terms: Tuple[Tuple[Factors, int, SpherePair], ...], point, radius):
         object.__setattr__(self, "terms", terms)
@@ -155,6 +155,7 @@ class ThickTestFunction(FrozenRecord):
         object.__setattr__(self, "radius", float(radius))
         object.__setattr__(self, "_groups", None)
         object.__setattr__(self, "_expansion", None)
+        object.__setattr__(self, "_exact_radius", None)
 
     def radial(self, r: float) -> Tuple[float, float]:
         """(value at y = r, value at y = -r) for r > 0.  Each cutoff factor is
@@ -206,8 +207,11 @@ class ThickTestFunction(FrozenRecord):
     def exact_radius(self) -> float:
         """The function equals its expansion for 0 < r < this radius: the
         smallest factor radius over 2, or inf when no term has a factor."""
-        return min((factors[0][0] for factors, _, _ in self.terms if factors),
-                   default=math.inf) / 2
+        if self._exact_radius is None:
+            radius = min((factors[0][0] for factors, _, _ in self.terms if factors),
+                         default=math.inf) / 2
+            object.__setattr__(self, "_exact_radius", radius)
+        return self._exact_radius
 
     def evaluate(self, x) -> float:
         y = x - self.point

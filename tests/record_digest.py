@@ -12,6 +12,13 @@ plain run's unless a record depends on what ran before it in the process
 (through a cache such as the parser's operand memo or the ramp
 moments kept per exponent).
 
+With ``--cold`` it empties those caches, the operand memo
+(``dsl._OPERANDS``) and the ramp moments (``ramp_moment`` and
+``ramp_square_moment``), before each statement: its output is the plain
+run's unless a record depends on a cache having been filled.  A statement
+whose operands an earlier statement built is warm in both orders of
+``--reverse``; here no statement is.
+
 With ``--records`` it prints, in place of the digests, one JSON line for
 each record of the pool and near-field sets, ``{"set", "split_radius",
 "record"}`` with sorted keys (``split_radius`` is null for the default
@@ -40,9 +47,10 @@ import json
 import pathlib
 import warnings
 
+from thickcalc import dsl
 from thickcalc.dsl import parse_query, run
 from thickcalc.errors import DslError
-from thickcalc.pairing import QuadratureConfig
+from thickcalc.pairing import QuadratureConfig, ramp_moment, ramp_square_moment
 
 REFS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "refs"
 POOL_WORKLOADS = ("symbolic", "eval-mix", "deep-derivative")
@@ -87,6 +95,16 @@ def parse_record(text):
         return [str(exc), exc.position, exc.line]
 
 
+def cold(record):
+    """``record`` with the operand memo and the ramp moments emptied before each item."""
+    def cold_record(item):
+        dsl._OPERANDS.clear()
+        ramp_moment.cache_clear()
+        ramp_square_moment.cache_clear()
+        return record(item)
+    return cold_record
+
+
 def in_order(record, items, reverse=False):
     """``record(item)`` of each item, listed in the items' order; with
     ``reverse`` they are computed last to first."""
@@ -113,14 +131,14 @@ def near_field_statements():
             yield f"eval {d}, {f}", cfg
 
 
-def record_lines(reverse=False):
+def record_lines(record=run_record, reverse=False):
     """The ``--records`` lines, one for each record of the pool and near-field sets."""
     for name, statements in (("pool", pool_statements()), ("near", near_field_statements())):
         statements = list(statements)
-        for (_, cfg), records in zip(statements, in_order(run_record, statements, reverse)):
-            for record in records:
+        for (_, cfg), records in zip(statements, in_order(record, statements, reverse)):
+            for rec in records:
                 yield json.dumps({"set": name, "split_radius": cfg and cfg.split_radius,
-                                  "record": record}, sort_keys=True)
+                                  "record": rec}, sort_keys=True)
 
 
 def parse_texts():
@@ -137,11 +155,15 @@ if __name__ == "__main__":
                         help="print each pool and near-field record as one JSON line")
     parser.add_argument("--reverse", action="store_true",
                         help="run each set's statements last to first, print them first to last")
+    parser.add_argument("--cold", action="store_true",
+                        help="empty the operand memo and the ramp moments before each statement")
     args = parser.parse_args()
     warnings.filterwarnings("ignore", "side weight")  # glambda(q) outside [0, 1] parses
+    run_each, parse_each = (cold(run_record), cold(parse_record)) if args.cold \
+        else (run_record, parse_record)
     if args.records:
-        print(*record_lines(args.reverse), sep="\n")
+        print(*record_lines(run_each, args.reverse), sep="\n")
     else:
-        for record, items in ((run_record, pool_statements()), (run_record, near_field_statements()),
-                              (parse_record, parse_texts())):
+        for record, items in ((run_each, pool_statements()), (run_each, near_field_statements()),
+                              (parse_each, parse_texts())):
             print(*digest(in_order(record, items, args.reverse)))

@@ -344,8 +344,12 @@ def test_density_derivative_drops_the_zero_pf_term():
 
 @pytest.mark.parametrize("lam", [0.0, -1.0, -3.0])
 def test_density_derivative_of_an_integral_float_power_is_misclassified(lam):
+    f = pf_power(lam)
     with pytest.raises(MisclassifiedPowerError):
-        density_derivative(pf_power(lam))
+        density_derivative(f)
+    for _ in range(2):  # a move that raised is not kept
+        with pytest.raises(MisclassifiedPowerError):
+            derivative_rule(f)
 
 
 def test_float_power_reaching_an_integer_raises_at_that_step():
@@ -371,6 +375,13 @@ def test_derivative_rule_stays_none_over_a_node_without_a_rule(node):
     assert derivative_rule(node) is None
     assert derivative_rule(Derivative(node)) is None
     assert derivative_rule(Derivative(Derivative(node))) is None
+
+
+def test_a_projected_distribution_has_no_move_and_keeps_none():
+    view = project(delta_star())
+    for _ in range(2):
+        assert derivative_rule(view) is None and multiplier_rule(view) is None
+    assert not hasattr(view, "_derivative")
 
 
 def test_nested_derivative_pairs_as_its_moved_tree():

@@ -1,10 +1,14 @@
 import ast
+import contextlib
 import importlib.util
+import io
+import json
 import math
 import random
 import re
 import signal
 import sys
+import tempfile
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -15,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thickcalc.distributions import (
+    DISTRIBUTION_TYPES,
     Derivative,
     Dilate,
     LinearCombination,
@@ -23,12 +28,14 @@ from thickcalc.distributions import (
     ThickDelta,
     Translate,
     delta_star,
+    derivative_rule,
     g_lambda_delta,
+    multiplier_rule,
     pf_heaviside,
     pf_power,
     simplify,
 )
-from thickcalc import dsl
+from thickcalc import cli, dsl
 from thickcalc.dsl import (
     MAX_NESTING,
     Parser,
@@ -1004,6 +1011,23 @@ def test_an_operand_with_a_let_name_is_read_with_the_bindings_of_its_program():
     assert not any({"phi", "f"} & set(tokens) for tokens, _ in dsl._OPERANDS)
 
 
+def test_a_let_value_read_again_is_the_object_the_memo_holds():
+    dsl._OPERANDS.clear()
+    dist, fn = "x^2 * delta[2](pair(1/2,3))", "mono(1, pair(1,3), 2) * bump(3/2)"
+    held = parse_query(f"eval {dist}, bump(1)").queries[0].dist
+    program = parse_program(f"let h = {dist}\nlet phi = {fn}\neval h, phi")
+    assert program.bindings["h"] is held and program.queries[0].dist is held
+    assert parse_query(f"expand {fn}, 1").queries[0].testfn is program.bindings["phi"]
+
+
+def test_a_let_value_that_reads_a_name_is_rebuilt_after_the_name_is_bound_again():
+    program = parse_program("let h = dstar\nlet g = 2 * h\neval g, bump(1)\n"
+                            "let h = Pf(H(x))\nlet g = 2 * h\neval g, bump(1)")
+    assert [q.dist for q in program.queries] == [LinearCombination(((2, delta_star()),)),
+                                                  LinearCombination(((2, pf_heaviside()),))]
+    assert not any("h" in tokens for tokens, _ in dsl._OPERANDS)
+
+
 def test_an_operand_read_shallow_first_still_fails_past_the_nesting_bound():
     psi = "(" * MAX_NESTING + "bump(1)" + ")" * MAX_NESTING
     assert len(parse_query(f"eval dstar, {psi}").queries) == 1
@@ -1019,6 +1043,10 @@ def test_an_operand_read_shallow_first_still_fails_past_the_nesting_bound():
     # read up to its second bump, the operand is not kept for the tokens it spans
     ("eval dstar, bump(1) bump(2)", "bump(2)"),
     ("expand bump(1) bump(2), 1", "bump(2)"),
+    # a let value, read through the memo too
+    ("let h = bump(1) * bump(0)", "bump(0)"),
+    ("let h = dilate(dstar, 0)", "dilate"),
+    ("let h = dstar, bump(1)", ","),
 ])
 def test_a_failing_operand_fails_alike_every_time(text, at):
     first, second = _outcome(text), _outcome(text)
@@ -1029,11 +1057,18 @@ def test_a_failing_operand_fails_alike_every_time(text, at):
 def test_an_operand_that_warns_warns_each_time_it_is_read():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        program = parse_program("derive glambda(3)·delta[0]\neval glambda(3)·delta[0], bump(1)")
+        program = parse_program("let h = glambda(3)·delta[0]\nderive glambda(3)·delta[0]\n"
+                                "eval glambda(3)·delta[0], bump(1)")
         parse_query("derive glambda(3)·delta[0]")
-    assert [str(w.message)[:22] for w in caught] == ["side weight 3 outside "] * 3
-    assert program.queries[0].dist == program.queries[1].dist
+        parse_query("let h = glambda(3)·delta[0]")
+    assert [str(w.message)[:22] for w in caught] == ["side weight 3 outside "] * 5
+    assert program.bindings["h"] == program.queries[0].dist == program.queries[1].dist
     assert not any("glambda" in tokens for tokens, _ in dsl._OPERANDS)
+
+
+def test_a_derive_that_raises_raises_every_time():
+    first, again = (_outcome("derive Pf(abs(x)^-1.0)") for _ in range(2))
+    assert first == again and "behaves as the integer -1" in first[0]["error"]
 
 
 def test_the_memo_never_holds_more_entries_than_its_cap():
@@ -1092,6 +1127,69 @@ def test_records_do_not_depend_on_the_memo_or_the_statements_before():
         kept_dists += [query.dist] if query.dist is not None else []
     assert len({id(fn) for fn in kept_fns}) < len(kept_fns) / 2
     assert len({id(d) for d in kept_dists}) < len(kept_dists) / 2
+
+
+# -- what a node keeps: its moves and its text -------------------------------------------
+
+_REFS = Path(__file__).resolve().parents[1] / "perfbench" / "refs"
+
+
+def _children(d):
+    if isinstance(d, LinearCombination):
+        return [term for _, term in d.terms]
+    return [d.inner] if hasattr(d, "inner") else []
+
+
+def _fill(d):
+    """Fill the caches of ``d`` and of every node below it."""
+    print_distribution(d)
+    try:
+        derivative_rule(d)
+    except ThickCalcError:
+        pass
+    multiplier_rule(d)
+    for child in _children(d):
+        _fill(child)
+
+
+def _assert_like_fresh(kept, fresh, seen):
+    """``kept``, whose caches may be filled, is its fresh twin ``fresh`` to
+    ``==``, ``hash`` and ``repr``, and each text and move it keeps is what
+    ``fresh`` gives the first time, with only the nodes below it asked
+    before; ``seen`` counts the caches met."""
+    for kept_child, fresh_child in zip(_children(kept), _children(fresh), strict=True):
+        _assert_like_fresh(kept_child, fresh_child, seen)
+    assert kept == fresh and hash(kept) == hash(fresh) and repr(kept) == repr(fresh)
+    if getattr(kept, "_text", None) is not None:
+        assert kept._text == print_distribution(fresh)
+        seen["_text"] += 1
+    for slot, rule in (("_derivative", derivative_rule), ("_moved", multiplier_rule)):
+        if getattr(kept, slot, None) is not None:
+            seen[slot] += 1
+            _assert_like_fresh(getattr(kept, slot), rule(fresh), seen)
+
+
+@pytest.mark.filterwarnings("ignore:side weight")
+def test_a_node_with_its_caches_filled_is_its_fresh_twin():
+    texts = [item["text"] for path in sorted(_REFS.glob("*.json"))
+             for item in json.loads(path.read_text())["items"]]
+    seen = dict.fromkeys(("_text", "_derivative", "_moved"), 0)
+    for text in texts:
+        program = parse_query(text)
+        run(program)
+        kept = [q.dist for q in program.queries] + list(program.bindings.values())
+        kept = [d for d in kept if isinstance(d, DISTRIBUTION_TYPES)]
+        for d in kept:
+            _fill(d)
+        with mock.patch.object(Parser, "parse_operand", Parser.parse_value):
+            program = parse_query(text)
+        fresh = [q.dist for q in program.queries] + list(program.bindings.values())
+        fresh = [d for d in fresh if isinstance(d, DISTRIBUTION_TYPES)]
+        assert len(fresh) == len(kept)
+        for d, f in zip(kept, fresh):
+            assert d is not f
+            _assert_like_fresh(d, f, seen)
+    assert len(texts) > 2000 and min(seen.values()) > 200
 
 
 # -- whole programs, with the memo cold and warm -----------------------------------------
@@ -1168,3 +1266,16 @@ def test_a_program_gives_the_same_records_with_the_memo_cold_warm_or_absent(text
     records, _ = plain
     if isinstance(records, list):
         assert all({"value", "result", "error"} & set(rec) for rec in records)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_programs())
+def test_a_program_file_ends_in_an_exit_code_of_the_command_line_tool(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "program.tc"
+        path.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = cli.main(["eval", str(path), "--json"])
+    assert status in (0, 1, 2, 3)
+    assert all(isinstance(json.loads(line), dict) for line in out.getvalue().splitlines())

@@ -6,6 +6,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thickcalc.distributions import (
     Derivative,
@@ -28,6 +30,7 @@ from thickcalc.errors import (
     OrdinaryFunctionRequiredError,
     PointMismatchError,
     QuadratureError,
+    ThickCalcError,
 )
 from thickcalc import distributions, dsl, pairing
 from thickcalc.checks import run_suite
@@ -556,6 +559,38 @@ def test_linear_combination_pairing():
     phi = thick_monomial(0, (3, 1), 2.0)
     f = LinearCombination(((Fraction(2), delta_star()), (Fraction(-1, 2), g_lambda_delta(1)),))
     assert pair(f, phi).value == 2 * 2 - Fraction(1, 2) * 3
+
+
+_COEFFICIENTS = st.fractions(-3, 3, max_denominator=4).filter(bool)
+_LEAVES = st.one_of(
+    st.builds(PfDensity, st.builds(SpherePair, _COEFFICIENTS, _COEFFICIENTS),
+              st.fractions(Fraction(-7, 2), Fraction(3, 2), max_denominator=2)),
+    st.builds(ThickDelta, st.builds(SpherePair, _COEFFICIENTS, _COEFFICIENTS),
+              st.integers(-2, 4)),
+)
+_LINEARITY_FUNCTIONS = (
+    plateau_bump(1), thick_monomial(1, (1, 2), 1.5), from_polynomial([1, 2, 3], 2),
+    derivative(thick_monomial(2, (1, 3), 2) * from_polynomial([1, 1], 2)),
+    thick_monomial(-1, (2, 1), 1) + plateau_bump(3),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_COEFFICIENTS, _LEAVES, _COEFFICIENTS, _LEAVES, st.sampled_from(_LINEARITY_FUNCTIONS))
+def test_pairing_is_linear_in_a_combination(a, f, b, g, phi):
+    combination = LinearCombination(((a, f), (b, g)))
+    try:
+        rf, rg = pair(f, phi), pair(g, phi)
+    except ThickCalcError as exc:
+        with pytest.raises(type(exc)):
+            pair(combination, phi)
+        return
+    result = pair(combination, phi)
+    expected = a * rf.value + b * rg.value
+    if isinstance(rf.value, Fraction) and isinstance(rg.value, Fraction):
+        assert result.value == expected
+    else:
+        assert abs(result.value - expected) <= abs(a) * rf.quad_error + abs(b) * rg.quad_error
 
 
 def test_translation_against_direct_quadrature():
